@@ -105,7 +105,7 @@ let optimize_run program_path synth_out estimator engine exec timeout jobs
         (fun () -> Stenso.Telemetry.write_ndjson tel oc)
   | None -> ());
   if verbose then begin
-    if outcome.from_cache then
+    if outcome.tier = 1 then
       Format.printf "# served from the persistent store (tier 1 cache hit)@\n"
     else if outcome.tier = 2 then
       Format.printf
@@ -623,12 +623,16 @@ let report_run file min_speedup min_success =
           die "%s: --min-success only applies to %s reports" file
             Suite.Driver.lift_schema_version
       | _ -> ());
+      (match min_speedup with
+      | Some _
+        when not
+               (List.mem schema
+                  Suite.Driver.
+                    [ exec_bench_schema_version; mlsuite_schema_version ]) ->
+          die "%s: --min-speedup only applies to %s reports" file
+            Suite.Driver.exec_bench_schema_version
+      | _ -> ());
       if String.equal schema Suite.Driver.lift_schema_version then (
-        (match min_speedup with
-        | Some _ ->
-            die "%s: --min-speedup only applies to %s reports" file
-              Suite.Driver.exec_bench_schema_version
-        | None -> ());
         match Suite.Driver.validate_lift_report ?min_success doc with
         | Error msg -> die "%s: invalid lift report: %s" file msg
         | Ok () ->
@@ -652,11 +656,6 @@ let report_run file min_speedup min_success =
               | None -> ""
               | Some m -> Printf.sprintf ", all above %.2fx" m))
       else if String.equal schema Suite.Driver.tiers_schema_version then (
-        (match min_speedup with
-        | Some _ ->
-            die "%s: --min-speedup only applies to %s reports" file
-              Suite.Driver.exec_bench_schema_version
-        | None -> ());
         match Suite.Driver.validate_tiers_report doc with
         | Error msg -> die "%s: invalid tiers report: %s" file msg
         | Ok () ->
@@ -713,11 +712,6 @@ let report_run file min_speedup min_success =
               | None -> ""
               | Some m -> Printf.sprintf "; all above %.2fx" m))
       else if String.equal schema Suite.Driver.serve_load_schema_version then (
-        (match min_speedup with
-        | Some _ ->
-            die "%s: --min-speedup only applies to %s reports" file
-              Suite.Driver.exec_bench_schema_version
-        | None -> ());
         match Suite.Driver.validate_serve_load doc with
         | Error msg -> die "%s: invalid serve-load report: %s" file msg
         | Ok () ->
@@ -740,11 +734,6 @@ let report_run file min_speedup min_success =
               (int "n_coalesced") (int "n_refined") (int "n_busy")
               (int "n_protocol_errors"))
       else (
-        (match min_speedup with
-        | Some _ ->
-            die "%s: --min-speedup only applies to %s reports" file
-              Suite.Driver.exec_bench_schema_version
-        | None -> ());
         match Suite.Driver.validate_report doc with
         | Error msg -> die "%s: invalid suite report: %s" file msg
         | Ok () ->

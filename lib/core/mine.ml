@@ -71,7 +71,8 @@ let mine_env ?(tel = Obs.Telemetry.null) ?(jobs = 1) ?max_stubs ~depth ~model
     else
       List.map
         (fun (s : Stub.t) ->
-          (Rules_db.spec_digest s.sem, (s.cost, Ast.to_string s.prog)))
+          ( Rules_db.spec_digest (Spec.key s.sem),
+            (s.cost, Ast.to_string s.prog) ))
         (Stub.stubs lib)
   in
   let entry =

@@ -32,7 +32,7 @@ type t = {
 
 let max_rules = 1024
 
-let spec_digest spec = Store.digest (Spec.key spec)
+let spec_digest spec_key = Store.digest spec_key
 
 let rule_id (r : Rules.t) = Ast.to_string r.lhs ^ " ==> " ^ Ast.to_string r.rhs
 

@@ -65,8 +65,9 @@ type t = {
 val max_rules : int
 (** Per-entry rule cap (lowest-gain rules are dropped beyond it). *)
 
-val spec_digest : Spec.t -> string
-(** Digest of the canonical spec rendering — the optima-table key. *)
+val spec_digest : string -> string
+(** Digest of a canonical spec rendering ({!Spec.key}) — the
+    optima-table key. *)
 
 val entry :
   ?truncated:bool ->

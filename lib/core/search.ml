@@ -528,9 +528,8 @@ let run ?(tel = Tel.null) ?(config = default_config) ?library ~model ~env
   if Tel.enabled tel then begin
     (* Per-run attribution: this run's own cell, not the process-wide
        totals — concurrent traced runs no longer double-count. *)
-    let key_builds, key_hits, key_secs = Spec.counters_stats keyc in
+    let key_builds, key_secs = Spec.counters_stats keyc in
     Tel.add tel "spec.key_builds" key_builds;
-    Tel.add tel "spec.key_cache_hits" key_hits;
     Tel.Acc.add (Tel.acc tel "spec.key_build_seconds") key_secs;
     Tel.event tel "search.summary"
       [

@@ -40,7 +40,7 @@ let outcome_json ~id ~env ~coalesced (o : Superopt.outcome) =
   Json.Obj
     (base_fields ~id ~ok:true
     @ [
-        ("cache_hit", Json.Bool o.from_cache);
+        ("cache_hit", Json.Bool (o.tier = 1));
         ("tier", Json.Int o.tier);
         ("coalesced", Json.Bool coalesced);
         ("refined", Json.Bool o.refined);
@@ -157,27 +157,28 @@ let model_for h config =
    background executor.  At most one refinement per store key is ever
    outstanding; a full background queue just drops the attempt (a later
    request for the same spec will retry). *)
-let maybe_refine h ~background ~key ~config ~model ~env ~spec prog =
+let maybe_refine h ~background ~(key : Superopt.key) ~config ~model ~env ~spec
+    prog =
   match (h.store, background) with
   | Some store, Some submit ->
       let claimed =
         Mutex.protect h.refine_lock (fun () ->
-            if Hashtbl.mem h.refining key then false
+            if Hashtbl.mem h.refining key.store_key then false
             else begin
-              Hashtbl.add h.refining key ();
+              Hashtbl.add h.refining key.store_key ();
               true
             end)
       in
       if claimed then begin
         let release () =
           Mutex.protect h.refine_lock (fun () ->
-              Hashtbl.remove h.refining key)
+              Hashtbl.remove h.refining key.store_key)
         in
         let job () =
           Fun.protect ~finally:release (fun () ->
               ignore
                 (Superopt.refine ~tel:h.tel ~config ~store
-                   ~stub_cache:h.stub_cache ~model ~spec ~env prog))
+                   ~stub_cache:h.stub_cache ~model ~spec ~key ~env prog))
         in
         if submit job then Tel.incr h.tel "serve.refine_enqueued"
         else begin
@@ -204,11 +205,11 @@ let handle_doc ?background h doc =
             outcome_json ~id ~env ~coalesced:false outcome
         | Some store ->
             let spec = Dsl.Sexec.exec_env env prog in
-            let key = Superopt.store_key ~config ~model ~env ~spec prog in
+            let key = Superopt.key ~config ~model ~env ~spec prog in
             let outcome, coalesced =
-              Tnet.Single_flight.run h.flight key (fun () ->
+              Tnet.Single_flight.run h.flight key.store_key (fun () ->
                   Superopt.optimize ~tel:h.tel ~config ~store
-                    ~stub_cache:h.stub_cache ~model ~spec ~env prog)
+                    ~stub_cache:h.stub_cache ~model ~spec ~key ~env prog)
             in
             if coalesced then Tel.incr h.tel "serve.coalesced";
             if not outcome.refined then

@@ -55,15 +55,16 @@ val handle_line :
 (** Process one NDJSON request line into one response line (no trailing
     newline).  Never raises: every failure is an [ok:false] response.
 
-    With a [store], identical in-flight requests (same
-    {!Superopt.store_key}) coalesce onto one synthesis — waiters get the
-    leader's outcome with [coalesced:true] and bump the [serve.coalesced]
-    counter.  [background], when given, receives deferred tier-3
-    refinement jobs for unrefined answers (at most one outstanding per
-    store key; [serve.refine_enqueued] / [serve.refine_shed] counters);
-    it returns [false] to reject the job (queue full).  Omitting it —
-    as tests exercising only the request path do — disables background
-    refinement. *)
+    With a [store], each request's spec is keyed once ({!Superopt.key})
+    and the key is handed on to {!Superopt.optimize}; identical
+    in-flight requests (same [store_key]) coalesce onto one synthesis —
+    waiters get the leader's outcome with [coalesced:true] and bump the
+    [serve.coalesced] counter.  [background], when given, receives
+    deferred tier-3 refinement jobs for unrefined answers (at most one
+    outstanding per store key; [serve.refine_enqueued] /
+    [serve.refine_shed] counters); it returns [false] to reject the job
+    (queue full).  Omitting it — as tests exercising only the request
+    path do — disables background refinement. *)
 
 val coalesced_total : handler -> int
 (** Requests served by piggybacking on another in-flight request since

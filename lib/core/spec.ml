@@ -17,37 +17,22 @@ let build_key t =
     (St.to_array t);
   Buffer.contents buf
 
-(* [key] is O(numel * |expr|) to build and the search probes it on every
-   memo lookup, visited-set check and library lookup, so the result is
-   cached per spec.  The cache is keyed on the physical identity of the
-   spec's element buffer: specs are never mutated once they leave the
-   solver (holes are filled element by element {e during} construction,
-   before any [key] call), so a buffer's rendering is stable.  Each
-   domain keeps its own ephemeron table — no synchronization on the hot
-   path, and entries die with their specs. *)
-
 (* Key-build accounting.  One process-wide cell keeps the historical
    totals, and an {e ambient} per-run cell (installed by [with_counters]
    in every domain working on a given search) gives each telemetry sink
    its own attribution — two concurrent traced runs no longer count each
    other's key builds. *)
-type key_counters = {
-  builds : int Atomic.t;
-  cache_hits : int Atomic.t;
-  build_ns : int Atomic.t;
-}
+type key_counters = { builds : int Atomic.t; build_ns : int Atomic.t }
 
-let fresh_counters () =
-  { builds = Atomic.make 0; cache_hits = Atomic.make 0; build_ns = Atomic.make 0 }
-
+let fresh_counters () = { builds = Atomic.make 0; build_ns = Atomic.make 0 }
 let global_counters = fresh_counters ()
 
 let counters_stats c =
-  ( Atomic.get c.builds,
-    Atomic.get c.cache_hits,
-    float_of_int (Atomic.get c.build_ns) *. 1e-9 )
+  (Atomic.get c.builds, float_of_int (Atomic.get c.build_ns) *. 1e-9)
 
-let key_stats () = counters_stats global_counters
+let key_stats () =
+  let builds, secs = counters_stats global_counters in
+  (builds, 0, secs)
 
 let ambient_counters : key_counters option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -61,48 +46,17 @@ let with_counters c f =
     ~finally:(fun () -> Domain.DLS.set ambient_counters prev)
     f
 
-let note_hit () =
-  Atomic.incr global_counters.cache_hits;
-  match Domain.DLS.get ambient_counters with
-  | Some c -> Atomic.incr c.cache_hits
-  | None -> ()
-
-let note_build ns =
-  Atomic.incr global_counters.builds;
-  ignore (Atomic.fetch_and_add global_counters.build_ns ns);
-  match Domain.DLS.get ambient_counters with
-  | Some c ->
-      Atomic.incr c.builds;
-      ignore (Atomic.fetch_and_add c.build_ns ns)
-  | None -> ()
-
-module Keytbl = Ephemeron.K1.Make (struct
-  type t = Expr.t array
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let key_cache : string Keytbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Keytbl.create 1024)
+let note_build c ns =
+  Atomic.incr c.builds;
+  ignore (Atomic.fetch_and_add c.build_ns ns)
 
 let key t =
-  let data = St.unsafe_data t in
-  (* The empty array may be physically shared between distinct specs
-     (whose keys still differ by shape); never cache it. *)
-  if Array.length data = 0 then build_key t
-  else
-    let tbl = Domain.DLS.get key_cache in
-    match Keytbl.find_opt tbl data with
-    | Some k ->
-        note_hit ();
-        k
-    | None ->
-        let t0 = Unix.gettimeofday () in
-        let k = build_key t in
-        note_build (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-        Keytbl.add tbl data k;
-        k
+  let t0 = Unix.gettimeofday () in
+  let k = build_key t in
+  let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  note_build global_counters ns;
+  Option.iter (fun c -> note_build c ns) (Domain.DLS.get ambient_counters);
+  k
 
 let complexity = Dsl.Sexec.complexity
 

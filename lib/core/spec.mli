@@ -14,14 +14,17 @@ val equal : t -> t -> bool
 
 val key : t -> string
 (** Canonical rendering usable as a hash key; equal specs have equal
-    keys.  Cached per spec (per domain), so repeated probes on the same
-    spec are O(1); specs must not be mutated after their first [key]. *)
+    keys.  Every call renders the spec afresh — O(numel * |expr|) — and
+    counts one build, so callers that probe the same spec repeatedly
+    build its key once and pass the string along. *)
 
 val key_stats : unit -> int * int * float
-(** [(builds, cache_hits, build_seconds)] — process-wide totals since
-    start.  For per-run attribution (what the telemetry layer reports)
-    use an ambient {!key_counters} cell instead: concurrent runs each
-    read their own cell, not each other's work. *)
+(** [(builds, 0, build_seconds)] — process-wide totals since start.
+    Keys are not cached, so the middle (hit-count) slot always reads 0;
+    it stays for callers of the three-slot shape.  For per-run
+    attribution (what the telemetry layer reports) use an ambient
+    {!key_counters} cell instead: concurrent runs each read their own
+    cell, not each other's work. *)
 
 (** {2 Per-run key-build attribution} *)
 
@@ -31,15 +34,15 @@ type key_counters
 
 val fresh_counters : unit -> key_counters
 
-val counters_stats : key_counters -> int * int * float
-(** [(builds, cache_hits, build_seconds)] recorded into this cell. *)
+val counters_stats : key_counters -> int * float
+(** [(builds, build_seconds)] recorded into this cell. *)
 
 val with_counters : key_counters -> (unit -> 'a) -> 'a
 (** Run [f] with [c] installed as the calling domain's ambient cell
-    (restored afterwards): every {!key} build or cache hit inside is
-    credited to [c] in addition to the process-wide totals.  The cell is
-    domain-local — code that fans work out to other domains re-installs
-    it in each worker (the search engine and stub enumerator do). *)
+    (restored afterwards): every {!key} build inside is credited to [c]
+    in addition to the process-wide totals.  The cell is domain-local —
+    code that fans work out to other domains re-installs it in each
+    worker (the search engine and stub enumerator do). *)
 
 val ambient : unit -> key_counters option
 (** The calling domain's current cell, for propagating into spawned

@@ -9,7 +9,6 @@ type outcome = {
   optimized_cost : float;
   search : Search.result;
   verified : bool;
-  from_cache : bool;
   tier : int;
   refined : bool;
 }
@@ -125,7 +124,6 @@ let superoptimize ?(tel = Obs.Telemetry.null) ?(config = Search.default_config)
           optimized_cost = search.cost;
           search;
           verified;
-          from_cache = false;
           tier = 3;
           refined = true;
         }
@@ -145,7 +143,6 @@ let superoptimize ?(tel = Obs.Telemetry.null) ?(config = Search.default_config)
           optimized_cost = original_cost;
           search;
           verified = true;
-          from_cache = false;
           tier = 3;
           refined = true;
         }
@@ -159,22 +156,33 @@ let superoptimize ?(tel = Obs.Telemetry.null) ?(config = Search.default_config)
         optimized_cost = original_cost;
         search;
         verified = true;
-        from_cache = false;
         tier = 3;
         refined = true;
       }
 
+type key = { spec_key : string; store_key : string }
+
 (* The full store key for one request: what will be synthesized (the
    spec), from what material (stub fingerprint: env, consts, grammar),
    under which search parameters (config fingerprint) and which cost
-   notion (model id). *)
-let store_key ~config ~model ~env ~spec prog =
+   notion (model id).  The spec key is kept beside it: the rules
+   database keys its optima by the spec key alone. *)
+let key ~config ~model ~env ~spec prog =
   let search = Config.search_config config in
-  Store.outcome_key ~spec_key:(Spec.key spec)
-    ~stub_fp:
-      (Stub.fingerprint search.Search.stub_config ~consts:(consts_of prog) env)
-    ~config_fp:(Config.fingerprint config)
-    ~model_id:model.Cost.Model.name
+  let spec_key = Spec.key spec in
+  {
+    spec_key;
+    store_key =
+      Store.outcome_key ~spec_key
+        ~stub_fp:
+          (Stub.fingerprint search.Search.stub_config ~consts:(consts_of prog)
+             env)
+        ~config_fp:(Config.fingerprint config)
+        ~model_id:model.Cost.Model.name;
+  }
+
+let store_key ~config ~model ~env ~spec prog =
+  (key ~config ~model ~env ~spec prog).store_key
 
 (* Reconstitute an outcome from a store entry.  The entry's program text
    must still parse, type-check and match this request's environment —
@@ -201,7 +209,6 @@ let outcome_of_entry ~env prog (e : Store.outcome_entry) : outcome option =
                 stats = e.stats;
               };
             verified = true;
-            from_cache = true;
             tier = 1;
             refined = e.refined;
           }
@@ -296,7 +303,7 @@ let empty_stats elapsed =
    bounded stub space, so a certified answer is the best the database
    can prove; anything short of that falls through to the full search
    (with the candidate's cost as a tightened initial bound). *)
-let tier2_attempt ~tel ~config ~model ~env ~spec ~depth ~store prog =
+let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
   match
     Rules_db.find store
       ~key:(Rules_db.key ~env ~model_id:model.Cost.Model.name ~depth)
@@ -329,7 +336,9 @@ let tier2_attempt ~tel ~config ~model ~env ~spec ~depth ~store prog =
         | p -> Some p
         | exception Egraph.Unsupported _ -> None
       in
-      let optimum = Rules_db.lookup_optimum db (Rules_db.spec_digest spec) in
+      let optimum =
+        Rules_db.lookup_optimum db (Rules_db.spec_digest spec_key)
+      in
       let candidates =
         List.filter_map Fun.id
           [ Option.map snd optimum; saturated; Some fixpoint ]
@@ -399,7 +408,7 @@ let tier2_attempt ~tel ~config ~model ~env ~spec ~depth ~store prog =
    generalized rewrite (when the search improved the program and the
    rule is sound to apply anywhere) and the spec's optimum.  This is
    how the database outgrows its mining depth with traffic. *)
-let tier3_feedback ~model ~env ~spec ~depth ~store (outcome : outcome) =
+let tier3_feedback ~model ~env ~spec_key ~depth ~store (outcome : outcome) =
   let rule =
     if not outcome.improved then None
     else
@@ -415,13 +424,26 @@ let tier3_feedback ~model ~env ~spec ~depth ~store (outcome : outcome) =
   Rules_db.record_feedback store
     ~key:(Rules_db.key ~env ~model_id ~depth)
     ~model_id ~depth ?rule
-    ~spec_digest:(Rules_db.spec_digest spec)
+    ~spec_digest:(Rules_db.spec_digest spec_key)
     ~cost:outcome.optimized_cost
     ~prog:(Ast.to_string outcome.optimized)
     ()
 
+(* The request's spec and key.  Callers that already built them (serving
+   keys each request for single-flight before optimizing it) pass them
+   in, so no request spec is keyed twice. *)
+let spec_and_key ~tel ~config ~model ?spec ?key:k ~env prog =
+  let spec =
+    match spec with
+    | Some s -> s
+    | None ->
+        Obs.Telemetry.span tel "phase.symbolic_exec" (fun () ->
+            Dsl.Sexec.exec_env env prog)
+  in
+  (spec, match k with Some k -> k | None -> key ~config ~model ~env ~spec prog)
+
 let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
-    ?stub_cache ?model ?spec ~env prog =
+    ?stub_cache ?model ?spec ?key ~env prog =
   let model =
     match model with Some m -> m | None -> Config.model ~tel config
   in
@@ -431,14 +453,9 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
       superoptimize ~tel ~config:search_config ?stub_cache ?spec ~model ~env
         prog
   | Some store -> (
-      let spec =
-        match spec with
-        | Some s -> s
-        | None ->
-            Obs.Telemetry.span tel "phase.symbolic_exec" (fun () ->
-                Dsl.Sexec.exec_env env prog)
+      let spec, { spec_key; store_key = key } =
+        spec_and_key ~tel ~config ~model ?spec ?key ~env prog
       in
-      let key = store_key ~config ~model ~env ~spec prog in
       let serve_event ?(db_truncated = false) tier =
         Obs.Telemetry.incr tel "tier.hit";
         Obs.Telemetry.incr tel (Printf.sprintf "tier%d.hits" tier);
@@ -495,8 +512,8 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
             match Config.rules_depth config with
             | None -> None
             | Some depth ->
-                tier2_attempt ~tel ~config ~model ~env ~spec ~depth ~store
-                  prog
+                tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth
+                  ~store prog
           in
           match t2 with
           | Some t2 when t2.t2_certified && t2.t2_cost <= original_cost ->
@@ -520,7 +537,6 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
                       stats = empty_stats t2.t2_elapsed;
                     };
                   verified = true;
-                  from_cache = false;
                   tier = 2;
                   (* A certified tier-2 answer is optimal within the
                      mined space, but the full search explores deeper:
@@ -567,7 +583,8 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
                 3;
               (match Config.rules_depth config with
               | Some depth when outcome.verified ->
-                  tier3_feedback ~model ~env ~spec ~depth ~store outcome
+                  tier3_feedback ~model ~env ~spec_key ~depth ~store
+                    outcome
               | _ -> ());
               record outcome;
               outcome))
@@ -580,25 +597,21 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
    every future hit.  The upgraded answer also feeds the rule database,
    so future tier-2 answers for this spec serve the true optimum. *)
 let refine ?(tel = Obs.Telemetry.null) ?(config = Config.default) ~store
-    ?stub_cache ?model ?spec ~env prog =
+    ?stub_cache ?model ?spec ?key ~env prog =
   let model =
     match model with Some m -> m | None -> Config.model ~tel config
   in
-  let spec =
-    match spec with
-    | Some s -> s
-    | None ->
-        Obs.Telemetry.span tel "phase.symbolic_exec" (fun () ->
-            Dsl.Sexec.exec_env env prog)
+  let spec, { spec_key; store_key = key } =
+    spec_and_key ~tel ~config ~model ?spec ?key ~env prog
   in
-  let key = store_key ~config ~model ~env ~spec prog in
   let outcome =
     superoptimize ~tel ~config:(Config.search_config config) ?stub_cache
       ~spec ~model ~env prog
   in
   if outcome.verified then begin
     (match Config.rules_depth config with
-    | Some depth -> tier3_feedback ~model ~env ~spec ~depth ~store outcome
+    | Some depth ->
+        tier3_feedback ~model ~env ~spec_key ~depth ~store outcome
     | None -> ());
     Store.record_outcome store ~key
       {

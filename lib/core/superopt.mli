@@ -19,11 +19,10 @@ type outcome = {
       (** symbolic equivalence of [optimized] and [original]; always
           true for [improved] outcomes (enforced), trivially true
           otherwise *)
-  from_cache : bool;
-      (** served from the persistent store without entering the search
-          (only possible through {!optimize} with a store) *)
   tier : int;
-      (** which tier answered: 1 = outcome-store lookup, 2 = mined
+      (** which tier answered: 1 = outcome-store lookup (served from
+          the persistent store without entering the search, only
+          possible through {!optimize} with a store), 2 = mined
           rules / e-graph saturation against the rule database, 3 =
           full branch-and-bound search (always 3 for bare
           {!superoptimize}) *)
@@ -59,6 +58,25 @@ val superoptimize :
     serving to prune against an already-verified tier-2 candidate);
     the search then only returns programs cheaper than it. *)
 
+type key = {
+  spec_key : string;  (** {!Spec.key} of the request's spec *)
+  store_key : string;
+      (** {!Store.outcome_key} over the spec key, stub fingerprint,
+          config fingerprint and model id *)
+}
+
+val key :
+  config:Config.t ->
+  model:Cost.Model.t ->
+  env:Dsl.Types.env ->
+  spec:Spec.t ->
+  Dsl.Ast.t ->
+  key
+(** Key one request, building its spec key once.  [store_key] is
+    exactly the key {!optimize} consults, exposed so serving layers can
+    deduplicate identical in-flight requests on it; hand the whole
+    record to {!optimize} so it does not key the spec again. *)
+
 val store_key :
   config:Config.t ->
   model:Cost.Model.t ->
@@ -66,10 +84,7 @@ val store_key :
   spec:Spec.t ->
   Dsl.Ast.t ->
   string
-(** The full store key for one request ({!Store.outcome_key} over the
-    spec key, stub fingerprint, config fingerprint and model id) —
-    exactly the key {!optimize} consults, exposed so serving layers can
-    deduplicate identical in-flight requests on it. *)
+(** [(key ~config ~model ~env ~spec prog).store_key]. *)
 
 val optimize :
   ?tel:Obs.Telemetry.t ->
@@ -78,6 +93,7 @@ val optimize :
   ?stub_cache:Stub.Cache.cache ->
   ?model:Cost.Model.t ->
   ?spec:Spec.t ->
+  ?key:key ->
   env:Dsl.Types.env ->
   Dsl.Ast.t ->
   outcome
@@ -91,8 +107,8 @@ val optimize :
     {ol
     {- {b Tier 1 — outcome store.}  The request key (spec +
        fingerprints + model id, {!Store.outcome_key}) is looked up
-       first — a hit reconstitutes the outcome (with
-       [outcome.from_cache] set, [store.hits] bumped, and [store.serve]
+       first — a hit reconstitutes the outcome (with [outcome.tier] 1,
+       [store.hits] bumped, and [store.serve]
        / [tier.serve] events in the trace) without entering {!Search}.
        A stale or undecodable entry is invalidated.}
     {- {b Tier 2 — mined rules} (only when the configuration sets
@@ -123,8 +139,10 @@ val optimize :
     [tier.serve] event per answer.
 
     [spec], when the caller already symbolically executed the program
-    (for example to compute the {!store_key}), skips the redundant
-    execution. *)
+    (for example to compute the {!key}), skips the redundant execution;
+    [key], when the caller already keyed the request with the same
+    [config], [model] and [spec], skips rebuilding the spec key (it is
+    only used with [store]). *)
 
 val refine :
   ?tel:Obs.Telemetry.t ->
@@ -133,6 +151,7 @@ val refine :
   ?stub_cache:Stub.Cache.cache ->
   ?model:Cost.Model.t ->
   ?spec:Spec.t ->
+  ?key:key ->
   env:Dsl.Types.env ->
   Dsl.Ast.t ->
   outcome

@@ -1,6 +1,6 @@
 (* Engine facade: the switchable execution backends, the options
-   record every knob travels through, compiled-program caching, and the
-   telemetry wiring for fusion/arena/parallelism statistics. *)
+   record every knob travels through, and the telemetry wiring for
+   fusion/arena/parallelism statistics. *)
 
 module Ast = Dsl.Ast
 module Types = Dsl.Types
@@ -67,31 +67,3 @@ let eval ?options (kind : kind) ~(env : Types.env) lookup (prog : Ast.t) =
   match kind with
   | `Interp -> Dsl.Interp.eval lookup prog
   | `Vm -> Vm.run (compile ?options ~env prog) lookup
-
-(* Compiled-program cache, keyed structurally on (environment, program,
-   options fingerprint) — the same program planned under different
-   options is a different compiled artifact.  The map is safe to share
-   across domains; each *compiled program* is not (its arena is mutable,
-   even though one run may fan out over many domains internally) —
-   callers sharing one across domains must serialize runs on it. *)
-module Cache = struct
-  type key = Types.env * Ast.t * string
-  type nonrec t = {
-    tbl : (key, compiled) Hashtbl.t;
-    lock : Mutex.t;
-  }
-
-  let create () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
-
-  let find_or_compile t ?(options = Options.default) ~env prog =
-    let key = (env, prog, Options.fingerprint options) in
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.tbl key with
-        | Some c -> c
-        | None ->
-            let c = compile ~options ~env prog in
-            Hashtbl.add t.tbl key c;
-            c)
-
-  let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
-end

@@ -86,17 +86,3 @@ val eval :
   Tensor.Ftensor.t
 (** One-shot evaluation through the selected engine.  [`Interp] ignores
     [env] and [options]. *)
-
-(** Compiled-program cache keyed structurally on (environment, program,
-    options fingerprint).  The map is domain-safe; individual compiled
-    programs are not. *)
-module Cache : sig
-  type t
-
-  val create : unit -> t
-
-  val find_or_compile :
-    t -> ?options:Options.t -> env:Dsl.Types.env -> Dsl.Ast.t -> compiled
-
-  val size : t -> int
-end

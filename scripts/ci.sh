@@ -250,3 +250,10 @@ case "$lift_err" in
      exit 1 ;;
 esac
 echo "lift smoke check passed"
+
+# Benchmark smoke check: every perfbench workload, traced and untraced,
+# on a few items must build against the library, pass its correctness
+# checks and print every metric BENCHMARK.json declares — so a library
+# API change that breaks the benchmark fails here, not in a benchmark run.
+python3 perfbench/run.py --smoke
+echo "perfbench smoke check passed"

@@ -358,25 +358,6 @@ let test_options_api () =
   Alcotest.(check bool) "fingerprint reflects planner knobs" true
     (fingerprint default <> fingerprint (default |> with_tile 8))
 
-(* The compiled-program cache keys on the options fingerprint: the same
-   program under different knobs is a different artifact. *)
-let test_cache_keyed_by_options () =
-  let env = [ ("A", Types.float_t [| 4; 4 |]) ] in
-  let prog = Parser.expression "np.sum(A * A)" in
-  let cache = Exec.Cache.create () in
-  let fused = Exec.Cache.find_or_compile cache ~env prog in
-  let unfused =
-    Exec.Cache.find_or_compile cache
-      ~options:Exec.Options.(default |> with_fusion false)
-      ~env prog
-  in
-  Alcotest.(check int) "two options, two entries" 2 (Exec.Cache.size cache);
-  Alcotest.(check bool) "plans actually differ" true
-    ((Exec.stats fused).Exec.steps < (Exec.stats unfused).Exec.steps);
-  ignore (Exec.Cache.find_or_compile cache ~env prog);
-  Alcotest.(check int) "same options hit the existing entry" 2
-    (Exec.Cache.size cache)
-
 (* Every targeted program must agree with the interpreter under every
    knob setting, not just the default plan. *)
 let test_vm_options_matrix () =
@@ -612,8 +593,6 @@ let suite =
     Alcotest.test_case "vm: fusion legality" `Quick test_fusion_legality;
     Alcotest.test_case "vm: ML-kernel fusion" `Quick test_ml_kernel_fusion;
     Alcotest.test_case "vm: options api" `Quick test_options_api;
-    Alcotest.test_case "vm: cache keyed by options" `Quick
-      test_cache_keyed_by_options;
     Alcotest.test_case "vm: options matrix differential" `Quick
       test_vm_options_matrix;
     Alcotest.test_case "vm: tiled edge shapes" `Quick test_tiled_edge_shapes;

@@ -57,7 +57,7 @@ let test_mine_env () =
   (* the optima table knows the cheapest implementation of this spec *)
   let concrete = p "np.exp(np.log(np.add(A, B)))" in
   let spec = Sexec.exec_env env2 concrete in
-  match Rules_db.lookup_optimum db (Rules_db.spec_digest spec) with
+  match Rules_db.lookup_optimum db (Rules_db.spec_digest (Spec.key spec)) with
   | Some (cost, prog) ->
       Alcotest.(check (float 1e-9)) "optimum cost" 9. cost;
       Alcotest.(check bool) "optimum is equivalent" true
@@ -158,9 +158,27 @@ let test_tier2_then_tier1 () =
   (* the certified answer was recorded: the repeat is a tier-1 hit *)
   let o2 = Superopt.optimize ~config ~store ~model ~env:b.env b.program in
   Alcotest.(check int) "repeat answered by tier 1" 1 o2.tier;
-  Alcotest.(check bool) "repeat from cache" true o2.from_cache;
   Alcotest.(check (float 1e-9)) "same cost" o1.optimized_cost
     o2.optimized_cost
+
+(* A tiered request answered by tier 2 keys its spec exactly once: the
+   outcome-store key and the optima-table digest share one spec key. *)
+let test_tier2_request_keys_once () =
+  let b = bench "log_exp_1" in
+  let store = Store.open_store ~dir:(fresh_dir ()) () in
+  ignore (Mine.mine ~depth:2 ~model ~store [ (b.name, b.env) ]);
+  let h = Serve.handler ~store ~base:config () in
+  let module Json = Telemetry.Json in
+  let req =
+    Json.(to_string (Obj [ ("program", Str (Parser.unparse b.env b.program)) ]))
+  in
+  let c = Spec.fresh_counters () in
+  let resp = Spec.with_counters c (fun () -> Serve.handle_line h req) in
+  Alcotest.(check (option int)) "answered by tier 2" (Some 2)
+    (Option.bind
+       (Result.to_option (Json.of_string resp))
+       (fun doc -> Option.bind (Json.member "tier" doc) Json.to_int_opt));
+  Alcotest.(check int) "one spec key built" 1 (fst (Spec.counters_stats c))
 
 let test_tier3_feedback () =
   (* diag_dot's true optimum is depth 3 — outside the depth-2 mined
@@ -185,7 +203,7 @@ let test_tier3_feedback () =
     | None -> Alcotest.fail "rules entry vanished"
   in
   let spec = Sexec.exec_env b.env b.program in
-  match Rules_db.lookup_optimum db (Rules_db.spec_digest spec) with
+  match Rules_db.lookup_optimum db (Rules_db.spec_digest (Spec.key spec)) with
   | Some (cost, prog) ->
       Alcotest.(check (float 1e-9)) "fed-back optimum cost"
         o1.optimized_cost cost;
@@ -285,4 +303,6 @@ let suite =
       test_saturation_reaches_optimum;
     Alcotest.test_case "tiers report" `Quick test_tiers_report;
     Alcotest.test_case "config fingerprint" `Quick test_config_fingerprint;
+    Alcotest.test_case "tier-2 request keys its spec once" `Quick
+      test_tier2_request_keys_once;
   ]
