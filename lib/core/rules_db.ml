@@ -182,42 +182,83 @@ let of_json j =
 (* Store plumbing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Decoded-entry cache.  Parsing a few hundred rules plus a few
-   thousand optima lines per request would dominate tier-2 latency, so
-   decode once per resident payload: the cached decode is valid exactly
-   while [Store.find] keeps returning the *same* payload object (the
-   store's LRU front preserves physical identity); a reload from disk —
-   new object — re-decodes, which also makes external modification and
-   corruption visible to long-lived handles. *)
-let cache : (string, Json.t * t) Hashtbl.t = Hashtbl.create 8
+(* Decoded-entry cache: one decode per database key, shared by every
+   store handle whose entry file holds the same bytes.  Parsing a few
+   hundred rules plus a few thousand optima lines per request would
+   dominate tier-2 latency, so a lookup only stats the entry file: the
+   same file (path, inode, size, mtime) reuses the decode; another file
+   is digested, and only bytes not seen before are read and parsed.  A
+   process therefore holds at most one decode per key, however many
+   stores it opens over copies of one database, and reading the file
+   makes external modification and corruption visible at once. *)
+type stamp = { path : string; ino : int; size : int; mtime : float }
+type cached = { stamp : stamp; digest : Digest.t; db : t }
+
+let cache : (string, cached) Hashtbl.t = Hashtbl.create 8
 let cache_lock = Mutex.create ()
 
-let cache_key store key = Store.dir store ^ "\x00" ^ key
+let cached key =
+  Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache key)
 
+let remember key c =
+  Mutex.protect cache_lock (fun () -> Hashtbl.replace cache key c)
+
+let stamp path =
+  match Unix.stat path with
+  | st ->
+      Some { path; ino = st.st_ino; size = st.st_size; mtime = st.st_mtime }
+  | exception Unix.Unix_error _ -> None
+
+(* The stamp is taken before the read: a file replaced in between is
+   cached under the old stamp, so the next lookup reads it again. *)
 let find store ~key =
-  match Store.find store ~schema key with
+  let path = Store.entry_path store key in
+  match stamp path with
   | None -> None
-  | Some payload -> (
-      let ck = cache_key store key in
-      match
-        Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache ck)
-      with
-      | Some (resident, t) when resident == payload -> Some t
-      | _ -> (
-          match of_json payload with
-          | Some t ->
-              Mutex.protect cache_lock (fun () ->
-                  Hashtbl.replace cache ck (payload, t));
-              Some t
-          | None ->
-              Store.invalidate store key;
-              None))
+  | Some st -> (
+      match cached key with
+      | Some c when c.stamp = st -> Some c.db
+      | prev -> (
+          let same_bytes c =
+            match Digest.file path with
+            | d -> Digest.equal c.digest d
+            | exception Sys_error _ -> false
+          in
+          match prev with
+          | Some c when same_bytes c ->
+              remember key { c with stamp = st };
+              Some c.db
+          | _ -> (
+              match Store.read_file path with
+              | None -> None
+              | Some contents -> (
+                  match
+                    Option.bind
+                      (Result.to_option
+                         (Store.decode_entry ~schema ~key contents))
+                      of_json
+                  with
+                  | Some db ->
+                      remember key
+                        { stamp = st; digest = Digest.string contents; db };
+                      Some db
+                  | None ->
+                      Store.invalidate store key;
+                      None))))
 
 let record store ~key t =
-  let payload = to_json t in
-  Store.add store ~schema key payload;
-  Mutex.protect cache_lock (fun () ->
-      Hashtbl.replace cache (cache_key store key) (payload, t))
+  let path = Store.entry_path store key in
+  let before = stamp path in
+  Store.add store ~schema key (to_json t);
+  (* Cache the decode only when the write landed (a new file); after a
+     failed write the file on disk, if any, is still the old entry, and
+     the entry is served from disk only. *)
+  match stamp path with
+  | Some st when Some st <> before -> (
+      match Digest.file path with
+      | digest -> remember key { stamp = st; digest; db = t }
+      | exception Sys_error _ -> ())
+  | _ -> ()
 
 (* Serializes feedback read-modify-writes within this process; across
    processes the last writer wins, which is acceptable for a cache whose

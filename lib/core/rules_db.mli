@@ -88,13 +88,16 @@ val lookup_optimum : t -> string -> (float * Dsl.Ast.t) option
     parses. *)
 
 val find : Store.t -> key:string -> t option
-(** Decode the database entry under this key.  Decoded entries are
-    cached per (store directory, key) and revalidated against the
-    store's resident payload, so repeated lookups do not re-parse; an
-    entry whose envelope is readable but whose payload no longer
-    decodes is invalidated (deleted, counted corrupt) and reported as
-    a miss.  Individually malformed rules or optima lines are dropped
-    rather than failing the entry. *)
+(** Decode the database entry under this key, read from its file in
+    the store directory (not the store's memory front, so an entry
+    whose write failed is not served).  The process keeps one decode
+    per key: a lookup whose file is unchanged (path, inode, size,
+    mtime) only stats it, and a file with the same bytes (another copy
+    of the database, or a touched file) is digested but not parsed
+    again.  An entry whose envelope is unreadable or whose
+    payload no longer decodes is invalidated (deleted, counted corrupt)
+    and reported as a miss.  Individually malformed rules or optima
+    lines are dropped rather than failing the entry. *)
 
 val record : Store.t -> key:string -> t -> unit
 (** Persist an entry (write-through), replacing any previous one. *)

@@ -46,8 +46,6 @@ type result = { program : Dsl.Ast.t option; cost : float; stats : stats }
 
 exception Out_of_budget
 
-module Sset = Set.Make (String)
-
 (* The search statistics live in atomic counters shared by every domain
    working on the search (the telemetry layer reads the same counters),
    so sequential and parallel runs account identically — in particular
@@ -90,13 +88,13 @@ type state = {
      search, so a complete program found by one worker prunes all the
      others.  It only ever decreases (see [relax]). *)
   cost_min : float Atomic.t;
-  memo : (string, Dsl.Ast.t * float) Hashtbl.t;
+  memo : (Dsl.Ast.t * float) Spec.Tbl.t;
   (* Specs that failed to synthesize, keyed with the smallest
      accumulated cost at which they failed: the global bound only ever
      tightens, so failing at cost c implies failing at any cost >= c.
      Only recorded when no candidate was suppressed by the path's
      visited set (such failures are path-dependent). *)
-  memo_fail : (string, float) Hashtbl.t;
+  memo_fail : float Spec.Tbl.t;
 }
 
 (* Monotone atomic minimum: safe for concurrent publishers because a
@@ -177,7 +175,9 @@ let decomp_op_cost st (d : Invert.decomposition) =
 (* The decompositions worth recursing into — those that simplify (or
    structurally tie on unvisited specs) — annotated with their immediate
    cost and sorted cheapest-first.  Shared by the sequential recursion
-   and the parallel root. *)
+   and the parallel root.  [visited] is the list of specs on the current
+   path, at most [max_depth] long, so a linear scan with {!Spec.equal}
+   beats building any key per hole. *)
 let viable_decomps st ~visited spec =
   let spec_cx = Spec.complexity spec in
   let ds =
@@ -190,8 +190,8 @@ let viable_decomps st ~visited spec =
     List.filter_map
       (fun (d : Invert.decomposition) ->
         let holes = Invert.hole_specs d in
-        let hole_keys = List.map Spec.key holes in
-        if List.exists (fun k -> Sset.mem k visited) hole_keys then begin
+        let on_path h = List.exists (Spec.equal h) visited in
+        if List.exists on_path holes then begin
           visited_blocked := true;
           None
         end
@@ -236,10 +236,9 @@ let rec dfs st ~level ~visited ~cost_in spec : (Dsl.Ast.t * float) option =
   | matched ->
       if level >= st.cfg.max_depth then matched
       else
-        let key = Spec.key spec in
         let memo_hit =
           if st.cfg.memoize then begin
-            let hit = Hashtbl.find_opt st.memo key in
+            let hit = Spec.Tbl.find_opt st.memo spec in
             (match hit with
             | Some _ -> Tel.Counter.incr st.c.memo_hits
             | None -> Tel.Counter.incr st.c.memo_misses);
@@ -258,12 +257,12 @@ let rec dfs st ~level ~visited ~cost_in spec : (Dsl.Ast.t * float) option =
           when (not top)
                && matched = None
                &&
-               match Hashtbl.find_opt st.memo_fail key with
+               match Spec.Tbl.find_opt st.memo_fail spec with
                | Some c -> cost_in >= c
                | None -> false ->
             None
         | None ->
-            let visited = Sset.add key visited in
+            let visited = spec :: visited in
             let viable, visited_blocked = viable_decomps st ~visited spec in
             let best = ref None in
             let best_cost = ref infinity in
@@ -286,13 +285,13 @@ let rec dfs st ~level ~visited ~cost_in spec : (Dsl.Ast.t * float) option =
             (match !best with
             | Some prog ->
                 if st.cfg.memoize then
-                  Hashtbl.replace st.memo key (prog, !best_cost);
+                  Spec.Tbl.replace st.memo spec (prog, !best_cost);
                 Some (prog, !best_cost)
             | None ->
                 if st.cfg.memoize && not visited_blocked then
-                  (match Hashtbl.find_opt st.memo_fail key with
+                  (match Spec.Tbl.find_opt st.memo_fail spec with
                   | Some c when c <= cost_in -> ()
-                  | _ -> Hashtbl.replace st.memo_fail key cost_in);
+                  | _ -> Spec.Tbl.replace st.memo_fail spec cost_in);
                 None))
 
 (* Synthesize the holes of one decomposition, updating the running best
@@ -398,8 +397,7 @@ let search_root ~jobs st spec =
   let matched = match_spec st ~top:true spec in
   if st.cfg.max_depth <= 0 then (matched, false)
   else begin
-    let key = Spec.key spec in
-    let visited = Sset.add key Sset.empty in
+    let visited = [ spec ] in
     let viable, _blocked = viable_decomps st ~visited spec in
     (match matched with
     | Some (_, cost) when st.cfg.use_bnb -> publish_bound st cost
@@ -412,8 +410,8 @@ let search_root ~jobs st spec =
       let stw =
         {
           st with
-          memo = Hashtbl.create 256;
-          memo_fail = Hashtbl.create 256;
+          memo = Spec.Tbl.create 256;
+          memo_fail = Spec.Tbl.create 256;
         }
       in
       let best = ref None and best_cost = ref infinity in
@@ -493,8 +491,8 @@ let run ?(tel = Tel.null) ?(config = default_config) ?library ~model ~env
       c = make_counters tel;
       keyc;
       cost_min = Atomic.make initial_bound;
-      memo = Hashtbl.create 256;
-      memo_fail = Hashtbl.create 256;
+      memo = Spec.Tbl.create 256;
+      memo_fail = Spec.Tbl.create 256;
     }
   in
   let outcome, timed_out =

@@ -17,11 +17,12 @@ let build_key t =
     (St.to_array t);
   Buffer.contents buf
 
-(* Key-build accounting.  One process-wide cell keeps the historical
-   totals, and an {e ambient} per-run cell (installed by [with_counters]
-   in every domain working on a given search) gives each telemetry sink
-   its own attribution — two concurrent traced runs no longer count each
-   other's key builds. *)
+(* Key-build accounting: each [key] render and each [hash] counts as one
+   build, so the figures cover all spec-identity work.  One process-wide
+   cell keeps the historical totals, and an {e ambient} per-run cell
+   (installed by [with_counters] in every domain working on a given
+   search) gives each telemetry sink its own attribution — two
+   concurrent traced runs no longer count each other's key builds. *)
 type key_counters = { builds : int Atomic.t; build_ns : int Atomic.t }
 
 let fresh_counters () = { builds = Atomic.make 0; build_ns = Atomic.make 0 }
@@ -37,8 +38,6 @@ let key_stats () =
 let ambient_counters : key_counters option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let ambient () = Domain.DLS.get ambient_counters
-
 let with_counters c f =
   let prev = Domain.DLS.get ambient_counters in
   Domain.DLS.set ambient_counters (Some c);
@@ -50,13 +49,29 @@ let note_build c ns =
   Atomic.incr c.builds;
   ignore (Atomic.fetch_and_add c.build_ns ns)
 
-let key t =
+let count_build f =
   let t0 = Unix.gettimeofday () in
-  let k = build_key t in
+  let r = f () in
   let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   note_build global_counters ns;
   Option.iter (fun c -> note_build c ns) (Domain.DLS.get ambient_counters);
-  k
+  r
+
+let key t = count_build (fun () -> build_key t)
+
+let hash t =
+  count_build (fun () ->
+      Array.fold_left
+        (fun h e -> Expr.hash_combine h (Expr.hash e))
+        (Array.fold_left Expr.hash_combine (St.rank t) (St.shape t))
+        (St.unsafe_data t))
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 let complexity = Dsl.Sexec.complexity
 

@@ -3,7 +3,7 @@
     A specification is a symbolic tensor [Φ] (the result of symbolically
     executing a program).  The synthesis search manipulates specs:
     computing their complexity (Section V-A of the paper), hashing them
-    for memoization and visited-set checks, and collapsing broadcastable
+    for memoization and deduplication, and collapsing broadcastable
     uniformity (a residual tensor whose elements are all [4] is better
     synthesized as the scalar constant [4]). *)
 
@@ -13,18 +13,29 @@ val shape : t -> Tensor.Shape.t
 val equal : t -> t -> bool
 
 val key : t -> string
-(** Canonical rendering usable as a hash key; equal specs have equal
-    keys.  Every call renders the spec afresh — O(numel * |expr|) — and
-    counts one build, so callers that probe the same spec repeatedly
-    build its key once and pass the string along. *)
+(** Canonical rendering; equal specs have equal keys.  This is the
+    persistent identity — outcome-store keys and rules-database digests
+    are built from it, so its bytes must not change across versions.
+    Every call renders the spec afresh — O(numel * |expr|) — and counts
+    one build.  In-process identity (memo tables, deduplication) uses
+    {!hash} and {!Tbl} instead. *)
+
+val hash : t -> int
+(** Structural hash of the shape and every element ({!Symbolic.Expr.hash}),
+    consistent with {!equal}.  Each call also counts one build, exactly
+    like {!key}: the [builds] and [build_seconds] figures below cover all
+    spec-identity work, rendered or hashed. *)
+
+(** Hash tables keyed by spec value ({!hash} with {!equal}). *)
+module Tbl : Hashtbl.S with type key = t
 
 val key_stats : unit -> int * int * float
-(** [(builds, 0, build_seconds)] — process-wide totals since start.
-    Keys are not cached, so the middle (hit-count) slot always reads 0;
-    it stays for callers of the three-slot shape.  For per-run
-    attribution (what the telemetry layer reports) use an ambient
-    {!key_counters} cell instead: concurrent runs each read their own
-    cell, not each other's work. *)
+(** [(builds, 0, build_seconds)] — process-wide totals since start,
+    over {!key} and {!hash} calls alike.  Keys are not cached, so the
+    middle (hit-count) slot always reads 0; it stays for callers of the
+    three-slot shape.  For per-run attribution (what the telemetry layer
+    reports) use an ambient {!key_counters} cell instead: concurrent
+    runs each read their own cell, not each other's work. *)
 
 (** {2 Per-run key-build attribution} *)
 
@@ -39,14 +50,10 @@ val counters_stats : key_counters -> int * float
 
 val with_counters : key_counters -> (unit -> 'a) -> 'a
 (** Run [f] with [c] installed as the calling domain's ambient cell
-    (restored afterwards): every {!key} build inside is credited to [c]
-    in addition to the process-wide totals.  The cell is domain-local —
-    code that fans work out to other domains re-installs it in each
-    worker (the search engine and stub enumerator do). *)
-
-val ambient : unit -> key_counters option
-(** The calling domain's current cell, for propagating into spawned
-    workers. *)
+    (restored afterwards): every {!key} or {!hash} build inside is
+    credited to [c] in addition to the process-wide totals.  The cell is
+    domain-local — code that fans work out to other domains re-installs
+    it in each worker (the search engine does). *)
 
 val complexity : t -> float
 (** [|var(Φ)| * density(Φ)] — mean per-element distinct-symbol count

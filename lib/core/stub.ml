@@ -32,10 +32,15 @@ let default_config =
 
 exception Stop_enumeration
 
+(* A library entry: the cheapest stub seen for one symbolic value, and
+   the order in which that value was first registered (the tie-breaker
+   that keeps [all] independent of hash-table layout). *)
+type entry = { stub : t; index : int }
+
 type library = {
   all : t list;
   atom_list : t list;
-  by_sem : (string, t) Hashtbl.t;
+  by_sem : entry Spec.Tbl.t;
   lib_env : Types.env;
   hit_cap : bool;
   attempts : int;  (* candidate programs examined before deduplication *)
@@ -91,7 +96,7 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
     | Some v -> v
     | None -> raise (Sexec.Eval_error ("unbound input " ^ name))
   in
-  let by_sem : (string, t) Hashtbl.t = Hashtbl.create 4096 in
+  let by_sem : entry Spec.Tbl.t = Spec.Tbl.create 4096 in
   let count = ref 0 in
   let attempts = ref 0 in
   let hit_cap = ref false in
@@ -100,21 +105,20 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
     match on_dup with Some f -> f stub | None -> ()
   in
   let register stub =
-    let key = Spec.key stub.sem in
-    match Hashtbl.find_opt by_sem key with
-    | Some existing when existing.cost <= stub.cost ->
+    match Spec.Tbl.find_opt by_sem stub.sem with
+    | Some { stub = existing; _ } when existing.cost <= stub.cost ->
         (* A strictly worse implementation of a known value is exactly
            what rule mining wants to see (worse ⇒ representative is a
            rewrite proven by construction); equal-cost duplicates carry
            no improvement and are not reported. *)
         if existing.cost < stub.cost then dup stub;
         false
-    | Some existing ->
+    | Some { stub = existing; index } ->
         (* Cheaper implementation of a known value: replace the
            representative but do not re-expand it.  The displaced
            program is the [dup]: it is now strictly worse than the
            library's representative of its semantics. *)
-        Hashtbl.replace by_sem key stub;
+        Spec.Tbl.replace by_sem stub.sem { stub; index };
         dup existing;
         false
     | None ->
@@ -123,7 +127,7 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
           false
         end
         else begin
-          Hashtbl.replace by_sem key stub;
+          Spec.Tbl.replace by_sem stub.sem { stub; index = !count };
           incr count;
           true
         end
@@ -261,17 +265,9 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
     let finished =
       try
         if config.jobs > 1 then
-          (* Worker domains inherit the caller's ambient key-stats cell
-             so spec-key builds stay attributed to this run. *)
-          let amb = Spec.ambient () in
-          let eval_in_worker cand =
-            match amb with
-            | Some cell -> Spec.with_counters cell (fun () -> eval d cand)
-            | None -> eval d cand
-          in
           Array.iter
             (fun cand -> guard (); accept cand)
-            (Par.map_array ~jobs:config.jobs ~chunk:32 eval_in_worker
+            (Par.map_array ~jobs:config.jobs ~chunk:32 (eval d)
                (Array.of_list tasks))
         else
           (* Single-domain path: evaluate lazily so work past the cap or
@@ -292,8 +288,14 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
     if not finished then raise Stop_enumeration
   done
   with Stop_enumeration -> ());
-  let all = Hashtbl.fold (fun _ s acc -> s :: acc) by_sem [] in
-  let all = List.sort (fun a b -> compare (a.cost, a.depth) (b.cost, b.depth)) all in
+  let all =
+    Spec.Tbl.fold (fun _ e acc -> e :: acc) by_sem []
+    |> List.sort (fun a b ->
+           compare
+             (a.stub.cost, a.stub.depth, a.index)
+             (b.stub.cost, b.stub.depth, b.index))
+    |> List.map (fun e -> e.stub)
+  in
   if Obs.Telemetry.enabled tel then
     Obs.Telemetry.event tel "stub.library"
       [
@@ -385,7 +387,8 @@ module Cache = struct
             raise e)
 end
 
-let lookup_exact lib spec = Hashtbl.find_opt lib.by_sem (Spec.key spec)
+let lookup_exact lib spec =
+  Option.map (fun e -> e.stub) (Spec.Tbl.find_opt lib.by_sem spec)
 
 let lookup_broadcast lib spec =
   (* Only the collapsed lookup: exact matches are the caller's business
@@ -394,7 +397,7 @@ let lookup_broadcast lib spec =
      atom). *)
   let collapsed = Spec.collapse spec in
   if Shape.equal (Spec.shape collapsed) (Spec.shape spec) then None
-  else Hashtbl.find_opt lib.by_sem (Spec.key collapsed)
+  else lookup_exact lib collapsed
 
 let const_stub lib q =
   let prog = Ast.Const (Symbolic.Q.to_float q) in
@@ -412,8 +415,8 @@ let const_stub lib q =
 
 module Values = struct
   type table = {
-    tbl : (string, Tensor.Ftensor.t list) Hashtbl.t;
-        (* Spec.key of the stub -> one output tensor per sample *)
+    tbl : Tensor.Ftensor.t list Spec.Tbl.t;
+        (* stub semantics -> one output tensor per sample *)
     ordered : (t * Tensor.Ftensor.t list) list;
     fp : string;
     samples : (string * Tensor.Ftensor.t) list list;
@@ -456,7 +459,7 @@ module Values = struct
   let samples t = t.samples
 
   let build ~library_fp (lib : library) samples =
-    let tbl = Hashtbl.create (List.length lib.all) in
+    let tbl = Spec.Tbl.create (List.length lib.all) in
     let ordered =
       List.filter_map
         (fun stub ->
@@ -470,14 +473,14 @@ module Values = struct
               samples
           with
           | outs ->
-              Hashtbl.replace tbl (Spec.key stub.sem) outs;
+              Spec.Tbl.replace tbl stub.sem outs;
               Some (stub, outs)
           | exception _ -> None)
         lib.all
     in
     { tbl; ordered; fp = fingerprint ~library_fp samples; samples }
 
-  let outputs t (stub : t) = Hashtbl.find_opt t.tbl (Spec.key stub.sem)
+  let outputs t (stub : t) = Spec.Tbl.find_opt t.tbl stub.sem
   let to_list t = t.ordered
 
   (* One table per (library, input draw) fingerprint, shared across

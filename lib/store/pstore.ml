@@ -132,7 +132,7 @@ let remove_file path = try Sys.remove path with Sys_error _ -> ()
 (* Decode one disk entry; [Error] means the file is corrupt (truncated,
    unparseable, mislabeled, or a digest collision) and must be evicted. *)
 let decode_entry ~schema ~key contents =
-  match Json.of_string (String.trim contents) with
+  match Json.of_string contents with
   | Error msg -> Error msg
   | Ok doc -> (
       let str name = Option.bind (Json.member name doc) Json.to_string_opt in

@@ -64,6 +64,16 @@ val add : t -> schema:string -> string -> Json.t -> unit
     handle but keeps the in-memory entry — the store degrades to a
     per-process cache rather than failing the caller. *)
 
+val read_file : string -> string option
+(** The whole contents of a file, or [None] when it cannot be read. *)
+
+val decode_entry :
+  schema:string -> key:string -> string -> (Json.t, string) result
+(** The payload of an entry file's contents, as {!find} decodes it from
+    disk; [Error] when the contents do not parse or carry another schema
+    or key.  For layers that read entry files themselves; nothing is
+    counted, removed or made resident. *)
+
 val invalidate : t -> string -> unit
 (** Drop an entry from memory and disk, counting it as corrupt.  Used by
     higher layers whose decoding of the payload failed even though the

@@ -44,7 +44,36 @@ and compare_list xs ys =
       if c <> 0 then c else compare_list xs ys
 
 let equal a b = compare a b = 0
-let hash (t : t) = Hashtbl.hash t
+
+(* Structural hash over the whole tree.  Each step folds a child (or a
+   constructor tag) into the running state and passes the result through
+   a multiply-xorshift finalizer.  The finalizer is a bijection on the
+   native int, and its nonlinearity keeps sums and products of the same
+   atoms apart (a linear polynomial mix sends [1 + a] and [-1*a] to one
+   value).  The fold multiplies rather than xors, so folding a value
+   into an equal state does not cancel to zero. *)
+let mix h =
+  let h = h lxor (h lsr 31) in
+  let h = h * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+let hash_combine h x = mix ((h * 0x100000001B3) + x)
+
+let hash_list f h xs =
+  List.fold_left (fun h x -> hash_combine h (f x)) h xs
+
+let rec hash t =
+  match t with
+  | Rat q -> hash_combine (hash_combine 1 (Q.num q)) (Q.den q)
+  | Var s ->
+      Array.fold_left hash_combine
+        (hash_combine 2 (Hashtbl.hash s.Sym.base))
+        s.indices
+  | Add xs -> hash_list hash 3 xs
+  | Mul xs -> hash_list hash 4 xs
+  | Pow (b, e) -> hash_combine (hash_combine 5 (hash b)) (hash e)
+  | App (f, xs) -> hash_list hash (hash_combine 6 (fn_rank f)) xs
+
 let rat q = Rat q
 let int n = Rat (Q.of_int n)
 let zero = rat Q.zero
@@ -647,28 +676,26 @@ let fn_name = function
   | Less -> "less"
   | Where -> "where"
 
-let rec pp ppf t =
+let rec render buf t =
+  let str = Buffer.add_string buf in
+  let list sep xs =
+    List.iteri
+      (fun i x ->
+        if i > 0 then str sep;
+        render buf x)
+      xs
+  in
   match t with
-  | Rat q -> Q.pp ppf q
-  | Var s -> Sym.pp ppf s
-  | Add ts ->
-      Format.fprintf ppf "(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf " + ")
-           pp)
-        ts
-  | Mul fs ->
-      Format.fprintf ppf "(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf "*")
-           pp)
-        fs
-  | Pow (b, e) -> Format.fprintf ppf "%a^%a" pp b pp e
-  | App (f, xs) ->
-      Format.fprintf ppf "%s(%a)" (fn_name f)
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           pp)
-        xs
+  | Rat q -> str (Q.to_string q)
+  | Var s -> str (Sym.to_string s)
+  | Add ts -> str "("; list " + " ts; str ")"
+  | Mul fs -> str "("; list "*" fs; str ")"
+  | Pow (b, e) -> render buf b; str "^"; render buf e
+  | App (f, xs) -> str (fn_name f); str "("; list ", " xs; str ")"
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let buf = Buffer.create 64 in
+  render buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -61,6 +61,11 @@ val where : t -> t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** Structural hash over the whole tree, consistent with {!equal}. *)
+
+val hash_combine : int -> int -> int
+(** The mixing step of {!hash}: folds one more value into a hash state,
+    for hashing structures built from expressions. *)
 
 val is_zero : t -> bool
 val is_one : t -> bool
@@ -121,5 +126,9 @@ val subst : (Sym.t -> t option) -> t -> t
 
 (** {1 Printing} *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** The canonical rendering; spec keys ([Spec.key]) are built
+    from it, so its output is part of every persistent key. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

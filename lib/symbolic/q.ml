@@ -85,8 +85,8 @@ let of_float f =
     in
     try_den 2
 
-let pp ppf q =
-  if q.den = 1 then Format.fprintf ppf "%d" q.num
-  else Format.fprintf ppf "%d/%d" q.num q.den
+let to_string q =
+  if q.den = 1 then string_of_int q.num
+  else string_of_int q.num ^ "/" ^ string_of_int q.den
 
-let to_string q = Format.asprintf "%a" pp q
+let pp ppf q = Format.pp_print_string ppf (to_string q)

@@ -10,14 +10,14 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let pp ppf t =
-  if Array.length t.indices = 0 then Format.pp_print_string ppf t.base
+let to_string t =
+  if Array.length t.indices = 0 then t.base
   else
-    Format.fprintf ppf "%s[%s]" t.base
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int t.indices)))
+    t.base ^ "["
+    ^ String.concat "," (Array.to_list (Array.map string_of_int t.indices))
+    ^ "]"
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -36,6 +36,30 @@ dune exec --no-build bin/stenso_cli.exe -- suite \
 dune exec --no-build bin/stenso_cli.exe -- report "$report"
 echo "suite-report smoke check passed"
 
+# Archive regression check: the full 33-benchmark flops suite must pick
+# the same program at the same cost for every benchmark as the committed
+# BENCH_suite_flops.json, so a change to spec keying, hashing or stub
+# ordering that alters a chosen program fails here.
+dune exec --no-build bin/stenso_cli.exe -- suite --cost-estimator flops \
+  --jobs 4 --quiet --report "$scratch/suite_flops.json" > /dev/null
+python3 - "$scratch/suite_flops.json" BENCH_suite_flops.json <<'PY'
+import json
+import sys
+
+new, old = (json.load(open(p))["benchmarks"] for p in sys.argv[1:])
+new = {r["name"]: r for r in new}
+bad = [
+    f"{r['name']}: {f} {r[f]!r} -> {new.get(r['name'], {}).get(f)!r}"
+    for r in old
+    for f in ("optimized", "cost_after")
+    if new.get(r["name"], {}).get(f) != r[f]
+]
+if bad or len(new) != len(old):
+    sys.exit("FAIL: flops suite differs from BENCH_suite_flops.json\n"
+             + "\n".join(bad))
+PY
+echo "flops-suite archive check passed"
+
 # Serve smoke check: a daemon against a fresh store directory must
 # answer the same request twice, the second time from the store
 # (cache_hit:true), and shut down cleanly on SIGTERM.  The daemon runs

@@ -133,6 +133,32 @@ let test_db_roundtrip_and_corruption () =
     (Rules_db.find store'' ~key = None);
   Alcotest.(check bool) "corrupt entry deleted" false (Sys.file_exists path)
 
+(* The decode cache keeps one database per key: a store over a copy of
+   the same entry reuses the decode instead of parsing it again, and a
+   rewritten entry releases the old decode, so a process that opens
+   store after store does not accumulate databases. *)
+let test_db_decode_per_key () =
+  let key =
+    Rules_db.key ~env:env2 ~model_id:model.Cost.Model.name ~depth:2
+  in
+  let store = Store.open_store ~dir:(fresh_dir ()) () in
+  Rules_db.record store ~key (fst (Mine.mine_env ~depth:2 ~model env2));
+  let copy = Store.open_store ~dir:(fresh_dir ()) () in
+  Store.write_atomic (Store.entry_path copy key)
+    (Option.get (Store.read_file (Store.entry_path store key)));
+  let decoded = Weak.create 1 in
+  (match (Rules_db.find store ~key, Rules_db.find copy ~key) with
+  | Some a, Some b ->
+      Alcotest.(check bool) "copy shares the decode" true (a == b);
+      Weak.set decoded 0 (Some a)
+  | _ -> Alcotest.fail "recorded entry not found");
+  Rules_db.record_feedback store ~key ~model_id:model.Cost.Model.name
+    ~depth:2 ~spec_digest:"deadbeef" ~cost:1. ~prog:"A" ();
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "rewritten entry releases the old decode" false
+    (Weak.check decoded 0)
+
 let test_tier2_then_tier1 () =
   let b = bench "log_exp_1" in
   let store = Store.open_store ~dir:(fresh_dir ()) () in
@@ -305,4 +331,6 @@ let suite =
     Alcotest.test_case "config fingerprint" `Quick test_config_fingerprint;
     Alcotest.test_case "tier-2 request keys its spec once" `Quick
       test_tier2_request_keys_once;
+    Alcotest.test_case "rules db decode shared per key" `Quick
+      test_db_decode_per_key;
   ]
