@@ -40,6 +40,12 @@ let engine : Stenso.Exec.kind ref = ref `Vm
    the measured cost model's timing runs and to the `vm` section. *)
 let exec_opts : Stenso.Exec.Options.t ref = ref Stenso.Exec.Options.default
 
+let emit_path path contents =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc contents)
+
 let emit_file rel contents =
   match !out_dir with
   | None -> ()
@@ -47,15 +53,26 @@ let emit_file rel contents =
       let path = Filename.concat dir rel in
       let parent = Filename.dirname path in
       if not (Sys.file_exists parent) then Sys.mkdir parent 0o755;
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc contents)
+      emit_path path contents
 
 let emit_csv name header rows =
   emit_file (name ^ ".csv")
     (String.concat "\n" (String.concat "," header :: List.map (String.concat ",") rows)
     ^ "\n")
+
+(* Self-check a report against its schema (and the section's gate),
+   then write it to the `--report` path, if any. *)
+let write_report ?min_speedup ?min_success ~label doc =
+  (match Suite.Report.validate ?min_speedup ?min_success doc with
+  | Ok (schema, summary) ->
+      Printf.printf "%s report: valid %s (%s)\n" label schema summary
+  | Error msg ->
+      Printf.printf "  WARNING: %s report failed validation: %s\n" label msg);
+  match !report_file with
+  | None -> ()
+  | Some path ->
+      emit_path path (Stenso.Telemetry.Json.to_string doc ^ "\n");
+      Printf.printf "  wrote %s report to %s\n%!" label path
 
 let section_line = String.make 78 '='
 let subline = String.make 78 '-'
@@ -103,17 +120,8 @@ let synthesize_all () =
     Suite.Driver.run ~model:(Lazy.force model) ~jobs:!jobs
       ~trace:(Option.is_some !report_file) ~on_result B.all
   in
-  (match !report_file with
-  | Some path ->
-      let doc = Suite.Driver.report run_result in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Stenso.Telemetry.Json.to_string doc);
-          output_char oc '\n');
-      Printf.printf "  wrote suite report to %s\n%!" path
-  | None -> ());
+  if Option.is_some !report_file then
+    write_report ~label:"suite" (Suite.Driver.report run_result);
   List.map
     (fun ({ Suite.Driver.bench = b; outcome; _ } : Suite.Driver.bench_result)
        ->
@@ -667,7 +675,7 @@ let exec_doc ~options ~geomean:g rows =
   let module J = Stenso.Telemetry.Json in
   J.Obj
     [
-      ("schema", J.Str Suite.Driver.exec_bench_schema_version);
+      ("schema", J.Str Suite.Report.exec_bench);
       ("version", J.Str Stenso.Version.current);
       ("options", J.Str (Stenso.Exec.Options.fingerprint options));
       ("n_benchmarks", J.Int (List.length rows));
@@ -691,18 +699,6 @@ let exec_doc ~options ~geomean:g rows =
                  ])
              rows) );
     ]
-
-let write_report ~label doc =
-  match !report_file with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Stenso.Telemetry.Json.to_string doc);
-          output_char oc '\n');
-      Printf.printf "  wrote %s report to %s\n%!" label path
 
 let exec_bench ~full () =
   header
@@ -793,11 +789,7 @@ let mlsuite ~full () =
   let warm = pass "tiered, warm" config (Some store) in
   let tiers = Suite.Driver.tiers_report ~config ~baseline ~cold ~warm () in
   let doc = Suite.Driver.mlsuite_report ~exec ~tiers () in
-  (match Suite.Driver.validate_mlsuite ~min_speedup:1.0 doc with
-  | Ok () -> Printf.printf "mlsuite report valid (every kernel >= 1.0x)\n"
-  | Error msg ->
-      Printf.printf "  WARNING: mlsuite report failed validation: %s\n" msg);
-  write_report ~label:"mlsuite" doc
+  write_report ~min_speedup:1.0 ~label:"mlsuite" doc
 
 (* ------------------------------------------------------------------ *)
 (* Lifting front-end: success rate, lift time, end-to-end speedup      *)
@@ -824,38 +816,13 @@ let lift_bench ~full () =
     List.map
       (fun (k : Suite.Lifted.t) ->
         let kernel = Stenso.Lift.Loop_parser.kernel k.source in
-        match Stenso.Lift.optimize ~config ~stub_cache kernel with
+        let result = Stenso.Lift.optimize ~config ~stub_cache kernel in
+        match result with
         | Error e ->
             Printf.printf "%-16s %-6s %s\n%!" k.name "NO"
               (Stenso.Lift.error_message e);
-            let s =
-              match e with
-              | Stenso.Lift.Not_lifted s -> s
-              | Stenso.Lift.Unsupported _ ->
-                  {
-                    Stenso.Lift.sketches = 0;
-                    pruned_by_value = 0;
-                    certified = 0;
-                    library_size = 0;
-                    lift_s = 0.;
-                    verify_s = 0.;
-                  }
-            in
-            {
-              Suite.Driver.lift_name = k.name;
-              lifted = false;
-              lifted_program = "";
-              optimized_program = "";
-              lift_improved = false;
-              sketches = s.sketches;
-              pruned_by_value = s.pruned_by_value;
-              certified = s.certified;
-              library_size = s.library_size;
-              lift_s = s.lift_s;
-              lift_verify_s = s.verify_s;
-              lift_speedup = None;
-            }
-        | Ok (l, outcome) ->
+            Suite.Driver.lift_entry_of k.name result
+        | Ok (l, _) ->
             (* End-to-end point at performance shapes: the scalar loop
                interpreter running the kernel vs the VM running the
                tier's optimized form (the lift's program with the
@@ -895,21 +862,7 @@ let lift_bench ~full () =
             Printf.printf "%-16s %-6s %8d %10d %8d %8.2f %8.1fx\n%!" k.name
               "yes" l.stats.sketches l.stats.pruned_by_value
               l.stats.library_size l.stats.lift_s speedup;
-            {
-              Suite.Driver.lift_name = k.name;
-              lifted = true;
-              lifted_program = Ast.to_string l.Stenso.Lift.prog;
-              optimized_program =
-                Ast.to_string outcome.Stenso.Superopt.optimized;
-              lift_improved = outcome.Stenso.Superopt.improved;
-              sketches = l.stats.sketches;
-              pruned_by_value = l.stats.pruned_by_value;
-              certified = l.stats.certified;
-              library_size = l.stats.library_size;
-              lift_s = l.stats.lift_s;
-              lift_verify_s = l.stats.verify_s;
-              lift_speedup = Some speedup;
-            })
+            Suite.Driver.lift_entry_of ~speedup k.name result)
       Suite.Lifted.all
   in
   let n = List.length entries in
@@ -925,11 +878,11 @@ let lift_bench ~full () =
          [
            e.lift_name;
            (if e.lifted then "1" else "0");
-           string_of_int e.sketches;
-           string_of_int e.pruned_by_value;
-           string_of_int e.library_size;
-           Printf.sprintf "%.4f" e.lift_s;
-           Printf.sprintf "%.4f" e.lift_verify_s;
+           string_of_int e.lift_stats.sketches;
+           string_of_int e.lift_stats.pruned_by_value;
+           string_of_int e.lift_stats.library_size;
+           Printf.sprintf "%.4f" e.lift_stats.lift_s;
+           Printf.sprintf "%.4f" e.lift_stats.verify_s;
            (match e.lift_speedup with
            | Some s -> Printf.sprintf "%.2f" s
            | None -> "");
@@ -940,11 +893,7 @@ let lift_bench ~full () =
       ~elapsed:(Unix.gettimeofday () -. t0)
       entries
   in
-  (match Suite.Driver.validate_lift_report ~min_success:(7. /. 8.) doc with
-  | Ok () -> Printf.printf "lift report valid (>= 7/8 kernels lifted)\n"
-  | Error msg ->
-      Printf.printf "  WARNING: lift report failed validation: %s\n" msg);
-  write_report ~label:"lift" doc
+  write_report ~min_success:(7. /. 8.) ~label:"lift" doc
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel: real wall-clock on the tensor substrate                   *)
@@ -1057,29 +1006,34 @@ let () =
     | [] -> List.rev acc
   in
   let args = strip_out [] args in
-  let sections = List.filter (fun a -> a <> "--full") args in
-  let want s = sections = [] || List.mem s sections in
-  let results =
-    if
-      List.exists want
-        [ "tables"; "fig4"; "fig6"; "fig7"; "fig8"; "rules"; "egraph";
-          "bechamel" ]
-    then Some (synthesize_all ())
-    else None
+  let results = lazy (synthesize_all ()) in
+  let with_results f () = f (Lazy.force results) in
+  let sections =
+    [
+      ("tables", with_results tables);
+      ("fig4", with_results fig4);
+      ("fig5", fig5 ~full);
+      ("fig6", with_results fig6);
+      ("fig7", with_results fig7);
+      ("fig8", with_results fig8);
+      ("rules", with_results rules);
+      ("egraph", with_results egraph);
+      ("ablation", ablations);
+      ("vm", exec_bench ~full);
+      ("mlsuite", mlsuite ~full);
+      ("lift", lift_bench ~full);
+      ("masking", masking);
+      ("scaling", scaling);
+      ("bechamel", with_results bechamel);
+    ]
   in
-  let need = Option.get in
-  if want "tables" then tables (need results);
-  if want "fig4" then fig4 (need results);
-  if want "fig5" then fig5 ~full ();
-  if want "fig6" then fig6 (need results);
-  if want "fig7" then fig7 (need results);
-  if want "fig8" then fig8 (need results);
-  if want "rules" then rules (need results);
-  if want "egraph" then egraph (need results);
-  if want "ablation" then ablations ();
-  if want "vm" then exec_bench ~full ();
-  if want "mlsuite" then mlsuite ~full ();
-  if want "lift" then lift_bench ~full ();
-  if want "masking" then masking ();
-  if want "scaling" then scaling ();
-  if want "bechamel" then bechamel (need results)
+  let wanted = List.filter (fun a -> a <> "--full") args in
+  (match List.find_opt (fun a -> not (List.mem_assoc a sections)) wanted with
+  | Some a ->
+      Printf.eprintf "bench: unknown argument %S; sections: %s\n" a
+        (String.concat ", " (List.map fst sections));
+      exit 2
+  | None -> ());
+  List.iter
+    (fun (name, run) -> if wanted = [] || List.mem name wanted then run ())
+    sections

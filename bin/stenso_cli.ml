@@ -35,6 +35,12 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
+(* Every report writer checks its document against the schema first. *)
+let check_report doc =
+  match Suite.Report.validate doc with
+  | Ok _ -> ()
+  | Error msg -> die "generated report is invalid: %s" msg
+
 (* Emit the same surface syntax the parser accepts, so outputs can be
    fed back in — the same rendering the persistent store serves, so
    cached and fresh runs are byte-identical. *)
@@ -187,9 +193,7 @@ let tiers_run ~config ~benches ~jobs ~store_dir ~quiet path =
   let cold = pass "tiered, cold" config store in
   let warm = pass "tiered, warm" config store in
   let doc = Suite.Driver.tiers_report ~config ~baseline ~cold ~warm () in
-  (match Suite.Driver.validate_tiers_report doc with
-  | Ok () -> ()
-  | Error msg -> die "generated tiers report is invalid: %s" msg);
+  check_report doc;
   write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
   if not quiet then begin
     let count (t : Suite.Driver.t) tier =
@@ -257,6 +261,7 @@ let suite_run list_only names jobs timeout estimator engine exec cost_cache
     (match report with
     | Some path ->
         let doc = Suite.Driver.report ~config run_result in
+        check_report doc;
         write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
         if not quiet then Printf.printf "wrote suite report to %s\n" path
     | None -> ());
@@ -396,33 +401,6 @@ let run_run program_path engine exec seed trace verbose =
 (* stenso lift                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let zero_lift_stats =
-  {
-    Stenso.Lift.sketches = 0;
-    pruned_by_value = 0;
-    certified = 0;
-    library_size = 0;
-    lift_s = 0.;
-    verify_s = 0.;
-  }
-
-let lift_entry_of name ~lifted ~program ~optimized ~improved
-    (s : Stenso.Lift.stats) =
-  {
-    Suite.Driver.lift_name = name;
-    lifted;
-    lifted_program = program;
-    optimized_program = optimized;
-    lift_improved = improved;
-    sketches = s.sketches;
-    pruned_by_value = s.pruned_by_value;
-    certified = s.certified;
-    library_size = s.library_size;
-    lift_s = s.lift_s;
-    lift_verify_s = s.verify_s;
-    lift_speedup = None;
-  }
-
 let lift_run file benches estimator engine exec timeout jobs cost_cache
     no_store store_dir samples seed synth_out report trace quiet =
   (* Lift scalar loop-nest kernels into the DSL and superoptimize the
@@ -475,10 +453,11 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
           with Stenso.Lift.Loop_parser.Parse_error msg ->
             die_dataerr name msg
         in
-        match
-          Stenso.Lift.optimize ~tel ~config ?store ~stub_cache ~samples
-            ~seed kernel
-        with
+        let result =
+          Stenso.Lift.optimize ~tel ~config ?store ~stub_cache ~samples ~seed
+            kernel
+        in
+        match result with
         | Ok (l, outcome) ->
             if not quiet then
               Printf.printf
@@ -498,27 +477,11 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
                 write_file path rendered;
                 if not quiet then Printf.printf "# written to %s\n" path
             | None -> print_string rendered);
-            let entry =
-              lift_entry_of name ~lifted:true
-                ~program:(Dsl.Ast.to_string l.prog)
-                ~optimized:
-                  (Dsl.Ast.to_string outcome.Stenso.Superopt.optimized)
-                ~improved:outcome.Stenso.Superopt.improved l.stats
-            in
-            (entry :: entries, failures)
+            (Suite.Driver.lift_entry_of name result :: entries, failures)
         | Error e ->
             Printf.eprintf "stenso: %s: %s\n%!" name
               (Stenso.Lift.error_message e);
-            let stats =
-              match e with
-              | Stenso.Lift.Not_lifted s -> s
-              | Stenso.Lift.Unsupported _ -> zero_lift_stats
-            in
-            let entry =
-              lift_entry_of name ~lifted:false ~program:"" ~optimized:""
-                ~improved:false stats
-            in
-            (entry :: entries, failures + 1))
+            (Suite.Driver.lift_entry_of name result :: entries, failures + 1))
       ([], 0) sources
   in
   let entries = List.rev entries in
@@ -529,9 +492,7 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
           ~elapsed:(Unix.gettimeofday () -. t0)
           entries
       in
-      (match Suite.Driver.validate_lift_report doc with
-      | Ok () -> ()
-      | Error msg -> die "generated lift report is invalid: %s" msg);
+      check_report doc;
       write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
       if not quiet then Printf.printf "# wrote lift report to %s\n" path
   | None -> ());
@@ -595,151 +556,17 @@ let profile_run names cost_cache extended_ops =
 (* ------------------------------------------------------------------ *)
 
 let report_run file min_speedup min_success =
-  (* Validate an archived report: parse, dispatch on the schema field,
-     check structure (and, for exec-bench documents, the optional
-     performance floor), print a one-line summary.  CI runs this on
-     freshly generated reports so the BENCH_*.json trajectory keeps a
-     stable shape. *)
-  let contents = read_file file in
-  match Stenso.Telemetry.Json.of_string contents with
+  (* Validate an archived report and print its one-line summary; the
+     schemas, their gates and summaries all live in [Suite.Report].  CI
+     runs this on freshly generated reports so the BENCH_*.json
+     trajectory keeps a stable shape. *)
+  match Stenso.Telemetry.Json.of_string (read_file file) with
   | Error msg -> die "%s: invalid JSON: %s" file msg
-  | Ok doc ->
-      let module J = Stenso.Telemetry.Json in
-      let int name =
-        Option.value ~default:0 (Option.bind (J.member name doc) J.to_int_opt)
-      in
-      let str name =
-        Option.value ~default:"?"
-          (Option.bind (J.member name doc) J.to_string_opt)
-      in
-      let float name =
-        Option.value ~default:Float.nan
-          (Option.bind (J.member name doc) J.to_float_opt)
-      in
-      let schema = str "schema" in
-      (match min_success with
-      | Some _
-        when not (String.equal schema Suite.Driver.lift_schema_version) ->
-          die "%s: --min-success only applies to %s reports" file
-            Suite.Driver.lift_schema_version
-      | _ -> ());
-      (match min_speedup with
-      | Some _
-        when not
-               (List.mem schema
-                  Suite.Driver.
-                    [ exec_bench_schema_version; mlsuite_schema_version ]) ->
-          die "%s: --min-speedup only applies to %s reports" file
-            Suite.Driver.exec_bench_schema_version
-      | _ -> ());
-      if String.equal schema Suite.Driver.lift_schema_version then (
-        match Suite.Driver.validate_lift_report ?min_success doc with
-        | Error msg -> die "%s: invalid lift report: %s" file msg
-        | Ok () ->
-            Printf.printf
-              "%s: valid %s (%d kernels, %d lifted, %.0f%% success%s)\n" file
-              schema (int "n_kernels") (int "n_lifted")
-              (100. *. float "success_rate")
-              (match min_success with
-              | None -> ""
-              | Some m -> Printf.sprintf ", at least %.0f%% required" (100. *. m)))
-      else if String.equal schema Suite.Driver.exec_bench_schema_version then (
-        match Suite.Driver.validate_exec_bench ?min_speedup doc with
-        | Error msg -> die "%s: invalid exec-bench report: %s" file msg
-        | Ok () ->
-            Printf.printf
-              "%s: valid %s (%d benchmarks, %.2fx geomean, options %s%s)\n"
-              file schema (int "n_benchmarks")
-              (float "geomean_speedup")
-              (str "options")
-              (match min_speedup with
-              | None -> ""
-              | Some m -> Printf.sprintf ", all above %.2fx" m))
-      else if String.equal schema Suite.Driver.tiers_schema_version then (
-        match Suite.Driver.validate_tiers_report doc with
-        | Error msg -> die "%s: invalid tiers report: %s" file msg
-        | Ok () ->
-            let pass name =
-              match J.member name doc with
-              | Some p ->
-                  let i f =
-                    Option.value ~default:0
-                      (Option.bind (J.member f p) J.to_int_opt)
-                  in
-                  let frac =
-                    Option.value ~default:Float.nan
-                      (Option.bind (J.member "tier12_fraction" p)
-                         J.to_float_opt)
-                  in
-                  Printf.sprintf "%s %d/%d/%d (%.0f%% without search)" name
-                    (i "tier1") (i "tier2") (i "tier3") (100. *. frac)
-              | None -> name ^ " ?"
-            in
-            Printf.printf
-              "%s: valid %s (%s estimator, depth %d, %d benchmarks; %s; \
-               %s; %.1fx warm speedup, %d cost mismatches)\n"
-              file schema (str "estimator") (int "rules_depth")
-              (int "n_benchmarks") (pass "cold") (pass "warm")
-              (float "warm_speedup")
-              (int "n_cost_mismatches"))
-      else if String.equal schema Suite.Driver.mlsuite_schema_version then (
-        match Suite.Driver.validate_mlsuite ?min_speedup doc with
-        | Error msg -> die "%s: invalid mlsuite report: %s" file msg
-        | Ok () ->
-            let sub name field =
-              match J.member name doc with
-              | Some d ->
-                  Option.value ~default:Float.nan
-                    (Option.bind (J.member field d) J.to_float_opt)
-              | None -> Float.nan
-            in
-            let subi name field =
-              match J.member name doc with
-              | Some d ->
-                  Option.value ~default:0
-                    (Option.bind (J.member field d) J.to_int_opt)
-              | None -> 0
-            in
-            Printf.printf
-              "%s: valid %s (%d kernels, %.2fx VM geomean; tiers: %.1fx \
-               warm speedup, %d cost mismatches%s)\n"
-              file schema
-              (subi "exec" "n_benchmarks")
-              (sub "exec" "geomean_speedup")
-              (sub "tiers" "warm_speedup")
-              (subi "tiers" "n_cost_mismatches")
-              (match min_speedup with
-              | None -> ""
-              | Some m -> Printf.sprintf "; all above %.2fx" m))
-      else if String.equal schema Suite.Driver.serve_load_schema_version then (
-        match Suite.Driver.validate_serve_load doc with
-        | Error msg -> die "%s: invalid serve-load report: %s" file msg
-        | Ok () ->
-            let lat name =
-              match J.member "latency" doc with
-              | Some l ->
-                  Option.value ~default:Float.nan
-                    (Option.bind (J.member name l) J.to_float_opt)
-              | None -> Float.nan
-            in
-            Printf.printf
-              "%s: valid %s (%d connections, %d requests, %.0f req/s; p50 \
-               %.2f ms, p95 %.2f, p99 %.2f; %d coalesced, %d refined, %d \
-               busy, %d protocol errors)\n"
-              file schema (int "concurrency") (int "n_requests")
-              (float "throughput_rps")
-              (1000. *. lat "p50")
-              (1000. *. lat "p95")
-              (1000. *. lat "p99")
-              (int "n_coalesced") (int "n_refined") (int "n_busy")
-              (int "n_protocol_errors"))
-      else (
-        match Suite.Driver.validate_report doc with
-        | Error msg -> die "%s: invalid suite report: %s" file msg
-        | Ok () ->
-            Printf.printf
-              "%s: valid %s (%s estimator, %d benchmarks, %d improved)\n" file
-              schema (str "estimator") (int "n_benchmarks") (int "n_improved"))
+  | Ok doc -> (
+      match Suite.Report.validate ?min_speedup ?min_success doc with
+      | Ok (schema, summary) ->
+          Printf.printf "%s: valid %s (%s)\n" file schema summary
+      | Error msg -> die "%s: %s" file msg)
 
 (* ------------------------------------------------------------------ *)
 (* stenso serve / stenso request                                       *)
@@ -917,9 +744,7 @@ let loadgen_run endpoints names concurrency duration timeout no_warmup
       ~benchmarks:(List.map (fun (b : Suite.Benchmarks.t) -> b.name) benches)
       stats
   in
-  (match Suite.Driver.validate_serve_load doc with
-  | Ok () -> ()
-  | Error msg -> die "generated serve-load report is invalid: %s" msg);
+  check_report doc;
   (match report with
   | Some path ->
       write_file path (J.to_string doc ^ "\n");
@@ -960,7 +785,7 @@ open Cmdliner
 let program_arg =
   Arg.(
     value
-    & opt (some file) None
+    & opt (some non_dir_file) None
     & info [ "program" ] ~docv:"FILE" ~doc:"Source program to superoptimize.")
 
 let synth_out_arg =
@@ -1260,7 +1085,7 @@ let run_cmd =
   let prog_pos_arg =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some non_dir_file) None
       & info [] ~docv:"PROG" ~doc:"Program file to execute.")
   in
   let seed_arg =
@@ -1284,7 +1109,7 @@ let lift_cmd =
   let file_arg =
     Arg.(
       value
-      & pos 0 (some file) None
+      & pos 0 (some non_dir_file) None
       & info [] ~docv:"FILE"
           ~doc:"Scalar loop-nest kernel to lift (the loop language).")
   in
@@ -1377,7 +1202,7 @@ let report_cmd =
   let file_arg =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some non_dir_file) None
       & info [] ~docv:"FILE" ~doc:"Report to validate.")
   in
   let min_speedup_arg =

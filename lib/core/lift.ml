@@ -68,6 +68,18 @@ let error_message = function
          certification attempts)"
         stats.sketches stats.pruned_by_value stats.certified
 
+let error_stats = function
+  | Unsupported _ ->
+      {
+        sketches = 0;
+        pruned_by_value = 0;
+        certified = 0;
+        library_size = 0;
+        lift_s = 0.;
+        verify_s = 0.;
+      }
+  | Not_lifted stats -> stats
+
 (* ------------------------------------------------------------------ *)
 (* Symbolic instantiation of the loop interpreter                     *)
 (* ------------------------------------------------------------------ *)

@@ -54,6 +54,9 @@ type error =
 
 val error_message : error -> string
 
+val error_stats : error -> stats
+(** The counters of a failed lift: all zero for [Unsupported]. *)
+
 val default_stub_config : Stub.config
 (** {!Stub.default_config} with [full_binary] on: lifted programs are
     matched whole against the library rather than recursively

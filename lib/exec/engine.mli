@@ -37,9 +37,8 @@ val all_kinds : kind list
 
 type compiled
 (** A planned program with its preallocated arena and scratch.
-    Mutable: concurrent {!run}s of one compiled program race — even
-    though a single run may itself fan out over many domains — so
-    callers sharing one across domains must serialize runs on it. *)
+    {!run} is safe to call concurrently from any number of domains: a
+    run that overlaps another works on a private copy of the arena. *)
 
 type stats = {
   ir_nodes : int;  (** IR nodes after CSE, unrolling and folding *)

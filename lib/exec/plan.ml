@@ -42,11 +42,9 @@
      accumulate into fixed-size blocks whose count is independent of
      the lane count, combined in ascending order.
 
-   A compiled program's arena and scratch are mutable state: concurrent
-   [run]s of the same program race even though one run may use many
-   domains internally.  Callers that share compiled programs across
-   domains must serialize runs (the measured cost model's profiling
-   lock already does). *)
+   A compiled program's arena and scratch are mutable state, owned by
+   one run at a time ([busy]); a run that overlaps it works on a {!copy},
+   so concurrent runs of one program never race. *)
 
 module Ast = Dsl.Ast
 module Types = Dsl.Types
@@ -184,6 +182,7 @@ type t = {
   env : Types.env;
   opts : Opts.t;
   stats : stats;
+  busy : bool Atomic.t;  (* a run owns [slots] and the steps' scratch *)
 }
 
 (* Strip length of the vectorized stack machine: 4 KB per scratch strip
@@ -885,4 +884,25 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
         arena_bytes;
         parallel_strips;
       };
+    busy = Atomic.make false;
   }
+
+(* Every step writes its output and scratch before reading them, so a
+   copy only needs the sizes: its contents never matter (constants are
+   never written, so copying them while a run is under way is safe). *)
+let copy p =
+  let strips = Array.map (Array.map Array.copy) in
+  let step = function
+    | Ew e -> Ew { e with strips = strips e.strips }
+    | Reduce r -> Reduce { r with partials = Array.copy r.partials }
+    | Reduce_fused rf ->
+        Reduce_fused
+          {
+            rf with
+            strips = strips rf.strips;
+            partials = Array.copy rf.partials;
+          }
+    | s -> s
+  in
+  let slots = Array.map Array.copy p.slots in
+  { p with slots; steps = Array.map step p.steps }

@@ -137,6 +137,7 @@ type t = {
   env : Dsl.Types.env;
   opts : Opts.t;
   stats : stats;
+  busy : bool Atomic.t;  (** set while a run owns [slots] and the scratch *)
 }
 
 val red_block : int
@@ -150,3 +151,7 @@ val step_lanes : Opts.t -> step -> int
     [Ew]/[Reduce_fused] the preallocated scratch is authoritative. *)
 
 val compile : opts:Opts.t -> Ir.t -> t
+
+val copy : t -> t
+(** The same program over a fresh arena and scratch, for a run that
+    overlaps the one owning [p]'s. *)

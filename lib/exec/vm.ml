@@ -1019,7 +1019,7 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
       let o = slots.(out) in
       Array.fill o 0 n (Array.unsafe_get slots.(src) sofs)
 
-let run (p : Plan.t) (lookup : string -> F.t) : F.t =
+let run_in (p : Plan.t) (lookup : string -> F.t) : F.t =
   List.iter
     (fun (name, slot, count) ->
       let t = lookup name in
@@ -1038,3 +1038,16 @@ let run (p : Plan.t) (lookup : string -> F.t) : F.t =
   let n = Shape.numel p.Plan.result_shape in
   let rb = p.Plan.slots.(p.Plan.result_slot) in
   F.unsafe_of_data p.Plan.result_shape (Array.sub rb p.Plan.result_ofs n)
+
+let run (p : Plan.t) lookup =
+  let busy = p.Plan.busy in
+  if not (Atomic.compare_and_set busy false true) then
+    run_in (Plan.copy p) lookup
+  else
+    match run_in p lookup with
+    | r ->
+        Atomic.set busy false;
+        r
+    | exception e ->
+        Atomic.set busy false;
+        raise e

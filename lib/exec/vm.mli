@@ -11,9 +11,8 @@
     accumulator chains whose grouping differs by ordinary rounding
     noise.
 
-    A compiled program's arena and per-lane scratch are mutable:
-    concurrent runs of one program race — callers sharing one across
-    domains must serialize runs on it.
+    Concurrent runs of one program are safe: a run that overlaps another
+    works on a {!Plan.copy} of the arena and per-lane scratch.
 
     Private to [texec]: the library exports only {!Engine}. *)
 

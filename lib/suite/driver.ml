@@ -51,8 +51,6 @@ let run ?(config = Stenso.Config.default) ?model ?store ?(jobs = 1)
 
 module Json = Stenso.Telemetry.Json
 
-let schema_version = "stenso.suite-report/1"
-
 let bench_json (r : bench_result) : Json.t =
   let o = r.outcome in
   let s = o.search.stats in
@@ -109,7 +107,7 @@ let report ?(config = Stenso.Config.default) t : Json.t =
   in
   Json.Obj
     [
-      ("schema", Json.Str schema_version);
+      ("schema", Json.Str Report.suite_report);
       ("version", Json.Str Stenso.Version.current);
       ( "estimator",
         Json.Str (Stenso.Config.estimator_name (Stenso.Config.estimator config))
@@ -122,160 +120,9 @@ let report ?(config = Stenso.Config.default) t : Json.t =
       ("benchmarks", Json.List (List.map bench_json t.results));
     ]
 
-(* Structural validation used by the CLI's [report] subcommand and the
-   CI harness: the fields above must exist with the kinds above — the
-   [BENCH_*.json] trajectory depends on the schema staying stable. *)
-let validate_report (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need name extract j =
-    match Option.bind (Json.member name j) extract with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
-  in
-  let* schema = need "schema" Json.to_string_opt j in
-  let* () =
-    if String.equal schema schema_version then Ok ()
-    else Error (Printf.sprintf "unknown schema %S" schema)
-  in
-  (* [version] arrived after the schema froze: absent in archived
-     reports, so optional — but a string when present. *)
-  let* () =
-    match Json.member "version" j with
-    | None -> Ok ()
-    | Some v ->
-        if Option.is_some (Json.to_string_opt v) then Ok ()
-        else Error "mistyped field \"version\""
-  in
-  let* _ = need "estimator" Json.to_string_opt j in
-  let* _ = need "jobs" Json.to_int_opt j in
-  let* _ = need "timeout" Json.to_float_opt j in
-  let* _ = need "elapsed" Json.to_float_opt j in
-  let* n = need "n_benchmarks" Json.to_int_opt j in
-  let* benches = need "benchmarks" Json.to_list_opt j in
-  let* () =
-    if List.length benches = n then Ok ()
-    else Error "n_benchmarks disagrees with the benchmarks array"
-  in
-  let check_bench i b =
-    let* _ = need "name" Json.to_string_opt b in
-    let* _ = need "source" Json.to_string_opt b in
-    let* _ = need "klass" Json.to_string_opt b in
-    (* [tier] arrived with tiered serving: absent in older archived
-       reports, so optional — but an integer when present. *)
-    let* () =
-      match Json.member "tier" b with
-      | None -> Ok ()
-      | Some v ->
-          if Option.is_some (Json.to_int_opt v) then Ok ()
-          else Error "mistyped field \"tier\""
-    in
-    let* _ = need "improved" Json.to_bool_opt b in
-    let* _ = need "verified" Json.to_bool_opt b in
-    let* _ = need "cost_before" Json.to_float_opt b in
-    let* _ = need "cost_after" Json.to_float_opt b in
-    let* _ = need "speedup" Json.to_float_opt b in
-    let* _ = need "synthesis_time" Json.to_float_opt b in
-    let* _ = need "original" Json.to_string_opt b in
-    let* _ = need "optimized" Json.to_string_opt b in
-    let* search = need "search" Option.some b in
-    let* _ = need "nodes" Json.to_int_opt search in
-    let* _ = need "decomps" Json.to_int_opt search in
-    let* _ = need "pruned_simp" Json.to_int_opt search in
-    let* _ = need "pruned_bnb" Json.to_int_opt search in
-    let* _ = need "memo_hits" Json.to_int_opt search in
-    let* _ = need "memo_misses" Json.to_int_opt search in
-    let* _ = need "elapsed" Json.to_float_opt search in
-    let* _ = need "timed_out" Json.to_bool_opt search in
-    let* _ = need "library_size" Json.to_int_opt search in
-    let* traj = need "bound_trajectory" Json.to_list_opt b in
-    List.fold_left
-      (fun acc point ->
-        let* () = acc in
-        match point with
-        | Json.List [ ts; v ]
-          when Option.is_some (Json.to_float_opt ts)
-               && Option.is_some (Json.to_float_opt v) ->
-            Ok ()
-        | _ ->
-            Error
-              (Printf.sprintf "benchmark %d: malformed bound_trajectory" i))
-      (Ok ()) traj
-  in
-  let* () =
-    List.fold_left
-      (fun acc (i, b) ->
-        let* () = acc in
-        Result.map_error
-          (fun e -> Printf.sprintf "benchmark %d: %s" i e)
-          (check_bench i b))
-      (Ok ())
-      (List.mapi (fun i b -> (i, b)) benches)
-  in
-  Ok ()
-
-let exec_bench_schema_version = "stenso.exec-bench/1"
-
-(* Validation for the interp-vs-VM microbenchmark archive
-   ([BENCH_exec_vm.json], written by [bench vm --report]).  Beyond the
-   structural check, [min_speedup] turns this into a performance gate:
-   every benchmark must beat the interpreter by at least that factor,
-   and benchmarks flagged [expects_fused_reduction] must actually have
-   fused ops — a fusion regression in the planner would otherwise hide
-   behind still-passing numbers. *)
-let validate_exec_bench ?min_speedup (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need name extract j =
-    match Option.bind (Json.member name j) extract with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
-  in
-  let* schema = need "schema" Json.to_string_opt j in
-  let* () =
-    if String.equal schema exec_bench_schema_version then Ok ()
-    else Error (Printf.sprintf "unknown schema %S" schema)
-  in
-  let* _ = need "version" Json.to_string_opt j in
-  let* _ = need "options" Json.to_string_opt j in
-  let* _ = need "geomean_speedup" Json.to_float_opt j in
-  let* n = need "n_benchmarks" Json.to_int_opt j in
-  let* results = need "results" Json.to_list_opt j in
-  let* () =
-    if List.length results = n then Ok ()
-    else Error "n_benchmarks disagrees with the results array"
-  in
-  let check_result b =
-    let* name = need "name" Json.to_string_opt b in
-    let err fmt = Printf.ksprintf (fun e -> Error e) fmt in
-    let* _ = need "interp_seconds" Json.to_float_opt b in
-    let* _ = need "vm_seconds" Json.to_float_opt b in
-    let* speedup = need "speedup" Json.to_float_opt b in
-    let* _ = need "steps" Json.to_int_opt b in
-    let* ops_fused = need "ops_fused" Json.to_int_opt b in
-    let* _ = need "parallel_strips" Json.to_int_opt b in
-    let* _ = need "buffers_reused" Json.to_int_opt b in
-    let* _ = need "arena_bytes" Json.to_int_opt b in
-    let* expects_fused = need "expects_fused_reduction" Json.to_bool_opt b in
-    let* () =
-      match min_speedup with
-      | Some m when speedup < m ->
-          err "%s: speedup %.2fx below the %.2fx floor" name speedup m
-      | _ -> Ok ()
-    in
-    if expects_fused && ops_fused = 0 then
-      err "%s: reduction-rooted benchmark has ops_fused = 0" name
-    else Ok ()
-  in
-  List.fold_left
-    (fun acc b ->
-      let* () = acc in
-      check_result b)
-    (Ok ()) results
-
 (* ------------------------------------------------------------------ *)
 (* Tiered-serving report                                               *)
 (* ------------------------------------------------------------------ *)
-
-let tiers_schema_version = "stenso.tiers/1"
 
 let tier_counts (t : t) =
   List.fold_left
@@ -345,7 +192,7 @@ let tiers_report ?(config = Stenso.Config.default) ~baseline ~cold ~warm () :
   in
   Json.Obj
     [
-      ("schema", Json.Str tiers_schema_version);
+      ("schema", Json.Str Report.tiers);
       ("version", Json.Str Stenso.Version.current);
       ( "estimator",
         Json.Str (Stenso.Config.estimator_name (Stenso.Config.estimator config))
@@ -363,110 +210,22 @@ let tiers_report ?(config = Stenso.Config.default) ~baseline ~cold ~warm () :
       ("benchmarks", Json.List rows);
     ]
 
-let validate_tiers_report (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need name extract j =
-    match Option.bind (Json.member name j) extract with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
-  in
-  let* schema = need "schema" Json.to_string_opt j in
-  let* () =
-    if String.equal schema tiers_schema_version then Ok ()
-    else Error (Printf.sprintf "unknown schema %S" schema)
-  in
-  let* _ = need "version" Json.to_string_opt j in
-  let* _ = need "estimator" Json.to_string_opt j in
-  let* _ = need "rules_depth" Json.to_int_opt j in
-  let* _ = need "baseline_elapsed" Json.to_float_opt j in
-  let* _ = need "cold_speedup" Json.to_float_opt j in
-  let* _ = need "warm_speedup" Json.to_float_opt j in
-  let* _ = need "n_cost_mismatches" Json.to_int_opt j in
-  let check_pass name =
-    let* p = need name Option.some j in
-    let* _ = need "tier1" Json.to_int_opt p in
-    let* _ = need "tier2" Json.to_int_opt p in
-    let* _ = need "tier3" Json.to_int_opt p in
-    let* _ = need "tier12_fraction" Json.to_float_opt p in
-    let* _ = need "elapsed" Json.to_float_opt p in
-    Ok ()
-  in
-  let* () = check_pass "cold" in
-  let* () = check_pass "warm" in
-  let* n = need "n_benchmarks" Json.to_int_opt j in
-  let* benches = need "benchmarks" Json.to_list_opt j in
-  let* () =
-    if List.length benches = n then Ok ()
-    else Error "n_benchmarks disagrees with the benchmarks array"
-  in
-  List.fold_left
-    (fun acc b ->
-      let* () = acc in
-      let* _ = need "name" Json.to_string_opt b in
-      let* _ = need "tier_cold" Json.to_int_opt b in
-      let* _ = need "tier_warm" Json.to_int_opt b in
-      let* _ = need "improved" Json.to_bool_opt b in
-      let* _ = need "verified" Json.to_bool_opt b in
-      let* _ = need "cost_before" Json.to_float_opt b in
-      let* _ = need "cost_after" Json.to_float_opt b in
-      let* _ = need "baseline_cost_after" Json.to_float_opt b in
-      let* _ = need "latency_baseline" Json.to_float_opt b in
-      let* _ = need "latency_cold" Json.to_float_opt b in
-      let* _ = need "latency_warm" Json.to_float_opt b in
-      Ok ())
-    (Ok ()) benches
-
 (* ------------------------------------------------------------------ *)
 (* ML-suite report                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let mlsuite_schema_version = "stenso.mlsuite/1"
-
 let mlsuite_report ~exec ~tiers () =
   Json.Obj
     [
-      ("schema", Json.Str mlsuite_schema_version);
+      ("schema", Json.Str Report.mlsuite);
       ("version", Json.Str Stenso.Version.current);
       ("exec", exec);
       ("tiers", tiers);
     ]
 
-(* The document is a composition, so validation is too: the embedded
-   exec point carries the per-kernel VM speedups (where [min_speedup]
-   gates), the embedded tiers point the serving comparison. *)
-let validate_mlsuite ?min_speedup (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need name j =
-    match Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let* schema = need "schema" j in
-  let* () =
-    match Json.to_string_opt schema with
-    | Some s when String.equal s mlsuite_schema_version -> Ok ()
-    | Some s -> Error (Printf.sprintf "unknown schema %S" s)
-    | None -> Error "mistyped field \"schema\""
-  in
-  let* () =
-    match Option.bind (Json.member "version" j) Json.to_string_opt with
-    | Some _ -> Ok ()
-    | None -> Error "missing or mistyped field \"version\""
-  in
-  let* exec = need "exec" j in
-  let* () =
-    Result.map_error
-      (fun e -> "exec: " ^ e)
-      (validate_exec_bench ?min_speedup exec)
-  in
-  let* tiers = need "tiers" j in
-  Result.map_error (fun e -> "tiers: " ^ e) (validate_tiers_report tiers)
-
 (* ------------------------------------------------------------------ *)
 (* Serve-load report                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let serve_load_schema_version = "stenso.serve-load/1"
 
 (* The load generator is protocol-agnostic; this is where its integer
    response classes are defined for the serve protocol.  Successful
@@ -549,7 +308,7 @@ let serve_load_report ?(config = Stenso.Config.default) ~endpoints
   in
   Json.Obj
     [
-      ("schema", Json.Str serve_load_schema_version);
+      ("schema", Json.Str Report.serve_load);
       ("version", Json.Str Stenso.Version.current);
       ( "estimator",
         Json.Str
@@ -572,92 +331,9 @@ let serve_load_report ?(config = Stenso.Config.default) ~endpoints
       ("tiers", Json.List (List.map tier_json [ 1; 2; 3 ]));
     ]
 
-let validate_serve_load (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need name extract j =
-    match Option.bind (Json.member name j) extract with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
-  in
-  let* schema = need "schema" Json.to_string_opt j in
-  let* () =
-    if String.equal schema serve_load_schema_version then Ok ()
-    else Error (Printf.sprintf "unknown schema %S" schema)
-  in
-  let* _ = need "version" Json.to_string_opt j in
-  let* _ = need "estimator" Json.to_string_opt j in
-  let* endpoints = need "endpoints" Json.to_list_opt j in
-  let* () =
-    if
-      endpoints <> []
-      && List.for_all
-           (fun e -> Option.is_some (Json.to_string_opt e))
-           endpoints
-    then Ok ()
-    else Error "endpoints must be a non-empty list of strings"
-  in
-  let* _ = need "concurrency" Json.to_int_opt j in
-  let* _ = need "duration" Json.to_float_opt j in
-  let* _ = need "elapsed" Json.to_float_opt j in
-  let* benchmarks = need "benchmarks" Json.to_list_opt j in
-  let* () =
-    if List.for_all (fun b -> Option.is_some (Json.to_string_opt b)) benchmarks
-    then Ok ()
-    else Error "benchmarks must be a list of strings"
-  in
-  let* n_requests = need "n_requests" Json.to_int_opt j in
-  let* n_ok = need "n_ok" Json.to_int_opt j in
-  let* _ = need "throughput_rps" Json.to_float_opt j in
-  let* _ = need "n_transport_errors" Json.to_int_opt j in
-  let* n_proto = need "n_protocol_errors" Json.to_int_opt j in
-  let* n_busy = need "n_busy" Json.to_int_opt j in
-  let* n_coalesced = need "n_coalesced" Json.to_int_opt j in
-  let* n_refined = need "n_refined" Json.to_int_opt j in
-  let* () =
-    if n_requests = n_ok + n_busy + n_proto then Ok ()
-    else Error "n_requests disagrees with n_ok + n_busy + n_protocol_errors"
-  in
-  let* () =
-    if n_coalesced <= n_ok && n_refined <= n_ok then Ok ()
-    else Error "coalesced/refined counts exceed n_ok"
-  in
-  (* One latency block: counts plus monotone percentiles — a report
-     whose p50 exceeds its p95 (or p95 its p99) is internally
-     inconsistent however it was produced. *)
-  let check_latency ctx l =
-    let* n = need "n" Json.to_int_opt l in
-    let* _ = need "mean" Json.to_float_opt l in
-    let* p50 = need "p50" Json.to_float_opt l in
-    let* p95 = need "p95" Json.to_float_opt l in
-    let* p99 = need "p99" Json.to_float_opt l in
-    if n < 0 then Error (ctx ^ ": negative sample count")
-    else if not (p50 <= p95 && p95 <= p99) then
-      Error
-        (Printf.sprintf "%s: percentiles not monotone (p50 %g, p95 %g, p99 %g)"
-           ctx p50 p95 p99)
-    else Ok ()
-  in
-  let* latency = need "latency" Option.some j in
-  let* () = check_latency "latency" latency in
-  let* tiers = need "tiers" Json.to_list_opt j in
-  let* tier_total =
-    List.fold_left
-      (fun acc t ->
-        let* total = acc in
-        let* tier = need "tier" Json.to_int_opt t in
-        let* () = check_latency (Printf.sprintf "tier %d" tier) t in
-        let* n = need "n" Json.to_int_opt t in
-        Ok (total + n))
-      (Ok 0) tiers
-  in
-  if tier_total = n_ok then Ok ()
-  else Error "per-tier sample counts disagree with n_ok"
-
 (* ------------------------------------------------------------------ *)
 (* Lift report                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let lift_schema_version = "stenso.lift/1"
 
 type lift_entry = {
   lift_name : string;
@@ -665,14 +341,31 @@ type lift_entry = {
   lifted_program : string;
   optimized_program : string;
   lift_improved : bool;
-  sketches : int;
-  pruned_by_value : int;
-  certified : int;
-  library_size : int;
-  lift_s : float;
-  lift_verify_s : float;
+  lift_stats : Stenso.Lift.stats;
   lift_speedup : float option;
 }
+
+let lift_entry_of ?speedup name = function
+  | Ok ((l : Stenso.Lift.lifted), (o : Stenso.Superopt.outcome)) ->
+      {
+        lift_name = name;
+        lifted = true;
+        lifted_program = Dsl.Ast.to_string l.prog;
+        optimized_program = Dsl.Ast.to_string o.optimized;
+        lift_improved = o.improved;
+        lift_stats = l.stats;
+        lift_speedup = speedup;
+      }
+  | Error e ->
+      {
+        lift_name = name;
+        lifted = false;
+        lifted_program = "";
+        optimized_program = "";
+        lift_improved = false;
+        lift_stats = Stenso.Lift.error_stats e;
+        lift_speedup = speedup;
+      }
 
 let lift_entry_json (e : lift_entry) =
   Json.Obj
@@ -682,12 +375,12 @@ let lift_entry_json (e : lift_entry) =
        ("program", Json.Str e.lifted_program);
        ("optimized", Json.Str e.optimized_program);
        ("improved", Json.Bool e.lift_improved);
-       ("sketches", Json.Int e.sketches);
-       ("pruned_by_value", Json.Int e.pruned_by_value);
-       ("certified", Json.Int e.certified);
-       ("library", Json.Int e.library_size);
-       ("lift_ms", Json.Float (1000. *. e.lift_s));
-       ("verify_ms", Json.Float (1000. *. e.lift_verify_s));
+       ("sketches", Json.Int e.lift_stats.sketches);
+       ("pruned_by_value", Json.Int e.lift_stats.pruned_by_value);
+       ("certified", Json.Int e.lift_stats.certified);
+       ("library", Json.Int e.lift_stats.library_size);
+       ("lift_ms", Json.Float (1000. *. e.lift_stats.lift_s));
+       ("verify_ms", Json.Float (1000. *. e.lift_stats.verify_s));
      ]
     @
     match e.lift_speedup with
@@ -702,7 +395,7 @@ let lift_report ?(config = Stenso.Config.default) ~elapsed entries : Json.t =
   in
   Json.Obj
     [
-      ("schema", Json.Str lift_schema_version);
+      ("schema", Json.Str Report.lift);
       ("version", Json.Str Stenso.Version.current);
       ( "estimator",
         Json.Str
@@ -713,71 +406,3 @@ let lift_report ?(config = Stenso.Config.default) ~elapsed entries : Json.t =
       ("success_rate", Json.Float rate);
       ("kernels", Json.List (List.map lift_entry_json entries));
     ]
-
-let validate_lift_report ?min_success (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need name extract j =
-    match Option.bind (Json.member name j) extract with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
-  in
-  let* schema = need "schema" Json.to_string_opt j in
-  let* () =
-    if String.equal schema lift_schema_version then Ok ()
-    else Error (Printf.sprintf "unknown schema %S" schema)
-  in
-  let* _ = need "version" Json.to_string_opt j in
-  let* _ = need "estimator" Json.to_string_opt j in
-  let* _ = need "elapsed" Json.to_float_opt j in
-  let* n = need "n_kernels" Json.to_int_opt j in
-  let* n_lifted = need "n_lifted" Json.to_int_opt j in
-  let* rate = need "success_rate" Json.to_float_opt j in
-  let* kernels = need "kernels" Json.to_list_opt j in
-  let* () =
-    if List.length kernels = n then Ok ()
-    else Error "n_kernels disagrees with the kernels array"
-  in
-  let* counted =
-    List.fold_left
-      (fun acc k ->
-        let* lifted_so_far = acc in
-        let* name = need "name" Json.to_string_opt k in
-        let* lifted = need "lifted" Json.to_bool_opt k in
-        let* program = need "program" Json.to_string_opt k in
-        let* _ = need "optimized" Json.to_string_opt k in
-        let* _ = need "improved" Json.to_bool_opt k in
-        let* _ = need "sketches" Json.to_int_opt k in
-        let* _ = need "pruned_by_value" Json.to_int_opt k in
-        let* certified = need "certified" Json.to_int_opt k in
-        let* _ = need "library" Json.to_int_opt k in
-        let* _ = need "lift_ms" Json.to_float_opt k in
-        let* _ = need "verify_ms" Json.to_float_opt k in
-        let* () =
-          (* A lifted entry must carry the certified program; a failed
-             one must not pretend to. *)
-          if lifted && (String.equal program "" || certified < 1) then
-            Error
-              (Printf.sprintf
-                 "kernel %S claims a lift without a certified program" name)
-          else if (not lifted) && not (String.equal program "") then
-            Error (Printf.sprintf "kernel %S failed but carries a program" name)
-          else Ok ()
-        in
-        Ok (lifted_so_far + if lifted then 1 else 0))
-      (Ok 0) kernels
-  in
-  let* () =
-    if counted = n_lifted then Ok ()
-    else Error "n_lifted disagrees with the kernels array"
-  in
-  let* () =
-    let expect = if n = 0 then 0. else float_of_int n_lifted /. float_of_int n in
-    if Float.abs (rate -. expect) <= 1e-9 then Ok ()
-    else Error "success_rate disagrees with n_lifted / n_kernels"
-  in
-  match min_success with
-  | Some floor when rate < floor ->
-      Error
-        (Printf.sprintf "success_rate %.3f below required minimum %.3f" rate
-           floor)
-  | _ -> Ok ()

@@ -11,7 +11,10 @@
     With [trace] each benchmark records into its own telemetry sink, and
     {!report} renders the whole run as a schema-stable JSON document
     ([stenso.suite-report/1]) — the format the repository's
-    [BENCH_*.json] performance trajectory is archived in. *)
+    [BENCH_*.json] performance trajectory is archived in.  The writers
+    here take their schema tags from {!Report}, which owns every
+    archived schema's fields, invariants, gates and summary line;
+    validate their output with {!Report.validate}. *)
 
 type bench_result = {
   bench : Benchmarks.t;
@@ -50,9 +53,6 @@ val run :
     benchmark finishes (serialized by a mutex; ordering follows
     completion, not input order). *)
 
-val schema_version : string
-(** ["stenso.suite-report/1"]. *)
-
 val report : ?config:Stenso.Config.t -> t -> Stenso.Telemetry.Json.t
 (** Render a run as the suite-report document: run metadata (schema,
     estimator, jobs, timeout, wall clock) and one record per benchmark —
@@ -61,29 +61,6 @@ val report : ?config:Stenso.Config.t -> t -> Stenso.Telemetry.Json.t
     trajectory ([(seconds, bound)] pairs; empty when the run was not
     traced).  [config] supplies the metadata and should be the one the
     run used. *)
-
-val validate_report : Stenso.Telemetry.Json.t -> (unit, string) result
-(** Check that a JSON document structurally conforms to
-    [stenso.suite-report/1]: every schema field present with the right
-    kind.  Used by [stenso report] and the CI harness to keep archived
-    [BENCH_*.json] files comparable over time. *)
-
-val exec_bench_schema_version : string
-(** ["stenso.exec-bench/1"], the interp-vs-VM microbenchmark archive
-    written by [bench vm --report]. *)
-
-val validate_exec_bench :
-  ?min_speedup:float -> Stenso.Telemetry.Json.t -> (unit, string) result
-(** Check that a JSON document conforms to [stenso.exec-bench/1].  With
-    [min_speedup] this is also a performance gate: any benchmark whose
-    VM speedup over the interpreter falls below the floor fails, as does
-    any [expects_fused_reduction] benchmark with [ops_fused] = 0 (a
-    planner fusion regression).  Used by [stenso report --min-speedup]
-    and the CI exec-bench smoke check on [BENCH_exec_vm.json]. *)
-
-val tiers_schema_version : string
-(** ["stenso.tiers/1"], the tiered-serving comparison archive written
-    by [stenso suite --tiers-report]. *)
 
 val tiers_report :
   ?config:Stenso.Config.t -> baseline:t -> cold:t -> warm:t -> unit ->
@@ -98,36 +75,15 @@ val tiers_report :
     number of benchmarks whose cold-pass final cost differs from the
     baseline's ([n_cost_mismatches]). *)
 
-val validate_tiers_report : Stenso.Telemetry.Json.t -> (unit, string) result
-(** Structural conformance check for [stenso.tiers/1], used by
-    [stenso report] and the CI harness on [BENCH_tiers.json]. *)
-
-val mlsuite_schema_version : string
-(** ["stenso.mlsuite/1"], the ML-kernel workload archive written by
-    [bench mlsuite --report] ([BENCH_mlsuite.json]): one exec point
-    (interp-vs-VM per kernel, [stenso.exec-bench/1]) and one tiers
-    point ([stenso.tiers/1]) over the {!Benchmarks.ml} tier. *)
-
 val mlsuite_report :
   exec:Stenso.Telemetry.Json.t ->
   tiers:Stenso.Telemetry.Json.t ->
   unit ->
   Stenso.Telemetry.Json.t
 (** Compose the two archived points into one [stenso.mlsuite/1]
-    document.  The components must already conform to their own
-    schemas; {!validate_mlsuite} checks both. *)
-
-val validate_mlsuite :
-  ?min_speedup:float -> Stenso.Telemetry.Json.t -> (unit, string) result
-(** Conformance check for [stenso.mlsuite/1], delegating to
-    {!validate_exec_bench} (with [min_speedup] as the per-kernel VM
-    speedup floor) and {!validate_tiers_report} on the embedded
-    documents.  Used by [stenso report] and the CI ML-suite smoke on
-    [BENCH_mlsuite.json]. *)
-
-val serve_load_schema_version : string
-(** ["stenso.serve-load/1"], the serving-throughput archive written by
-    [stenso loadgen --report] ([BENCH_serve_load.json]). *)
+    document: the ML-kernel workload archive written by
+    [bench mlsuite --report] ([BENCH_mlsuite.json]).  The components
+    must already conform to their own schemas. *)
 
 val classify_serve_response : string -> int
 (** Map one [stenso.serve/1] response line to the load generator's
@@ -152,34 +108,26 @@ val serve_load_report :
     second) and nearest-rank latency percentiles — overall and split by
     serving tier. *)
 
-val validate_serve_load : Stenso.Telemetry.Json.t -> (unit, string) result
-(** Conformance check for [stenso.serve-load/1]: structure, count
-    consistency ([n_requests] = ok + busy + protocol errors; per-tier
-    sample counts summing to [n_ok]) and percentile monotonicity
-    (p50 ≤ p95 ≤ p99, overall and per tier).  Used by [stenso report]
-    and the CI loadgen smoke on [BENCH_serve_load.json]. *)
-
-val lift_schema_version : string
-(** ["stenso.lift/1"] — the lifting report written by
-    [bench lift --report] / [stenso lift --report]
-    ([BENCH_lift.json]). *)
-
 type lift_entry = {
   lift_name : string;  (** kernel name ({!Lifted} / CLI file stem) *)
   lifted : bool;
   lifted_program : string;  (** certified DSL program; [""] on failure *)
   optimized_program : string;  (** after {!Stenso.Superopt.optimize} *)
   lift_improved : bool;  (** superoptimizer found a cheaper form *)
-  sketches : int;
-  pruned_by_value : int;
-  certified : int;  (** candidates submitted to certification *)
-  library_size : int;
-  lift_s : float;
-  lift_verify_s : float;
+  lift_stats : Stenso.Lift.stats;
   lift_speedup : float option;
       (** large-shape scalar-loop-interpreter time over VM time for the
           lifted-and-optimized program; absent when not measured *)
 }
+
+val lift_entry_of :
+  ?speedup:float ->
+  string ->
+  (Stenso.Lift.lifted * Stenso.Superopt.outcome, Stenso.Lift.error) result ->
+  lift_entry
+(** [lift_entry_of name r] is the entry for kernel [name] given the
+    result of {!Stenso.Lift.optimize}; a failed lift carries
+    {!Stenso.Lift.error_stats}. *)
 
 val lift_report :
   ?config:Stenso.Config.t ->
@@ -190,13 +138,3 @@ val lift_report :
     metadata, [n_kernels] / [n_lifted] / [success_rate], and one
     record per kernel (sketch, pruning and certification counters,
     lift and verify times, optional end-to-end speedup). *)
-
-val validate_lift_report :
-  ?min_success:float ->
-  Stenso.Telemetry.Json.t ->
-  (unit, string) result
-(** Conformance check for [stenso.lift/1]: structure, count
-    consistency ([n_lifted] and [success_rate] agreeing with the
-    kernels array, lifted entries carrying a certified program and
-    failed ones none), and optionally a [success_rate] floor.  Used by
-    [stenso report] and the CI lifting smoke on [BENCH_lift.json]. *)

@@ -36,6 +36,22 @@ dune exec --no-build bin/stenso_cli.exe -- suite \
 dune exec --no-build bin/stenso_cli.exe -- report "$report"
 echo "suite-report smoke check passed"
 
+# Usage-error smoke check: a directory where a file is expected is a CLI
+# usage error (exit 124, not an uncaught exception), and the bench
+# driver rejects an unknown section instead of silently running nothing.
+rc=0
+dune exec --no-build bin/stenso_cli.exe -- report "$scratch" 2> /dev/null \
+  || rc=$?
+if [ "$rc" -ne 124 ]; then
+  echo "FAIL: stenso report on a directory exited $rc, want 124" >&2
+  exit 1
+fi
+if dune exec --no-build bench/main.exe -- nosuchsection 2> /dev/null; then
+  echo "FAIL: bench/main.exe accepted an unknown section" >&2
+  exit 1
+fi
+echo "usage-error smoke check passed"
+
 # Archive regression check: the full 33-benchmark flops suite must pick
 # the same program at the same cost for every benchmark as the committed
 # BENCH_suite_flops.json, so a change to spec keying, hashing or stub

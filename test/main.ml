@@ -30,4 +30,5 @@ let () =
       ("tiers", Test_tiers.suite);
       ("net", Test_net.suite);
       ("serve-proto", Test_serve_proto.suite);
+      ("report", Test_report.suite);
     ]

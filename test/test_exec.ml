@@ -517,6 +517,36 @@ let test_const_folding () =
   Alcotest.(check bool) "constant subtree folded" true
     (s.Exec.consts_folded >= 1)
 
+(* Overlapping runs of one compiled program each work in their own
+   arena: a run started from inside another run's input lookup (after
+   the outer run has bound one input, before the other) must leave the
+   outer run's bindings alone, and both must match the interpreter. *)
+let test_overlapping_runs () =
+  let env =
+    [ ("A", Types.float_t [| 64; 64 |]); ("B", Types.float_t [| 64; 64 |]) ]
+  in
+  let prog =
+    Parser.expression
+      "(A * B + np.full((64,64), 3)) / (np.sum(np.exp(A) * B) + 1)"
+  in
+  let compiled = Exec.compile ~env prog in
+  let st = Random.State.make [| 5 |] in
+  let outer = Interp.random_inputs st env in
+  let inner = Interp.random_inputs st env in
+  let run inputs = Exec.run compiled (fun n -> List.assoc n inputs) in
+  let lookups = ref 0 and inner_result = ref [] in
+  let lookup n =
+    incr lookups;
+    if !lookups = 2 then inner_result := [ run inner ];
+    List.assoc n outer
+  in
+  let via_outer = Exec.run compiled lookup in
+  Alcotest.check ft "outer run" (Interp.eval_alist outer prog) via_outer;
+  Alcotest.check (Alcotest.list ft) "inner run"
+    [ Interp.eval_alist inner prog ]
+    !inner_result;
+  Alcotest.check ft "next run" (Interp.eval_alist inner prog) (run inner)
+
 (* The exec-bench archive validator doubles as CI's performance gate:
    structural schema check, per-benchmark speedup floor, and the
    expects_fused_reduction / ops_fused cross-check. *)
@@ -540,7 +570,7 @@ let test_validate_exec_bench () =
   let doc results =
     J.Obj
       [
-        ("schema", J.Str Suite.Driver.exec_bench_schema_version);
+        ("schema", J.Str Suite.Report.exec_bench);
         ("version", J.Str "test");
         ("options", J.Str "fus=true;red=true;tile=64;dom=1");
         ("n_benchmarks", J.Int (List.length results));
@@ -549,32 +579,32 @@ let test_validate_exec_bench () =
       ]
   in
   let ok = doc [ result "a"; result ~expects:true "b" ] in
-  (match Suite.Driver.validate_exec_bench ~min_speedup:1.0 ok with
-  | Ok () -> ()
+  (match Suite.Report.validate ~min_speedup:1.0 ok with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "well-formed report rejected: %s" e);
   (match
-     Suite.Driver.validate_exec_bench ~min_speedup:1.0
+     Suite.Report.validate ~min_speedup:1.0
        (doc [ result ~speedup:0.9 "slow" ])
    with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "sub-floor speedup accepted");
+  | Ok _ -> Alcotest.fail "sub-floor speedup accepted");
   (* without the floor, a slow benchmark is structurally fine *)
   (match
-     Suite.Driver.validate_exec_bench (doc [ result ~speedup:0.9 "slow" ])
+     Suite.Report.validate (doc [ result ~speedup:0.9 "slow" ])
    with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "structural check rejected slow bench: %s" e);
   (match
-     Suite.Driver.validate_exec_bench
+     Suite.Report.validate
        (doc [ result ~expects:true ~ops_fused:0 "unfused" ])
    with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "unfused reduction-rooted benchmark accepted");
+  | Ok _ -> Alcotest.fail "unfused reduction-rooted benchmark accepted");
   match
-    Suite.Driver.validate_exec_bench (J.Obj [ ("schema", J.Str "bogus/9") ])
+    Suite.Report.validate (J.Obj [ ("schema", J.Str "bogus/9") ])
   with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "unknown schema accepted"
+  | Ok _ -> Alcotest.fail "unknown schema accepted"
 
 let suite =
   [
@@ -604,4 +634,5 @@ let suite =
     Alcotest.test_case "exec-bench report validation" `Quick
       test_validate_exec_bench;
     Alcotest.test_case "vm: constant folding" `Quick test_const_folding;
+    Alcotest.test_case "vm: overlapping runs" `Quick test_overlapping_runs;
   ]

@@ -357,8 +357,8 @@ let test_report_version () =
   Alcotest.(check (option string)) "suite report carries the version"
     (Some Version.current)
     (Option.bind (Json.member "version" doc) Json.to_string_opt);
-  (match Suite.Driver.validate_report doc with
-  | Ok () -> ()
+  (match Suite.Report.validate doc with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "report with version invalid: %s" e);
   (* Archived reports predate the field: still valid without it. *)
   (match doc with
@@ -366,8 +366,8 @@ let test_report_version () =
       let without =
         Json.Obj (List.filter (fun (n, _) -> n <> "version") fields)
       in
-      match Suite.Driver.validate_report without with
-      | Ok () -> ()
+      match Suite.Report.validate without with
+      | Ok _ -> ()
       | Error e -> Alcotest.failf "report without version invalid: %s" e)
   | _ -> Alcotest.fail "report is not an object")
 

@@ -105,15 +105,15 @@ let test_suite_report_roundtrip () =
   Alcotest.(check bool) "bound trajectory recorded" true
     (T.series r.tel "search.bound" <> []);
   let doc = Suite.Driver.report ~config run in
-  (match Suite.Driver.validate_report doc with
-  | Ok () -> ()
+  (match Suite.Report.validate doc with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "fresh report invalid: %s" e);
   (* schema stability survives serialization *)
   (match J.of_string (J.to_string doc) with
   | Error e -> Alcotest.failf "report does not parse back: %s" e
   | Ok doc' -> (
-      match Suite.Driver.validate_report doc' with
-      | Ok () -> ()
+      match Suite.Report.validate doc' with
+      | Ok _ -> ()
       | Error e -> Alcotest.failf "re-parsed report invalid: %s" e));
   (* the validator actually rejects schema drift *)
   let broken =
@@ -127,8 +127,8 @@ let test_suite_report_roundtrip () =
              fields)
     | _ -> Alcotest.fail "report is not an object"
   in
-  match Suite.Driver.validate_report broken with
-  | Ok () -> Alcotest.fail "validator accepted a wrong schema tag"
+  match Suite.Report.validate broken with
+  | Ok _ -> Alcotest.fail "validator accepted a wrong schema tag"
   | Error _ -> ()
 
 let test_trace_of_traced_search () =

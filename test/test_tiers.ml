@@ -276,8 +276,8 @@ let test_tiers_report () =
   let cold = Suite.Driver.run ~config ~store benches in
   let warm = Suite.Driver.run ~config ~store benches in
   let doc = Suite.Driver.tiers_report ~config ~baseline ~cold ~warm () in
-  (match Suite.Driver.validate_tiers_report doc with
-  | Ok () -> ()
+  (match Suite.Report.validate doc with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "invalid tiers report: %s" e);
   let tiers (t : Suite.Driver.t) =
     List.map
