@@ -35,10 +35,11 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* Every report writer checks its document against the schema first. *)
+(* Every report writer checks its document against the schema first;
+   the result is the schema's one-line summary. *)
 let check_report doc =
   match Suite.Report.validate doc with
-  | Ok _ -> ()
+  | Ok (_, summary) -> summary
   | Error msg -> die "generated report is invalid: %s" msg
 
 (* Emit the same surface syntax the parser accepts, so outputs can be
@@ -193,7 +194,7 @@ let tiers_run ~config ~benches ~jobs ~store_dir ~quiet path =
   let cold = pass "tiered, cold" config store in
   let warm = pass "tiered, warm" config store in
   let doc = Suite.Driver.tiers_report ~config ~baseline ~cold ~warm () in
-  check_report doc;
+  ignore (check_report doc);
   write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
   if not quiet then begin
     let count (t : Suite.Driver.t) tier =
@@ -261,7 +262,7 @@ let suite_run list_only names jobs timeout estimator engine exec cost_cache
     (match report with
     | Some path ->
         let doc = Suite.Driver.report ~config run_result in
-        check_report doc;
+        ignore (check_report doc);
         write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
         if not quiet then Printf.printf "wrote suite report to %s\n" path
     | None -> ());
@@ -492,7 +493,7 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
           ~elapsed:(Unix.gettimeofday () -. t0)
           entries
       in
-      check_report doc;
+      ignore (check_report doc);
       write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
       if not quiet then Printf.printf "# wrote lift report to %s\n" path
   | None -> ());
@@ -744,37 +745,15 @@ let loadgen_run endpoints names concurrency duration timeout no_warmup
       ~benchmarks:(List.map (fun (b : Suite.Benchmarks.t) -> b.name) benches)
       stats
   in
-  check_report doc;
+  let summary = check_report doc in
   (match report with
   | Some path ->
       write_file path (J.to_string doc ^ "\n");
       if not quiet then Printf.printf "wrote serve-load report to %s\n" path
   | None -> print_endline (J.to_string doc));
-  if not quiet then begin
-    let int name =
-      Option.value ~default:0 (Option.bind (J.member name doc) J.to_int_opt)
-    in
-    let float name =
-      Option.value ~default:Float.nan
-        (Option.bind (J.member name doc) J.to_float_opt)
-    in
-    let lat name =
-      match J.member "latency" doc with
-      | Some l ->
-          Option.value ~default:Float.nan
-            (Option.bind (J.member name l) J.to_float_opt)
-      | None -> Float.nan
-    in
-    Printf.printf
-      "# %d requests in %.1fs: %.0f req/s; p50 %.2f ms, p95 %.2f, p99 \
-       %.2f; %d coalesced, %d refined, %d busy, %d protocol errors, %d \
-       transport errors\n"
-      (int "n_requests") (float "elapsed") (float "throughput_rps")
-      (1000. *. lat "p50") (1000. *. lat "p95") (1000. *. lat "p99")
-      (int "n_coalesced") (int "n_refined") (int "n_busy")
-      (int "n_protocol_errors")
-      (int "n_transport_errors")
-  end
+  if not quiet then
+    Printf.printf "# %s, %d transport errors\n" summary
+      stats.n_transport_errors
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -915,10 +894,10 @@ let rules_depth_arg =
     & info [ "rules-depth" ] ~docv:"N"
         ~doc:
           "Enable tiered serving against a rule database mined at depth \
-           $(docv) (see $(b,stenso mine)): store lookup, then mined-rule \
-           rewriting + e-graph saturation, then the full search only \
-           when the database cannot certify an answer.  0 (default) \
-           disables tier 2.")
+           $(docv) (see $(b,stenso mine)): store lookup, then the \
+           database's optima table + e-graph saturation with its rules, \
+           then the full search only when the database cannot certify an \
+           answer.  0 (default) disables tier 2.")
 
 let no_store_arg =
   Arg.(

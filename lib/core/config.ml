@@ -19,7 +19,6 @@ let default =
     rules_depth = None;
   }
 
-let with_search search t = { t with search }
 let with_timeout timeout t = { t with search = { t.search with timeout } }
 
 let with_jobs jobs t =
@@ -61,25 +60,6 @@ let with_max_depth max_depth t =
 let with_node_budget node_budget t =
   { t with search = { t.search with node_budget } }
 
-let with_memoize memoize t = { t with search = { t.search with memoize } }
-
-let with_stub_depth depth t =
-  {
-    t with
-    search =
-      { t.search with stub_config = { t.search.stub_config with Stub.depth } };
-  }
-
-let with_max_stubs max_stubs t =
-  {
-    t with
-    search =
-      {
-        t.search with
-        stub_config = { t.search.stub_config with Stub.max_stubs };
-      };
-  }
-
 let search_config t = t.search
 let rules_depth t = t.rules_depth
 let jobs t = t.search.Search.jobs
@@ -101,8 +81,6 @@ let model ?tel t =
   | `Measured ->
       Cost.Model.measured ?tel ~engine:t.engine ~exec_options:t.exec
         ?cache_file:t.cost_cache ()
-
-let of_search search = { default with search }
 
 let estimator_of_string = function
   | "flops" -> Ok `Flops

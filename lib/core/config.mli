@@ -1,9 +1,10 @@
 (** Builder-style configuration for the whole superoptimizer.
 
     [Config.t] wraps the nested {!Search.config} / {!Stub.config} /
-    {!Invert.config} records (which remain the implementation and stay
-    available through {!search_config} / {!of_search}) together with the
-    cost-estimator choice, so call sites read as a pipeline:
+    {!Invert.config} records (which remain the implementation: read
+    them through {!search_config}, set any field without a builder
+    through the [search] field) together with the cost-estimator
+    choice, so call sites read as a pipeline:
 
     {[
       let config =
@@ -33,8 +34,9 @@ type t = {
           concrete validation (default [Exec.Options.default]) *)
   rules_depth : int option;
       (** enables the tiered fast path of {!Superopt.optimize}: consult
-          the mined rule database for this depth (rule fixpoint +
-          e-graph saturation) before entering the full search.  [None]
+          the mined rule database for this depth (its optima table +
+          e-graph saturation with its rules) before entering the full
+          search.  [None]
           (the default) preserves the classic two-step store-then-search
           behaviour. *)
 }
@@ -63,11 +65,6 @@ val with_simplification : bool -> t -> t
 val with_extended_ops : bool -> t -> t
 val with_max_depth : int -> t -> t
 val with_node_budget : int -> t -> t
-val with_memoize : bool -> t -> t
-val with_stub_depth : int -> t -> t
-val with_max_stubs : int -> t -> t
-val with_search : Search.config -> t -> t
-(** Replace the nested records wholesale (escape hatch). *)
 
 (** {2 Accessors} *)
 
@@ -86,9 +83,6 @@ val model : ?tel:Obs.Telemetry.t -> t -> Cost.Model.t
     many programs.  [tel] feeds the measured estimator's profiling-cache
     counters ([cost.cache_hits] / [cost.cache_misses]) and wall-time
     accumulator ([cost.profile_seconds]). *)
-
-val of_search : Search.config -> t
-(** Adopt a legacy record, keeping the default estimator. *)
 
 val fingerprint : t -> string
 (** Canonical rendering of every field that determines a synthesis

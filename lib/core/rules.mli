@@ -55,7 +55,8 @@ val apply_fixpoint :
     proposes.  Returns the cheapest program seen under [cost] (default:
     AST size), which is the input itself when no rewrite improves on
     it.  [applied], when given, accumulates the number of rewrite steps
-    taken. *)
+    taken.  Tiered serving does not use it: e-graph saturation over the
+    same rules ({!Egraph.saturate}) subsumes greedy rewriting. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

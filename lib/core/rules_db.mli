@@ -6,9 +6,9 @@
     representative), generalized into a {!Rules.t} and recorded here,
     together with an {e optima table} mapping each enumerated symbolic
     value (by spec-key digest) to the cheapest known program computing
-    it.  {!Superopt.optimize}'s tier 2 replays these rules (fixpoint +
-    e-graph saturation) and consults the optima table instead of
-    entering the branch-and-bound search; improvements that tier 3 does
+    it.  {!Superopt.optimize}'s tier 2 consults the optima table and
+    saturates an e-graph with these rules instead of entering the
+    branch-and-bound search; improvements that tier 3 does
     discover are fed back through {!record_feedback}, so the database
     grows with traffic — the paper's §VII-D integration path, in the
     TENSAT/Prism mostly-lookup direction.

@@ -110,55 +110,42 @@ let superoptimize ?(tel = Obs.Telemetry.null) ?(config = Search.default_config)
     | Some candidate -> { search with cost = final_cost candidate }
     | None -> search
   in
+  (* The returned program is the original, so the outcome is trivially
+     verified. *)
+  let keep_original =
+    {
+      original = prog;
+      optimized = prog;
+      improved = false;
+      original_cost;
+      optimized_cost = original_cost;
+      search;
+      verified = true;
+      tier = 3;
+      refined = true;
+    }
+  in
   match search.program with
   | Some candidate when search.cost < original_cost ->
       (* Correctness by construction, re-checked end-to-end — at the
          synthesis shapes and at perturbed shapes. *)
-      let verified = robust_equivalent ~env prog candidate in
-      if verified then
+      if robust_equivalent ~env prog candidate then
         {
-          original = prog;
+          keep_original with
           optimized = candidate;
           improved = true;
-          original_cost;
           optimized_cost = search.cost;
-          search;
-          verified;
-          tier = 3;
-          refined = true;
         }
       else begin
         (* The candidate failed re-verification (for example a rewrite
            that only held at a shape coincidence of the synthesis
            sizes): fall back to the original program rather than emit
-           wrong code.  The returned program is the original, so the
-           outcome is trivially verified. *)
+           wrong code. *)
         Logs.warn (fun m ->
             m "stenso: rejected unverifiable candidate %a" Ast.pp candidate);
-        {
-          original = prog;
-          optimized = prog;
-          improved = false;
-          original_cost;
-          optimized_cost = original_cost;
-          search;
-          verified = true;
-          tier = 3;
-          refined = true;
-        }
+        keep_original
       end
-  | _ ->
-      {
-        original = prog;
-        optimized = prog;
-        improved = false;
-        original_cost;
-        optimized_cost = original_cost;
-        search;
-        verified = true;
-        tier = 3;
-        refined = true;
-      }
+  | _ -> keep_original
 
 type key = { spec_key : string; store_key : string }
 
@@ -213,6 +200,19 @@ let outcome_of_entry ~env prog (e : Store.outcome_entry) : outcome option =
             refined = e.refined;
           }
 
+(* The outcome-store entry for a verified outcome. *)
+let store_entry ~env (o : outcome) =
+  {
+    Store.version = Version.current;
+    original = Dsl.Parser.unparse env o.original;
+    optimized = Dsl.Parser.unparse env o.optimized;
+    improved = o.improved;
+    original_cost = o.original_cost;
+    optimized_cost = o.optimized_cost;
+    stats = o.search.stats;
+    refined = o.refined;
+  }
+
 let validate_concrete ?(trials = 16) ?(max_draws = 512)
     ?(engine : Texec.Engine.kind = `Vm)
     ?(exec_options = Texec.Engine.Options.default) ~env a b =
@@ -257,18 +257,21 @@ let validate_concrete ?(trials = 16) ?(max_draws = 512)
   !ok
 
 (* ------------------------------------------------------------------ *)
-(* Tier 2: mined rules, e-graph saturation, optima lookup              *)
+(* Tier 2: e-graph saturation and optima lookup                        *)
 (* ------------------------------------------------------------------ *)
+
+type source = Optimum | Saturation
+
+let source_name = function Optimum -> "optimum" | Saturation -> "saturation"
 
 type tier2 = {
   t2_prog : Ast.t;
   t2_cost : float;
+  t2_source : source;  (* which candidate source supplied [t2_prog] *)
   t2_certified : bool;
       (* the candidate provably reaches the database's recorded optimum
          for this spec (or costs nothing at all), so the search cannot
          improve on what the database already knows *)
-  t2_applied : int;  (* rewrite steps taken (fixpoint + saturation) *)
-  t2_db_truncated : bool;  (* the serving database was mined truncated *)
   t2_elapsed : float;
 }
 
@@ -286,14 +289,14 @@ let empty_stats elapsed =
   }
 
 (* Serve a request from the mined rule database, if it can be done
-   soundly.  Three candidate sources, cheapest verified one wins:
+   soundly.  Two candidate sources, cheapest verified one wins (the
+   optimum on a tie):
 
-   - {!Rules.apply_fixpoint} over the mined rules (greedy rewriting);
-   - e-graph equality saturation with the same rules plus cheapest
-     extraction ({!Egraph});
    - the optima table: the cheapest known implementation of this
      request's symbolic value, mined offline or fed back from earlier
-     tier-3 searches.
+     tier-3 searches;
+   - e-graph equality saturation with the mined rules plus cheapest
+     extraction ({!Egraph}).
 
    Every candidate is re-verified from scratch (symbolic equivalence at
    two shape settings + concrete differential validation) before it can
@@ -302,13 +305,16 @@ let empty_stats elapsed =
    recorded optimum for this very spec: mined optima are exact for the
    bounded stub space, so a certified answer is the best the database
    can prove; anything short of that falls through to the full search
-   (with the candidate's cost as a tightened initial bound). *)
+   (with the candidate's cost as a tightened initial bound).
+
+   Returns whether the consulted database was mined truncated ([false]
+   when there is none) and the verified candidate, if any. *)
 let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
   match
     Rules_db.find store
       ~key:(Rules_db.key ~env ~model_id:model.Cost.Model.name ~depth)
   with
-  | None -> None
+  | None -> (false, None)
   | Some db ->
       let t0 = Unix.gettimeofday () in
       let cost p =
@@ -318,9 +324,7 @@ let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
           | exception _ -> infinity
         else infinity
       in
-      let applied = ref 0 in
       let rules = List.map (fun r -> r.Rules_db.rule) db.Rules_db.rules in
-      let fixpoint = Rules.apply_fixpoint ~max_steps:64 ~cost ~applied rules prog in
       let saturated =
         match
           let g = Egraph.create env in
@@ -330,7 +334,7 @@ let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
           Obs.Telemetry.Acc.add
             (Obs.Telemetry.acc tel "tier.saturation_ms")
             ((Unix.gettimeofday () -. ts) *. 1000.);
-          applied := !applied + st.Egraph.applications;
+          Obs.Telemetry.add tel "tier.rules_applied" st.Egraph.applications;
           Egraph.extract g ~model cls
         with
         | p -> Some p
@@ -339,26 +343,26 @@ let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
       let optimum =
         Rules_db.lookup_optimum db (Rules_db.spec_digest spec_key)
       in
-      let candidates =
-        List.filter_map Fun.id
-          [ Option.map snd optimum; saturated; Some fixpoint ]
+      let candidate source p =
+        let c = cost p in
+        if c < infinity then Some (source, p, c) else None
       in
-      let seen : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-      let candidates =
-        List.filter
-          (fun c ->
-            let k = Ast.to_string c in
-            if Hashtbl.mem seen k then false
-            else begin
-              Hashtbl.add seen k ();
-              cost c < infinity
-            end)
-          candidates
+      let from_optimum =
+        Option.bind optimum (fun (_, p) -> candidate Optimum p)
+      in
+      let from_saturation =
+        match (saturated, optimum) with
+        | Some p, Some (_, o) when Ast.equal p o -> None
+        | Some p, _ -> candidate Saturation p
+        | None, _ -> None
       in
       let candidates =
-        List.stable_sort (fun a b -> Float.compare (cost a) (cost b)) candidates
+        match (from_optimum, from_saturation) with
+        | Some ((_, _, co) as o), Some ((_, _, cs) as s) when cs < co ->
+            [ s; o ]
+        | o, s -> List.filter_map Fun.id [ o; s ]
       in
-      let verified c =
+      let verified (_, c, _) =
         Ast.equal c prog
         ||
         match
@@ -369,11 +373,9 @@ let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
         | ok -> ok
         | exception _ -> false
       in
-      let result =
-        match List.find_opt verified candidates with
-        | None -> None
-        | Some best ->
-            let best_cost = cost best in
+      let best =
+        Option.map
+          (fun (source, best, best_cost) ->
             let eps = 1e-9 *. (1. +. Float.abs best_cost) in
             (* Certification demands a strict improvement that reaches
                the recorded optimum (or a free program, which nothing
@@ -390,19 +392,16 @@ let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
                  | Some (opt_cost, _) -> best_cost <= opt_cost +. eps
                  | None -> false)
             in
-            Some
-              {
-                t2_prog = best;
-                t2_cost = best_cost;
-                t2_certified = certified;
-                t2_applied = !applied;
-                t2_db_truncated = db.Rules_db.truncated;
-                t2_elapsed = Unix.gettimeofday () -. t0;
-              }
+            {
+              t2_prog = best;
+              t2_cost = best_cost;
+              t2_source = source;
+              t2_certified = certified;
+              t2_elapsed = Unix.gettimeofday () -. t0;
+            })
+          (List.find_opt verified candidates)
       in
-      if Obs.Telemetry.enabled tel then
-        Obs.Telemetry.add tel "tier.rules_applied" !applied;
-      result
+      (db.Rules_db.truncated, best)
 
 (* Fold a verified search result back into the rule database: the
    generalized rewrite (when the search improved the program and the
@@ -456,32 +455,26 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
       let spec, { spec_key; store_key = key } =
         spec_and_key ~tel ~config ~model ?spec ?key ~env prog
       in
-      let serve_event ?(db_truncated = false) tier =
+      (* [source] names the tier-2 candidate that answered, or that
+         bounded the tier-3 search. *)
+      let serve_event ?(db_truncated = false) ?source tier =
         Obs.Telemetry.incr tel "tier.hit";
         Obs.Telemetry.incr tel (Printf.sprintf "tier%d.hits" tier);
         Obs.Telemetry.event tel "tier.serve"
-          [
-            ("tier", Obs.Telemetry.Int tier);
-            ("key", Obs.Telemetry.Str (Store.digest key));
-            ("db_truncated", Obs.Telemetry.Bool db_truncated);
-          ]
+          (("tier", Obs.Telemetry.Int tier)
+          :: ("key", Obs.Telemetry.Str (Store.digest key))
+          :: ("db_truncated", Obs.Telemetry.Bool db_truncated)
+          :: Option.to_list
+               (Option.map
+                  (fun s -> ("source", Obs.Telemetry.Str (source_name s)))
+                  source))
       in
       let record (outcome : outcome) =
         (* Record-after-answer.  Unverified candidates never reach the
            outcome (both tiers fall back to the original program), so
            every recorded entry is correct by construction. *)
         if outcome.verified then
-          Store.record_outcome store ~key
-            {
-              Store.version = Version.current;
-              original = Dsl.Parser.unparse env outcome.original;
-              optimized = Dsl.Parser.unparse env outcome.optimized;
-              improved = outcome.improved;
-              original_cost = outcome.original_cost;
-              optimized_cost = outcome.optimized_cost;
-              stats = outcome.search.stats;
-              refined = outcome.refined;
-            }
+          Store.record_outcome store ~key (store_entry ~env outcome)
       in
       let cached =
         match Store.find_outcome store ~key with
@@ -508,9 +501,9 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
       | None -> (
           Obs.Telemetry.incr tel "store.misses";
           let original_cost = Cost.Model.program_cost model env prog in
-          let t2 =
+          let db_truncated, t2 =
             match Config.rules_depth config with
-            | None -> None
+            | None -> (false, None)
             | Some depth ->
                 tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth
                   ~store prog
@@ -544,13 +537,19 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
                   refined = false;
                 }
               in
-              serve_event ~db_truncated:t2.t2_db_truncated 2;
+              serve_event ~db_truncated ~source:t2.t2_source 2;
               record outcome;
               outcome
           | _ ->
               (* Tier 3: full branch-and-bound, with the tier-2
-                 candidate (when one verified) tightening the initial
-                 bound, and the result fed back into the database. *)
+                 candidate (when one verified and beats the original)
+                 tightening the initial bound, and the result fed back
+                 into the database. *)
+              let t2 =
+                match t2 with
+                | Some t when t.t2_cost < original_cost -> t2
+                | _ -> None
+              in
               let bound = Option.map (fun t -> t.t2_cost) t2 in
               let outcome =
                 superoptimize ~tel ~config:search_config ?stub_cache ~spec
@@ -558,9 +557,7 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
               in
               let outcome =
                 match t2 with
-                | Some t2
-                  when t2.t2_cost < outcome.optimized_cost
-                       && t2.t2_cost < original_cost ->
+                | Some t2 when t2.t2_cost < outcome.optimized_cost ->
                     (* The search could not beat the tier-2 candidate
                        (it pruned against its cost); the candidate is
                        already verified, so it is the answer. *)
@@ -578,8 +575,8 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
                     }
                 | _ -> outcome
               in
-              serve_event
-                ?db_truncated:(Option.map (fun t -> t.t2_db_truncated) t2)
+              serve_event ~db_truncated
+                ?source:(Option.map (fun t -> t.t2_source) t2)
                 3;
               (match Config.rules_depth config with
               | Some depth when outcome.verified ->
@@ -613,17 +610,7 @@ let refine ?(tel = Obs.Telemetry.null) ?(config = Config.default) ~store
     | Some depth ->
         tier3_feedback ~model ~env ~spec_key ~depth ~store outcome
     | None -> ());
-    Store.record_outcome store ~key
-      {
-        Store.version = Version.current;
-        original = Dsl.Parser.unparse env outcome.original;
-        optimized = Dsl.Parser.unparse env outcome.optimized;
-        improved = outcome.improved;
-        original_cost = outcome.original_cost;
-        optimized_cost = outcome.optimized_cost;
-        stats = outcome.search.stats;
-        refined = true;
-      };
+    Store.record_outcome store ~key (store_entry ~env outcome);
     Obs.Telemetry.incr tel "tier.refined";
     Obs.Telemetry.event tel "tier.refine"
       [

@@ -22,8 +22,9 @@ type outcome = {
   tier : int;
       (** which tier answered: 1 = outcome-store lookup (served from
           the persistent store without entering the search, only
-          possible through {!optimize} with a store), 2 = mined
-          rules / e-graph saturation against the rule database, 3 =
+          possible through {!optimize} with a store), 2 = the rule
+          database's optima table or e-graph saturation with its mined
+          rules, 3 =
           full branch-and-bound search (always 3 for bare
           {!superoptimize}) *)
   refined : bool;
@@ -113,10 +114,10 @@ val optimize :
        A stale or undecodable entry is invalidated.}
     {- {b Tier 2 — mined rules} (only when the configuration sets
        {!Config.with_rules_depth} and the store holds a {!Rules_db}
-       entry for this environment).  Candidates come from
-       {!Rules.apply_fixpoint} over the mined rules, e-graph equality
-       saturation with cheapest extraction ({!Egraph}), and the
-       database's optima table for this very spec.  The cheapest
+       entry for this environment).  At most two candidates: the
+       database's optima table entry for this very spec, and e-graph
+       equality saturation over the mined rules with cheapest
+       extraction ({!Egraph}).  The cheapest (the optimum on a tie)
        candidate that passes full re-verification
        ({!robust_equivalent} + {!validate_concrete}) is served — and
        recorded to the outcome store — iff it is {e certified}: it
@@ -135,8 +136,11 @@ val optimize :
        the outcome store.}}
 
     Per-tier telemetry: [tier.hit], [tier1.hits]/[tier2.hits]/
-    [tier3.hits], [tier.rules_applied], [tier.saturation_ms], and one
-    [tier.serve] event per answer.
+    [tier3.hits], [tier.rules_applied] (saturation's rule
+    applications), [tier.saturation_ms], and one [tier.serve] event per
+    answer.  A tier-2 answer's event names its candidate's [source]
+    (["optimum"] or ["saturation"]); so does a tier-3 answer whose
+    search a tier-2 candidate bounded.
 
     [spec], when the caller already symbolically executed the program
     (for example to compute the {!key}), skips the redundant execution;

@@ -153,8 +153,9 @@ echo "vm-vs-interp suite smoke check passed"
 # Tiered-optimizer smoke check: mine the depth-2 rule database for one
 # environment, then optimize the matching program twice through the
 # tiered path.  The first request must be answered without entering the
-# search (tier 2: mined rules + saturation + optima lookup), the repeat
-# must hit a lower-or-equal tier (the outcome store, tier 1).
+# search (tier 2: optima lookup + saturation with the mined rules) and
+# name the candidate source that answered; the repeat must hit a
+# lower-or-equal tier (the outcome store, tier 1).
 tstore="$scratch/tstore"
 printf 'input A : f32[3,3]\ninput B : f32[3,3]\nreturn np.exp(np.log(A + B))\n' \
   > "$scratch/tiers_prog.tdsl"
@@ -169,6 +170,12 @@ tiered "$scratch/trace2.ndjson"
 if ! grep -F '"tier.serve"' "$scratch/trace1.ndjson" | grep -qF '"tier":2'
 then
   echo "FAIL: first tiered request was not served by tier 2" >&2
+  grep -F '"tier.serve"' "$scratch/trace1.ndjson" >&2 || true
+  exit 1
+fi
+if ! grep -F '"tier.serve"' "$scratch/trace1.ndjson" \
+    | grep -qE '"source":"(optimum|saturation)"'; then
+  echo "FAIL: first tiered request does not name its tier-2 source" >&2
   grep -F '"tier.serve"' "$scratch/trace1.ndjson" >&2 || true
   exit 1
 fi

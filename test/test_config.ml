@@ -19,9 +19,6 @@ let test_builder_round_trip () =
     |> Config.with_extended_ops true
     |> Config.with_max_depth 7
     |> Config.with_node_budget 1234
-    |> Config.with_memoize false
-    |> Config.with_stub_depth 1
-    |> Config.with_max_stubs 99
   in
   let s = Config.search_config c in
   Alcotest.(check (float 0.)) "timeout" 60. s.Search.timeout;
@@ -33,25 +30,8 @@ let test_builder_round_trip () =
     s.Search.stub_config.Stub.extended_ops;
   Alcotest.(check int) "max depth" 7 s.Search.max_depth;
   Alcotest.(check int) "node budget" 1234 s.Search.node_budget;
-  Alcotest.(check bool) "memoize" false s.Search.memoize;
-  Alcotest.(check int) "stub depth" 1 s.Search.stub_config.Stub.depth;
-  Alcotest.(check int) "max stubs" 99 s.Search.stub_config.Stub.max_stubs;
   Alcotest.(check int) "jobs accessor" 8 (Config.jobs c);
   Alcotest.(check (float 0.)) "timeout accessor" 60. (Config.timeout c)
-
-let test_of_search_round_trip () =
-  (* Legacy records remain the implementation: adopting one and reading
-     it back is the identity. *)
-  let legacy =
-    {
-      Search.default_config with
-      timeout = 5.;
-      max_depth = 3;
-      stub_config = { Search.default_config.stub_config with depth = 1 };
-    }
-  in
-  Alcotest.(check bool) "identity" true
-    (Config.search_config (Config.of_search legacy) = legacy)
 
 let test_model_selection () =
   let name e =
@@ -78,8 +58,6 @@ let suite =
       test_default_matches_legacy;
     Alcotest.test_case "builders round-trip to the records" `Quick
       test_builder_round_trip;
-    Alcotest.test_case "of_search is the identity" `Quick
-      test_of_search_round_trip;
     Alcotest.test_case "estimator selects the model" `Quick
       test_model_selection;
     Alcotest.test_case "estimator parsing" `Quick test_estimator_of_string;

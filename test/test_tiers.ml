@@ -1,7 +1,8 @@
 (* Tiered serving end to end: offline mining into the store
-   ([stenso.rules/1]), tier-2 certification (mined rules + e-graph
-   saturation + optima lookup, fully re-verified), tier-1 repeats, and
-   the tier-3 fallback with database feedback. *)
+   ([stenso.rules/1]), tier-2 certification (optima lookup + e-graph
+   saturation with the mined rules, fully re-verified, attributed to its
+   source), tier-1 repeats, and the tier-3 fallback with database
+   feedback. *)
 open Dsl
 open Stenso
 
@@ -159,6 +160,19 @@ let test_db_decode_per_key () =
   Alcotest.(check bool) "rewritten entry releases the old decode" false
     (Weak.check decoded 0)
 
+(* The [source] field of the trace's one [tier.serve] event. *)
+let served_source tel =
+  match
+    List.filter
+      (fun (e : Telemetry.event) -> e.name = "tier.serve")
+      (Telemetry.events tel)
+  with
+  | [ e ] -> (
+      match List.assoc_opt "source" e.fields with
+      | Some (Telemetry.Str s) -> Some s
+      | _ -> None)
+  | es -> Alcotest.failf "%d tier.serve events, expected one" (List.length es)
+
 let test_tier2_then_tier1 () =
   let b = bench "log_exp_1" in
   let store = Store.open_store ~dir:(fresh_dir ()) () in
@@ -214,8 +228,13 @@ let test_tier3_feedback () =
   let b = bench "diag_dot" in
   let store = Store.open_store ~dir:(fresh_dir ()) () in
   ignore (Mine.mine ~depth:2 ~model ~store [ (b.name, b.env) ]);
-  let o1 = Superopt.optimize ~config ~store ~model ~env:b.env b.program in
+  let tel = Telemetry.create () in
+  let o1 =
+    Superopt.optimize ~tel ~config ~store ~model ~env:b.env b.program
+  in
   Alcotest.(check int) "deep optimum forces tier 3" 3 o1.tier;
+  Alcotest.(check (option string)) "no tier-2 candidate bounded the search"
+    None (served_source tel);
   Alcotest.(check bool) "search improved it" true o1.improved;
   Alcotest.(check bool) "matches the expected optimum" true
     (Sexec.equivalent b.env o1.optimized b.expected_opt);
@@ -229,13 +248,51 @@ let test_tier3_feedback () =
     | None -> Alcotest.fail "rules entry vanished"
   in
   let spec = Sexec.exec_env b.env b.program in
-  match Rules_db.lookup_optimum db (Rules_db.spec_digest (Spec.key spec)) with
+  (match Rules_db.lookup_optimum db (Rules_db.spec_digest (Spec.key spec)) with
   | Some (cost, prog) ->
       Alcotest.(check (float 1e-9)) "fed-back optimum cost"
         o1.optimized_cost cost;
       Alcotest.(check bool) "fed-back program equivalent" true
         (Sexec.equivalent b.env prog b.program)
-  | None -> Alcotest.fail "tier-3 result was not fed back"
+  | None -> Alcotest.fail "tier-3 result was not fed back");
+  (* The fed-back rule rewrites sum_diag_dot's inner diag(dot) in the
+     same environment: saturation now reaches a certified answer that
+     the optima table (whose entry costs more than the original) does
+     not, so tier 2 serves it and names saturation as its source. *)
+  let b = bench "sum_diag_dot" in
+  let tel = Telemetry.create () in
+  let o = Superopt.optimize ~tel ~config ~store ~model ~env:b.env b.program in
+  Alcotest.(check int) "sum_diag_dot answered by tier 2" 2 o.tier;
+  Alcotest.(check bool) "sum_diag_dot improved" true o.improved;
+  Alcotest.(check (option string)) "served from saturation"
+    (Some "saturation") (served_source tel)
+
+(* log_exp_2's answer comes from the optima table: saturation only
+   returns the original program there.  synth_5's spec has no optimum
+   in the table, so it falls through to the search, bounded by the
+   cheaper program saturation extracted. *)
+let test_tier2_sources () =
+  let serve name =
+    let b = bench name in
+    let store = Store.open_store ~dir:(fresh_dir ()) () in
+    ignore (Mine.mine ~depth:2 ~model ~store [ (b.name, b.env) ]);
+    let tel = Telemetry.create () in
+    let o =
+      Superopt.optimize ~tel ~config ~store ~model ~env:b.env b.program
+    in
+    (b, o, served_source tel)
+  in
+  let b, o, source = serve "log_exp_2" in
+  Alcotest.(check int) "log_exp_2 answered by tier 2" 2 o.tier;
+  Alcotest.(check bool) "log_exp_2 reaches the known optimum" true
+    (Sexec.equivalent b.env o.optimized b.expected_opt);
+  Alcotest.(check (option string)) "log_exp_2 served from the optimum"
+    (Some "optimum") source;
+  let _, o, source = serve "synth_5" in
+  Alcotest.(check int) "synth_5 answered by tier 3" 3 o.tier;
+  Alcotest.(check bool) "synth_5 improved" true o.improved;
+  Alcotest.(check (option string)) "synth_5 search bounded by saturation"
+    (Some "saturation") source
 
 (* Mined-rule saturation alone (no optima lookup, no search) strictly
    improves these suite benchmarks all the way to the known optimum. *)
@@ -333,4 +390,5 @@ let suite =
       test_tier2_request_keys_once;
     Alcotest.test_case "rules db decode shared per key" `Quick
       test_db_decode_per_key;
+    Alcotest.test_case "tier-2 candidate sources" `Quick test_tier2_sources;
   ]
