@@ -5,6 +5,7 @@
      stenso profile --cost-cache ops.cache
      stenso serve --socket /tmp/stenso.sock --workers 4
      stenso request --socket /tmp/stenso.sock --program original.tdsl
+     stenso bench fig4 fig8 --jobs 4
 
    The bare legacy invocation (mirroring the artifact's
    `stenso/main.py`) still works as an alias of [optimize]:
@@ -14,7 +15,7 @@
    Program files declare typed inputs and return one expression; see
    `examples/` and the README for the surface syntax. *)
 
-let die fmt = Printf.ksprintf (fun s -> prerr_endline ("stenso: " ^ s); exit 1) fmt
+open Common
 
 (* EX_DATAERR: the input file is malformed (positioned parse error). *)
 let ex_dataerr = 65
@@ -28,19 +29,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
-(* Every report writer checks its document against the schema first;
-   the result is the schema's one-line summary. *)
-let check_report doc =
-  match Suite.Report.validate doc with
-  | Ok (_, summary) -> summary
-  | Error msg -> die "generated report is invalid: %s" msg
 
 (* Emit the same surface syntax the parser accepts, so outputs can be
    fed back in — the same rendering the persistent store serves, so
@@ -58,26 +46,44 @@ let engine_of engine =
   | Ok e -> e
   | Error msg -> die "%s" msg
 
-let config_of ?(rules_depth = 0) ~estimator ~engine ~exec ~timeout ~jobs
-    ~no_bnb ~no_simplification ~extended_ops ~cost_cache () =
-  let estimator =
-    match Stenso.Config.estimator_of_string estimator with
-    | Ok e -> e
-    | Error msg -> die "%s" msg
+(* [Config.default] under the named estimator, with each given option
+   applied over it. *)
+let config_of ?engine ?exec ?timeout ?jobs ?(no_bnb = false)
+    ?(no_simplification = false) ?(extended_ops = false) ?cost_cache
+    ?(rules_depth = 0) estimator =
+  let module C = Stenso.Config in
+  let apply f = Option.fold ~none:Fun.id ~some:f in
+  C.default
+  |> C.with_estimator
+       (match C.estimator_of_string estimator with
+       | Ok e -> e
+       | Error msg -> die "%s" msg)
+  |> apply (fun e -> C.with_engine (engine_of e)) engine
+  |> apply C.with_exec_options exec
+  |> apply C.with_timeout timeout
+  |> apply C.with_jobs jobs
+  |> C.with_bnb (not no_bnb)
+  |> C.with_simplification (not no_simplification)
+  |> C.with_extended_ops extended_ops
+  |> C.with_rules_depth rules_depth
+  |> apply C.with_cost_cache cost_cache
+
+(* Run [f] with a recording telemetry sink when [--trace FILE] is given
+   (the null sink otherwise), then write the trace to FILE as NDJSON. *)
+let with_trace trace f =
+  let tel =
+    if Option.is_some trace then Stenso.Telemetry.create ()
+    else Stenso.Telemetry.null
   in
-  Stenso.Config.default
-  |> Stenso.Config.with_estimator estimator
-  |> Stenso.Config.with_engine (engine_of engine)
-  |> Stenso.Config.with_exec_options exec
-  |> Stenso.Config.with_timeout timeout
-  |> Stenso.Config.with_jobs jobs
-  |> Stenso.Config.with_bnb (not no_bnb)
-  |> Stenso.Config.with_simplification (not no_simplification)
-  |> Stenso.Config.with_extended_ops extended_ops
-  |> Stenso.Config.with_rules_depth rules_depth
-  |> match cost_cache with
-     | Some f -> Stenso.Config.with_cost_cache f
-     | None -> Fun.id
+  let result = f tel in
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> Stenso.Telemetry.write_ndjson tel oc))
+    trace;
+  result
 
 (* ------------------------------------------------------------------ *)
 (* stenso optimize                                                     *)
@@ -94,23 +100,16 @@ let optimize_run program_path synth_out estimator engine exec timeout jobs
   let env, prog = Dsl.Parser.program source in
   ignore (Dsl.Types.infer env prog);
   let config =
-    config_of ~rules_depth ~estimator ~engine ~exec ~timeout ~jobs ~no_bnb
-      ~no_simplification ~extended_ops ~cost_cache ()
+    config_of ~rules_depth ~engine ~exec ~timeout ~jobs ~no_bnb
+      ~no_simplification ~extended_ops ?cost_cache estimator
   in
-  let tel =
-    match trace with
-    | Some _ -> Stenso.Telemetry.create ()
-    | None -> Stenso.Telemetry.null
+  let outcome =
+    with_trace trace (fun tel ->
+        let store =
+          if no_store then None else Some (open_store ~tel store_dir)
+        in
+        Stenso.Superopt.optimize ~tel ~config ?store ~env prog)
   in
-  let store = if no_store then None else Some (open_store ~tel store_dir) in
-  let outcome = Stenso.Superopt.optimize ~tel ~config ?store ~env prog in
-  (match trace with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Stenso.Telemetry.write_ndjson tel oc)
-  | None -> ());
   if verbose then begin
     if outcome.tier = 1 then
       Format.printf "# served from the persistent store (tier 1 cache hit)@\n"
@@ -180,22 +179,19 @@ let select_benchmarks names =
    baseline (full search, no store), cold tiered (mined rules, empty
    outcome store), warm tiered (repeat — now also hitting the outcome
    store).  All passes cover the same benchmarks with the same jobs. *)
-let tiers_run ~config ~benches ~jobs ~store_dir ~quiet path =
+let tiers_run ~config ~benches ~store_dir ~quiet path =
   (match Stenso.Config.rules_depth config with
   | Some _ -> ()
   | None -> die "--tiers-report requires --rules-depth");
-  let baseline_config = Stenso.Config.with_rules_depth 0 config in
-  let pass name cfg store =
-    if not quiet then Printf.printf "%s pass...\n%!" name;
-    Suite.Driver.run ~config:cfg ?store ~jobs benches
+  let baseline, cold, warm =
+    Suite.Driver.run_tiers ~config
+      ~on_pass:(fun name ->
+        if not quiet then Printf.printf "%s pass...\n%!" name)
+      ~store:(open_store ~tel:Stenso.Telemetry.null store_dir)
+      benches
   in
-  let baseline = pass "baseline (full search)" baseline_config None in
-  let store = Some (open_store ~tel:Stenso.Telemetry.null store_dir) in
-  let cold = pass "tiered, cold" config store in
-  let warm = pass "tiered, warm" config store in
-  let doc = Suite.Driver.tiers_report ~config ~baseline ~cold ~warm () in
-  ignore (check_report doc);
-  write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
+  write_report ~quiet ~label:"tiers" (Some path)
+    (Suite.Driver.tiers_report ~config ~baseline ~cold ~warm ());
   if not quiet then begin
     let count (t : Suite.Driver.t) tier =
       List.length
@@ -210,8 +206,7 @@ let tiers_run ~config ~benches ~jobs ~store_dir ~quiet path =
       (count cold 1) (count cold 2) (count cold 3) cold.elapsed
       (count warm 1 + count warm 2)
       (List.length warm.results)
-      warm.elapsed baseline.elapsed;
-    Printf.printf "wrote tiers report to %s\n" path
+      warm.elapsed baseline.elapsed
   end
 
 let suite_run list_only names jobs timeout estimator engine exec cost_cache
@@ -229,12 +224,11 @@ let suite_run list_only names jobs timeout estimator engine exec cost_cache
   else begin
     let benches = select_benchmarks names in
     let config =
-      config_of ~rules_depth ~estimator ~engine ~exec ~timeout ~jobs
-        ~no_bnb:false ~no_simplification:false ~extended_ops:false
-        ~cost_cache ()
+      config_of ~rules_depth ~engine ~exec ~timeout ~jobs ?cost_cache
+        estimator
     in
     match tiers_report with
-    | Some path -> tiers_run ~config ~benches ~jobs ~store_dir ~quiet path
+    | Some path -> tiers_run ~config ~benches ~store_dir ~quiet path
     | None ->
     let on_result (r : Suite.Driver.bench_result) =
       if not quiet then
@@ -259,13 +253,11 @@ let suite_run list_only names jobs timeout estimator engine exec cost_cache
       Suite.Driver.run ~config ?store ~jobs ~trace:(Option.is_some report)
         ~on_result benches
     in
-    (match report with
-    | Some path ->
-        let doc = Suite.Driver.report ~config run_result in
-        ignore (check_report doc);
-        write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
-        if not quiet then Printf.printf "wrote suite report to %s\n" path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_report ~quiet ~label:"suite" (Some path)
+          (Suite.Driver.report ~config run_result))
+      report;
     (* The deterministic result table: no timings, stable formatting, so
        parallel and sequential runs of a deterministic estimator can be
        compared byte for byte. *)
@@ -308,12 +300,7 @@ let mine_run names depth jobs estimator cost_cache store_dir quiet =
      ([--rules-depth]) picks them up. *)
   if depth < 1 then die "--depth must be at least 1";
   let benches = select_benchmarks names in
-  let config =
-    config_of ~estimator ~engine:"vm" ~exec:Stenso.Exec.Options.default
-      ~timeout:600. ~jobs:1 ~no_bnb:false ~no_simplification:false
-      ~extended_ops:false ~cost_cache ()
-  in
-  let model = Stenso.Config.model config in
+  let model = Stenso.Config.model (config_of ?cost_cache estimator) in
   let store = open_store ~tel:Stenso.Telemetry.null store_dir in
   if not quiet then
     Printf.printf
@@ -355,15 +342,11 @@ let run_run program_path engine exec seed trace verbose =
   in
   ignore (Dsl.Types.infer env prog);
   let engine = engine_of engine in
-  let tel =
-    match trace with
-    | Some _ -> Stenso.Telemetry.create ()
-    | None -> Stenso.Telemetry.null
-  in
   let st = Random.State.make [| seed |] in
   let inputs = Dsl.Interp.random_inputs st env in
   let lookup n = List.assoc n inputs in
   let t0 = Unix.gettimeofday () in
+  with_trace trace @@ fun tel ->
   let result, stats =
     match engine with
     | `Interp -> (Stenso.Exec.eval `Interp ~env lookup prog, None)
@@ -389,14 +372,7 @@ let run_run program_path engine exec seed trace verbose =
           s.parallel_strips s.arena_slots s.arena_bytes
           (Stenso.Exec.Options.fingerprint exec)
   end;
-  Format.printf "%a@." Tensor.Ftensor.pp result;
-  match trace with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Stenso.Telemetry.write_ndjson tel oc)
-  | None -> ()
+  Format.printf "%a@." Tensor.Ftensor.pp result
 
 (* ------------------------------------------------------------------ *)
 (* stenso lift                                                         *)
@@ -435,18 +411,15 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
       die "--synth-out applies to a single kernel"
   | _ -> ());
   let config =
-    config_of ~estimator ~engine ~exec ~timeout ~jobs ~no_bnb:false
-      ~no_simplification:false ~extended_ops:false ~cost_cache ()
+    config_of ~engine ~exec ~timeout ~jobs ?cost_cache estimator
   in
-  let tel =
-    match trace with
-    | Some _ -> Stenso.Telemetry.create ()
-    | None -> Stenso.Telemetry.null
-  in
-  let store = if no_store then None else Some (open_store ~tel store_dir) in
-  let stub_cache = Stenso.Stub.Cache.create () in
   let t0 = Unix.gettimeofday () in
   let entries, failures =
+    with_trace trace @@ fun tel ->
+    let store =
+      if no_store then None else Some (open_store ~tel store_dir)
+    in
+    let stub_cache = Stenso.Stub.Cache.create () in
     List.fold_left
       (fun (entries, failures) (name, source) ->
         let kernel =
@@ -485,25 +458,13 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
             (Suite.Driver.lift_entry_of name result :: entries, failures + 1))
       ([], 0) sources
   in
-  let entries = List.rev entries in
-  (match report with
-  | Some path ->
-      let doc =
-        Suite.Driver.lift_report ~config
-          ~elapsed:(Unix.gettimeofday () -. t0)
-          entries
-      in
-      ignore (check_report doc);
-      write_file path (Stenso.Telemetry.Json.to_string doc ^ "\n");
-      if not quiet then Printf.printf "# wrote lift report to %s\n" path
-  | None -> ());
-  (match trace with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Stenso.Telemetry.write_ndjson tel oc)
-  | None -> ());
+  Option.iter
+    (fun path ->
+      write_report ~quiet ~label:"lift" (Some path)
+        (Suite.Driver.lift_report ~config
+           ~elapsed:(Unix.gettimeofday () -. t0)
+           (List.rev entries)))
+    report;
   if failures > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -592,14 +553,10 @@ let serve_run socket tcp workers queue_capacity max_conns read_deadline
     write_deadline no_refine estimator exec timeout no_bnb no_simplification
     extended_ops cost_cache rules_depth no_store store_dir trace =
   let config =
-    config_of ~rules_depth ~estimator ~engine:"vm" ~exec ~timeout ~jobs:1
-      ~no_bnb ~no_simplification ~extended_ops ~cost_cache ()
+    config_of ~rules_depth ~exec ~timeout ~no_bnb ~no_simplification
+      ~extended_ops ?cost_cache estimator
   in
-  let tel =
-    match trace with
-    | Some _ -> Stenso.Telemetry.create ()
-    | None -> Stenso.Telemetry.null
-  in
+  with_trace trace @@ fun tel ->
   let store = if no_store then None else Some (open_store ~tel store_dir) in
   let listeners =
     (if String.equal socket "" then []
@@ -624,14 +581,7 @@ let serve_run socket tcp workers queue_capacity max_conns read_deadline
           Printf.printf "listening on %s\n%!"
             (Stenso.Net.Endpoint.to_string e))
         eps)
-    ~base:config ~listeners ();
-  match trace with
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Stenso.Telemetry.write_ndjson tel oc)
-  | None -> ()
+    ~base:config ~listeners ()
 
 (* Exit codes: 0 ok, 1 protocol [ok:false] or transport failure, 75
    (EX_TEMPFAIL) when every replica shed the request even after jittered
@@ -733,27 +683,17 @@ let loadgen_run endpoints names concurrency duration timeout no_warmup
   if Array.length stats.samples = 0 then
     die "no responses at all (%d transport errors) — is the daemon running?"
       stats.n_transport_errors;
-  let config =
-    config_of ~estimator ~engine:"vm" ~exec:Stenso.Exec.Options.default
-      ~timeout:600. ~jobs:1 ~no_bnb:false ~no_simplification:false
-      ~extended_ops:false ~cost_cache:None ()
-  in
   let doc =
-    Suite.Driver.serve_load_report ~config
+    Suite.Driver.serve_load_report ~config:(config_of estimator)
       ~endpoints:(List.map Stenso.Net.Endpoint.to_string endpoints)
       ~concurrency ~duration
       ~benchmarks:(List.map (fun (b : Suite.Benchmarks.t) -> b.name) benches)
       stats
   in
-  let summary = check_report doc in
-  (match report with
-  | Some path ->
-      write_file path (J.to_string doc ^ "\n");
-      if not quiet then Printf.printf "wrote serve-load report to %s\n" path
-  | None -> print_endline (J.to_string doc));
+  write_report ~quiet ~label:"serve-load" report doc;
+  if report = None then print_endline (J.to_string doc);
   if not quiet then
-    Printf.printf "# %s, %d transport errors\n" summary
-      stats.n_transport_errors
+    Printf.printf "# %d transport errors\n" stats.n_transport_errors
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -761,18 +701,27 @@ let loadgen_run endpoints names concurrency duration timeout no_warmup
 
 open Cmdliner
 
+(* The constructors behind the arguments several commands share. *)
+let path_arg ?(docv = "FILE") names doc =
+  Arg.(value & opt (some string) None & info names ~docv ~doc)
+
+let report_arg doc = path_arg [ "report" ] doc
+let quiet_arg doc = Arg.(value & flag & info [ "quiet" ] ~doc)
+
+let benchmarks_arg =
+  Arg.(
+    value
+    & opt (list string) []
+    & info [ "benchmarks" ] ~docv:"NAMES"
+        ~doc:
+          "Comma-separated benchmark names or group tokens (github, \
+           synthetic, masking, ml, lifted); default: the paper's 33.")
+
 let program_arg =
   Arg.(
     value
     & opt (some non_dir_file) None
     & info [ "program" ] ~docv:"FILE" ~doc:"Source program to superoptimize.")
-
-let synth_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "synth_out"; "synth-out" ] ~docv:"FILE"
-        ~doc:"Output file for the synthesized program (stdout if omitted).")
 
 let estimator_arg =
   Arg.(
@@ -855,9 +804,9 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains.  For $(b,optimize): parallelize stub \
-           enumeration and the root of the search.  For $(b,suite): \
-           superoptimize N benchmarks concurrently.  Results are \
-           independent of N.")
+           enumeration and the root of the search.  For $(b,suite) and \
+           $(b,bench): superoptimize N benchmarks concurrently.  Results \
+           are independent of N.")
 
 let no_bnb_arg =
   Arg.(
@@ -880,13 +829,9 @@ let extended_ops_arg =
            synthesis grammar.")
 
 let cost_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cost-cache" ] ~docv:"FILE"
-        ~doc:
-          "Persist the measured cost model's profiling table, amortizing \
-           the offline phase across runs (see $(b,stenso profile)).")
+  path_arg [ "cost-cache" ]
+    "Persist the measured cost model's profiling table, amortizing the \
+     offline phase across runs (see $(b,stenso profile))."
 
 let rules_depth_arg =
   Arg.(
@@ -908,13 +853,9 @@ let no_store_arg =
            always run the search.")
 
 let store_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store-dir" ] ~docv:"DIR"
-        ~doc:
-          "Persistent synthesis store directory (default: \
-           $(b,\\$STENSO_CACHE_DIR), else $(b,~/.cache/stenso)).")
+  path_arg ~docv:"DIR" [ "store-dir" ]
+    "Persistent synthesis store directory (default: \
+     $(b,\\$STENSO_CACHE_DIR), else $(b,~/.cache/stenso))."
 
 let socket_arg =
   Arg.(
@@ -926,18 +867,17 @@ let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print search statistics.")
 
 let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record a synthesis telemetry trace (phase timings, search \
-           counters, prune breakdown, bound trajectory) and write it to \
-           FILE as NDJSON — one JSON object per line.")
+  path_arg [ "trace" ]
+    "Record a synthesis telemetry trace (phase timings, search counters, \
+     prune breakdown, bound trajectory) and write it to FILE as NDJSON — \
+     one JSON object per line."
 
 let optimize_term =
   Term.(
-    const optimize_run $ program_arg $ synth_out_arg $ estimator_arg
+    const optimize_run $ program_arg
+    $ path_arg [ "synth_out"; "synth-out" ]
+        "Output file for the synthesized program (stdout if omitted)."
+    $ estimator_arg
     $ engine_arg $ exec_options_term $ timeout_arg $ jobs_arg $ no_bnb_arg
     $ no_simp_arg $ extended_ops_arg $ cost_cache_arg $ rules_depth_arg
     $ no_store_arg $ store_dir_arg $ trace_arg $ verbose_arg)
@@ -954,30 +894,6 @@ let suite_cmd =
       value & flag
       & info [ "list" ] ~doc:"List the bundled benchmarks and exit.")
   in
-  let benchmarks_arg =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "benchmarks" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated benchmark names or group tokens (github, \
-             synthetic, masking, ml, lifted); default: the paper's 33.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the result table to FILE instead of stdout.")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "quiet" ]
-          ~doc:
-            "Print only the deterministic result table (no progress or \
-             timing lines).")
-  in
   let use_store_arg =
     Arg.(
       value & flag
@@ -987,30 +903,6 @@ let suite_cmd =
              store and record fresh outcomes into it (off by default so \
              suite runs stay comparable).")
   in
-  let report_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:
-            "Write a schema-stable JSON suite report \
-             ($(b,stenso.suite-report/1)): per-benchmark costs, speedup, \
-             synthesis time, search statistics and the branch-and-bound \
-             bound trajectory.  Validate with $(b,stenso report FILE).")
-  in
-  let tiers_report_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tiers-report" ] ~docv:"FILE"
-          ~doc:
-            "Run the tiered-serving comparison instead of a plain suite \
-             run — baseline full search, then a cold and a warm tiered \
-             pass against the store's mined rule database (requires \
-             $(b,--rules-depth)) — and write it as \
-             $(b,stenso.tiers/1).  Validate with $(b,stenso report \
-             FILE).")
-  in
   Cmd.v
     (Cmd.info "suite"
        ~doc:
@@ -1019,8 +911,22 @@ let suite_cmd =
     Term.(
       const suite_run $ list_arg $ benchmarks_arg $ jobs_arg $ timeout_arg
       $ estimator_arg $ engine_arg $ exec_options_term $ cost_cache_arg
-      $ rules_depth_arg $ use_store_arg $ store_dir_arg $ out_arg
-      $ report_arg $ tiers_report_arg $ quiet_arg)
+      $ rules_depth_arg $ use_store_arg $ store_dir_arg
+      $ path_arg [ "out" ] "Write the result table to FILE instead of stdout."
+      $ report_arg
+          "Write a schema-stable JSON suite report \
+           ($(b,stenso.suite-report/1)): per-benchmark costs, speedup, \
+           synthesis time, search statistics and the branch-and-bound \
+           bound trajectory.  Validate with $(b,stenso report FILE)."
+      $ path_arg [ "tiers-report" ]
+          "Run the tiered-serving comparison instead of a plain suite run \
+           — baseline full search, then a cold and a warm tiered pass \
+           against the store's mined rule database (requires \
+           $(b,--rules-depth)) — and write it as $(b,stenso.tiers/1).  \
+           Validate with $(b,stenso report FILE)."
+      $ quiet_arg
+          "Print only the deterministic result table (no progress or \
+           timing lines).")
 
 let mine_cmd =
   let depth_arg =
@@ -1033,20 +939,6 @@ let mine_cmd =
              larger but captures deeper optima).  Must match the \
              $(b,--rules-depth) serving uses.")
   in
-  let benchmarks_arg =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "benchmarks" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated benchmark names whose input environments to \
-             mine (default: all 33; shared environments mine once).")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"Print only the final summary line.")
-  in
   Cmd.v
     (Cmd.info "mine"
        ~doc:
@@ -1058,7 +950,8 @@ let mine_cmd =
           $(b,optimize --rules-depth) serves from them.")
     Term.(
       const mine_run $ benchmarks_arg $ depth_arg $ jobs_arg $ estimator_arg
-      $ cost_cache_arg $ store_dir_arg $ quiet_arg)
+      $ cost_cache_arg $ store_dir_arg
+      $ quiet_arg "Print only the final summary line.")
 
 let run_cmd =
   let prog_pos_arg =
@@ -1113,31 +1006,6 @@ let lift_cmd =
       value & opt int 0x11f7
       & info [ "seed" ] ~docv:"N" ~doc:"Random seed for the input draws.")
   in
-  let synth_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "synth-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the lifted-and-optimized DSL program (inputs + \
-             expression, re-parseable) to FILE instead of stdout.")
-  in
-  let report_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:
-            "Write a $(b,stenso.lift/1) JSON report: per-kernel sketch, \
-             value-pruning and certification counters, lift/verify \
-             times, success rate.  Validate with $(b,stenso report \
-             --min-success).")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"Print only the emitted DSL programs.")
-  in
   Cmd.v
     (Cmd.info "lift"
        ~doc:
@@ -1151,7 +1019,15 @@ let lift_cmd =
       const lift_run $ file_arg $ bench_arg $ estimator_arg $ engine_arg
       $ exec_options_term $ timeout_arg $ jobs_arg $ cost_cache_arg
       $ no_store_arg $ store_dir_arg $ samples_arg $ seed_arg
-      $ synth_out_arg $ report_arg $ trace_arg $ quiet_arg)
+      $ path_arg [ "synth-out" ]
+          "Write the lifted-and-optimized DSL program (inputs + \
+           expression, re-parseable) to FILE instead of stdout."
+      $ report_arg
+          "Write a $(b,stenso.lift/1) JSON report: per-kernel sketch, \
+           value-pruning and certification counters, lift/verify times, \
+           success rate.  Validate with $(b,stenso report --min-success)."
+      $ trace_arg
+      $ quiet_arg "Print only the emitted DSL programs.")
 
 let profile_cmd =
   let cache_arg =
@@ -1160,15 +1036,6 @@ let profile_cmd =
       & opt (some string) None
       & info [ "cost-cache" ] ~docv:"FILE"
           ~doc:"Profiling table to create or extend.")
-  in
-  let benchmarks_arg =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "benchmarks" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated benchmark names or group tokens (github, \
-             synthetic, masking, ml, lifted); default: the paper's 33.")
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1359,15 +1226,6 @@ let loadgen_cmd =
             "Comma-separated replica endpoints to spread the load over \
              (default: the default Unix socket).")
   in
-  let benchmarks_arg =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "benchmarks" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated benchmark names to replay (default: all \
-             33).")
-  in
   let concurrency_arg =
     Arg.(
       value & opt int 32
@@ -1411,20 +1269,6 @@ let loadgen_cmd =
              refinement drain so the measured phase hits a fully warm \
              store.")
   in
-  let report_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:
-            "Write the $(b,stenso.serve-load/1) JSON report to FILE \
-             (default: stdout).  Validate with $(b,stenso report FILE).")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"Print only the report (no progress lines).")
-  in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
@@ -1435,7 +1279,65 @@ let loadgen_cmd =
     Term.(
       const loadgen_run $ endpoints_arg $ benchmarks_arg $ concurrency_arg
       $ duration_arg $ timeout_arg $ no_warmup_arg $ warmup_timeout_arg
-      $ settle_arg $ estimator_arg $ report_arg $ quiet_arg)
+      $ settle_arg $ estimator_arg
+      $ report_arg
+          "Write the $(b,stenso.serve-load/1) JSON report to FILE \
+           (default: stdout).  Validate with $(b,stenso report FILE)."
+      $ quiet_arg "Print only the report (no progress lines).")
+
+let bench_cmd =
+  let sections_arg =
+    let names = List.map (fun (name, _, _) -> (name, name)) Bench.sections in
+    Arg.(
+      value & pos_all (enum names) []
+      & info [] ~docv:"SECTION"
+          ~doc:
+            ("Sections to run (default: all, in the order listed here); \
+              each $(docv) must be "
+            ^ doc_alts_enum names ^ "."))
+  in
+  let full_arg =
+    Arg.(
+      value & flag
+      & info [ "full" ]
+          ~doc:
+            "Paper budgets: the 600 s Fig. 5 timeout and longer timing \
+             windows and synthesis budgets.")
+  in
+  let bench_run sections full out report engine exec jobs =
+    let writes_report name =
+      List.exists (fun (n, writes, _) -> n = name && writes) Bench.sections
+    in
+    match (report, sections) with
+    | Some _, ([] | _ :: _ :: _) ->
+        `Error (true, "--report needs exactly one SECTION")
+    | Some _, [ name ] when not (writes_report name) ->
+        `Error (true, Printf.sprintf "section %s writes no --report" name)
+    | _ ->
+        let config = config_of ~engine ~exec ~jobs:(max 1 jobs) "measured" in
+        `Ok (Bench.run ~config ~full ~out ~report sections)
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's evaluation — Tables I–II, Figures 4–8, \
+          the Section VII-D rules — plus the ablations, the execution-, \
+          ML- and lifting-tier points and real wall-clock timings, under \
+          the measured cost model.")
+    Term.(
+      ret
+        (const bench_run $ sections_arg $ full_arg
+        $ path_arg ~docv:"DIR" [ "out" ]
+            "Also write fig*.csv data files and the synthesized programs \
+             to DIR, like the paper artifact's $(b,out/) directory."
+        $ report_arg
+            "Write the one named SECTION's JSON report to FILE: the suite \
+             report for $(b,tables), $(b,fig4), $(b,fig6)-$(b,fig8), \
+             $(b,rules), $(b,egraph) and $(b,wallclock); \
+             $(b,stenso.exec-bench/1) for $(b,vm), $(b,stenso.mlsuite/1) \
+             for $(b,mlsuite), $(b,stenso.lift/1) for $(b,lift).  Any \
+             other SECTION, or not exactly one, is a usage error."
+        $ engine_arg $ exec_options_term $ jobs_arg))
 
 let cmd =
   let doc = "STENSO: tensor-program superoptimization by symbolic synthesis" in
@@ -1452,6 +1354,7 @@ let cmd =
       serve_cmd;
       request_cmd;
       loadgen_cmd;
+      bench_cmd;
     ]
 
 let () = exit (Cmd.eval cmd)

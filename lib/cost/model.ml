@@ -141,32 +141,32 @@ let op_fingerprint (op : Dsl.Ast.op) (args : Dsl.Types.vt list) =
 let work_units op args =
   flop_count op args +. (bytes_moved op args /. 8.)
 
-(* One timing window: warm, then take the minimum of per-batch means —
-   the minimum is the standard robust statistic against scheduling
-   noise.  A measurement is the median of three windows (robust against
-   a whole window landing on a descheduled slice), and the sample
-   standard deviation across the windows is kept alongside as the
+(* One timing window: the minimum of per-batch means — the minimum is
+   the standard robust statistic against scheduling noise. *)
+let min_window ~min_time runner =
+  let best = ref infinity in
+  let total = ref 0. and reps = ref 1 in
+  while !total < min_time do
+    let batch = !reps in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to batch do
+      runner ()
+    done;
+    let dt = Unix.gettimeofday () -. t0 in
+    let mean = dt /. float_of_int batch in
+    if mean < !best then best := mean;
+    total := !total +. dt;
+    reps := !reps * 2
+  done;
+  !best
+
+(* Warm, then take the median of three windows (robust against a whole
+   window landing on a descheduled slice); the sample standard
+   deviation across the windows is kept alongside as the
    per-fingerprint noise estimate. *)
 let time_windows ~min_time runner =
   runner ();
-  let window () =
-    let best = ref infinity in
-    let total = ref 0. and reps = ref 1 in
-    while !total < min_time do
-      let batch = !reps in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to batch do
-        runner ()
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      let mean = dt /. float_of_int batch in
-      if mean < !best then best := mean;
-      total := !total +. dt;
-      reps := !reps * 2
-    done;
-    !best
-  in
-  let w = Array.init 3 (fun _ -> window ()) in
+  let w = Array.init 3 (fun _ -> min_window ~min_time runner) in
   Array.sort Float.compare w;
   let mean = (w.(0) +. w.(1) +. w.(2)) /. 3. in
   let var =

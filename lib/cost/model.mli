@@ -64,8 +64,7 @@ val measured :
     before the first timing window, never inside one);
     [`Interp] (model name ["measured-interp"]) times the tree-walking
     interpreter.  Each measurement is the median of three timing windows
-    (each window takes the minimum of doubling batches until [min_time]
-    wall-clock, default 1e-3), and the sample standard deviation across
+    ({!min_window} with [min_time], default 1e-3), and the sample standard deviation across
     windows is recorded per fingerprint in the cache and in the
     [cost.profile] telemetry event.  [scale] multiplies every tensor
     dimension (and shape attribute) before timing so that small
@@ -83,6 +82,13 @@ val measured :
     [tel] counts table hits and misses ([cost.cache_hits] /
     [cost.cache_misses]) and accumulates profiling wall time
     ([cost.profile_seconds]). *)
+
+val min_window : min_time:float -> (unit -> unit) -> float
+(** [min_window ~min_time f] runs [f] in doubling batches (1, 2, 4, ...)
+    until [min_time] seconds of wall clock have elapsed and returns the
+    minimum per-call mean over the batches, in seconds: the timing
+    window {!measured} profiles each operation with.  It does not warm
+    up; run [f] once first. *)
 
 val flop_count : Dsl.Ast.op -> Dsl.Types.vt list -> float
 (** The raw FLOP count used by {!flops}. *)

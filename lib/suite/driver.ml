@@ -45,6 +45,19 @@ let run ?(config = Stenso.Config.default) ?model ?store ?(jobs = 1)
   let results = Stenso.Par.map ~jobs one benches in
   { results; elapsed = Unix.gettimeofday () -. started }
 
+let run_tiers ?(on_pass = ignore) ~config ~store benches =
+  let pass name config store =
+    on_pass name;
+    run ~config ?store ~jobs:(Stenso.Config.jobs config) benches
+  in
+  let baseline =
+    pass "baseline (full search)" (Stenso.Config.with_rules_depth 0 config)
+      None
+  in
+  let cold = pass "tiered, cold" config (Some store) in
+  let warm = pass "tiered, warm" config (Some store) in
+  (baseline, cold, warm)
+
 (* ------------------------------------------------------------------ *)
 (* Suite report                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -53,6 +53,22 @@ val run :
     benchmark finishes (serialized by a mutex; ordering follows
     completion, not input order). *)
 
+val run_tiers :
+  ?on_pass:(string -> unit) ->
+  config:Stenso.Config.t ->
+  store:Stenso.Store.t ->
+  Benchmarks.t list ->
+  t * t * t
+(** [run_tiers ~config ~store benches] is the three-pass tiered-serving
+    comparison {!tiers_report} renders, as [(baseline, cold, warm)]:
+    a full search with tier 2 off and no store, then two tiered passes
+    under [config] against [store], whose mined rule database must
+    already be in place — cold (empty outcome store) and warm (the same
+    requests again, now also hitting the outcome store).  [on_pass] is
+    called with each pass's name before it starts.  Every pass runs
+    [Stenso.Config.jobs config] benchmarks at a time under the model
+    [config] selects. *)
+
 val report : ?config:Stenso.Config.t -> t -> Stenso.Telemetry.Json.t
 (** Render a run as the suite-report document: run metadata (schema,
     estimator, jobs, timeout, wall clock) and one record per benchmark —
@@ -82,8 +98,8 @@ val mlsuite_report :
   Stenso.Telemetry.Json.t
 (** Compose the two archived points into one [stenso.mlsuite/1]
     document: the ML-kernel workload archive written by
-    [bench mlsuite --report] ([BENCH_mlsuite.json]).  The components
-    must already conform to their own schemas. *)
+    [stenso bench mlsuite --report] ([BENCH_mlsuite.json]).  The
+    components must already conform to their own schemas. *)
 
 val classify_serve_response : string -> int
 (** Map one [stenso.serve/1] response line to the load generator's

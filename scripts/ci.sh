@@ -36,20 +36,24 @@ dune exec --no-build bin/stenso_cli.exe -- suite \
 dune exec --no-build bin/stenso_cli.exe -- report "$report"
 echo "suite-report smoke check passed"
 
-# Usage-error smoke check: a directory where a file is expected is a CLI
-# usage error (exit 124, not an uncaught exception), and the bench
-# driver rejects an unknown section instead of silently running nothing.
-rc=0
-dune exec --no-build bin/stenso_cli.exe -- report "$scratch" 2> /dev/null \
-  || rc=$?
-if [ "$rc" -ne 124 ]; then
-  echo "FAIL: stenso report on a directory exited $rc, want 124" >&2
-  exit 1
-fi
-if dune exec --no-build bench/main.exe -- nosuchsection 2> /dev/null; then
-  echo "FAIL: bench/main.exe accepted an unknown section" >&2
-  exit 1
-fi
+# Usage-error smoke check: each of these is a CLI usage error (exit 124,
+# not an uncaught exception, and no work done): a directory where a file
+# is expected, an unknown bench section (instead of silently running
+# nothing), and a bench --report naming two sections whose reports would
+# overwrite each other.
+usage_error() {
+  rc=0
+  dune exec --no-build bin/stenso_cli.exe -- "$@" 2> /dev/null > /dev/null \
+    || rc=$?
+  if [ "$rc" -ne 124 ]; then
+    echo "FAIL: stenso $* exited $rc, want 124" >&2
+    exit 1
+  fi
+}
+usage_error report "$scratch"
+usage_error bench nosuchsection
+usage_error bench vm lift --report "$scratch/two_sections.json"
+usage_error bench fig5 --report "$scratch/no_report.json"
 echo "usage-error smoke check passed"
 
 # Archive regression check: the full 33-benchmark flops suite must pick
@@ -196,8 +200,8 @@ echo "tiered-optimizer smoke check passed"
 # expects_fused_reduction), so a planner fusion regression cannot hide
 # behind a still-passing geomean.
 exec_report="$scratch/exec_vm.json"
-dune exec --no-build bench/main.exe -- vm --report "$exec_report" \
-  > /dev/null
+dune exec --no-build bin/stenso_cli.exe -- bench vm \
+  --report "$exec_report" > /dev/null
 for needle in '"schema":"stenso.exec-bench/1"' '"geomean_speedup"'; do
   if ! grep -qF "$needle" "$exec_report"; then
     echo "FAIL: exec-bench report is missing $needle" >&2
@@ -265,7 +269,7 @@ dune exec --no-build bin/stenso_cli.exe -- suite \
   --report "$ml_report" --quiet > /dev/null
 dune exec --no-build bin/stenso_cli.exe -- report "$ml_report"
 mlsuite_report="$scratch/mlsuite.json"
-dune exec --no-build bench/main.exe -- mlsuite --jobs 4 \
+dune exec --no-build bin/stenso_cli.exe -- bench mlsuite --jobs 4 \
   --report "$mlsuite_report" > /dev/null
 dune exec --no-build bin/stenso_cli.exe -- report "$mlsuite_report" \
   --min-speedup 1.0

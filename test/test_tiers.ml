@@ -327,11 +327,7 @@ let test_tiers_report () =
   ignore
     (Mine.mine ~depth:2 ~model ~store
        (List.map (fun (b : Suite.Benchmarks.t) -> (b.name, b.env)) benches));
-  let baseline =
-    Suite.Driver.run ~config:(Config.with_rules_depth 0 config) benches
-  in
-  let cold = Suite.Driver.run ~config ~store benches in
-  let warm = Suite.Driver.run ~config ~store benches in
+  let baseline, cold, warm = Suite.Driver.run_tiers ~config ~store benches in
   let doc = Suite.Driver.tiers_report ~config ~baseline ~cold ~warm () in
   (match Suite.Report.validate doc with
   | Ok _ -> ()
