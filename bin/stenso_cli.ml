@@ -119,8 +119,8 @@ let optimize_run program_path synth_out estimator engine exec timeout jobs
     else begin
       let s = outcome.search.stats in
       Format.printf
-        "# search: %d nodes, %d decompositions, %d simp-pruned, %d \
-         bnb-pruned,@\n\
+        "# search: %d nodes, %d candidates built (%d cut by \
+         simplification), %d bnb-pruned,@\n\
          # %.2fs, library of %d stubs%s@\n"
         s.nodes s.decomps s.pruned_simp s.pruned_bnb s.elapsed s.library_size
         (if s.timed_out then " (timed out)" else "")

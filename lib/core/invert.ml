@@ -66,11 +66,6 @@ let map2_opt f a b =
   | t -> Some t
   | exception (No_solution | Q.Overflow) -> None
 
-let spec_vars spec =
-  Array.fold_left
-    (fun acc e -> Sym.Set.union acc (Expr.vars e))
-    Sym.Set.empty (St.to_array spec)
-
 (* Does [c]'s shape broadcast to exactly the spec shape? *)
 let fits_within c_shape spec_shape =
   match Shape.broadcast c_shape spec_shape with
@@ -78,31 +73,175 @@ let fits_within c_shape spec_shape =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
+(* The var-set bound on elementwise holes                              *)
+(* ------------------------------------------------------------------ *)
+
+(* What a budgeted call knows about the spec: its elements, their symbol
+   sets, its complexity, and the element symbol sets of the same-shape
+   specs on the search path (forced only when some candidate's bound
+   reaches the complexity). *)
+type frame = {
+  elems : Expr.t array;
+  evars : Sym.Set.t array;
+  singular : bool array;
+  cx : float;
+  path : Sym.Set.t array list Lazy.t;
+}
+
+let element_vars t = Array.map Expr.vars (St.unsafe_data t)
+
+let frame spec ~complexity ~visited =
+  let shape = St.shape spec in
+  let elems = St.unsafe_data spec in
+  {
+    elems;
+    evars = element_vars spec;
+    singular = Array.map Expr.singular elems;
+    cx = complexity;
+    path =
+      lazy
+        (List.filter_map
+           (fun v ->
+             if Shape.equal (St.shape v) shape then Some (element_vars v)
+             else None)
+           visited);
+  }
+
+(* Offset of the operand element each spec element broadcasts from. *)
+let broadcast_from c_shape spec_shape =
+  if Shape.equal c_shape spec_shape then Fun.id
+  else if Shape.numel c_shape = 1 then fun _ -> 0
+  else begin
+    let offs = Array.make (Shape.numel spec_shape) 0 in
+    let i = ref 0 in
+    Shape.iter_indices spec_shape (fun idx ->
+        offs.(!i) <- Shape.broadcast_offset c_shape idx;
+        incr i);
+    fun i -> offs.(i)
+  end
+
+(* |a Δ b| without building the difference. *)
+let sym_diff_card a b =
+  let only x y =
+    Sym.Set.fold (fun v k -> if Sym.Set.mem v y then k else k + 1) x 0
+  in
+  only a b + only b a
+
+(* A variable in exactly one of [spec_i] and [c_i] cannot cancel, so it
+   survives in hole element i, which is then nonzero.  For the
+   multiplicative sketches an element where either operand is zero or
+   singular (holds a [0^q] atom, which can cancel a whole product)
+   decides nothing and is not counted. *)
+let counted f ~mult (cel : Expr.t array) at i =
+  not
+    (mult
+    && (Expr.is_zero f.elems.(i) || f.singular.(i)
+       || Expr.is_zero cel.(at i) || Expr.singular cel.(at i)))
+
+(* The float expression of [Sexec.complexity]: on counts that never
+   exceed the hole's own it never exceeds the hole's complexity, since
+   rounding is monotone. *)
+let complexity_of ~total ~nonzero n =
+  let n = float_of_int n in
+  float_of_int total /. n *. (float_of_int nonzero /. n)
+
+(* The additive and the multiplicative bound of one operand, in one pass. *)
+let var_bounds f (c : Stub.operand) at =
+  let n = Array.length f.elems in
+  if n = 0 then (0., 0.)
+  else begin
+    let cel = St.unsafe_data c.stub.sem in
+    let add_total = ref 0 and add_nonzero = ref 0 in
+    let mul_total = ref 0 and mul_nonzero = ref 0 in
+    for i = 0 to n - 1 do
+      let d = sym_diff_card f.evars.(i) c.elem_vars.(at i) in
+      if d > 0 then begin
+        add_total := !add_total + d;
+        incr add_nonzero;
+        if counted f ~mult:true cel at i then begin
+          mul_total := !mul_total + d;
+          incr mul_nonzero
+        end
+      end
+    done;
+    ( complexity_of ~total:!add_total ~nonzero:!add_nonzero n,
+      complexity_of ~total:!mul_total ~nonzero:!mul_nonzero n )
+  end
+
+(* Could the hole equal a spec on the path?  Only if, at every counted
+   element, that spec holds every forced variable and nothing outside
+   the operands' variables. *)
+let may_be_on_path f ~mult (c : Stub.operand) at =
+  let cel = St.unsafe_data c.stub.sem in
+  List.exists
+    (fun (vvars : Sym.Set.t array) ->
+      let ok = ref true and i = ref 0 in
+      while !ok && !i < Array.length vvars do
+        (if counted f ~mult cel at !i then
+           let s = f.evars.(!i) and cv = c.elem_vars.(at !i) in
+           let v = vvars.(!i) in
+           let within x y =
+             Sym.Set.for_all (fun e -> Sym.Set.mem e x || Sym.Set.mem e y)
+           in
+           ok := within cv v s && within s v cv && within s cv v);
+        incr i
+      done;
+      !ok)
+    (Lazy.force f.path)
+
+(* An elementwise hole the bound places at or above the spec's
+   complexity fails the simplification test ([add], [sub], [mul] and
+   [div] never tie structurally), and one that cannot equal a path spec
+   cannot block the node either: such a sketch family is skipped. *)
+let skip_families f c at =
+  let additive, multiplicative = var_bounds f c at in
+  let skips ~mult bound = bound >= f.cx && not (may_be_on_path f ~mult c at) in
+  (skips ~mult:false additive, skips ~mult:true multiplicative)
+
+let hole_bound ~multiplicative spec c =
+  let f = frame spec ~complexity:0. ~visited:[] in
+  let op =
+    { Stub.stub = c; vars = Sym.Set.empty; elem_vars = element_vars c.Stub.sem }
+  in
+  let additive, mult =
+    var_bounds f op (broadcast_from (St.shape c.sem) (St.shape spec))
+  in
+  if multiplicative then mult else additive
+
+(* ------------------------------------------------------------------ *)
 (* One-hole elementwise sketches                                       *)
 (* ------------------------------------------------------------------ *)
 
-let elementwise_candidates (conc : Stub.t) spec =
+(* [skip_add] rules out the three additive sketches ([add(??,c)],
+   [sub(??,c)], [sub(c,??)]) and [skip_mul] the three multiplicative
+   ones ([mul(??,c)], [div(??,c)], [div(c,??)]) before their holes are
+   built; [power] and [maximum] are always built. *)
+let elementwise_candidates ~skip_add ~skip_mul (conc : Stub.t) spec =
   let c = conc.Stub.sem in
   let mk op parts = { op; parts } in
   let hole_first op h = mk op [ P_hole h; P_conc conc ] in
   let hole_second op h = mk op [ P_conc conc; P_hole h ] in
   let out = ref [] in
   let push d = out := d :: !out in
-  (* add(??, c) — also covers add(c, ??) by commutativity. *)
-  push (hole_first Ast.Add (St.sub spec c));
-  (* sub(??, c) and sub(c, ??). *)
-  push (hole_first Ast.Sub (St.add spec c));
-  push (hole_second Ast.Sub (St.sub c spec));
-  (* mul(??, c): exact division. *)
-  (match map2_opt Expr.div_exact spec c with
-  | Some h -> push (hole_first Ast.Mul h)
-  | None -> ());
-  (* div(??, c). *)
-  push (hole_first Ast.Div (St.mul spec c));
-  (* div(c, ??): c / spec must be exact. *)
-  (match map2_opt Expr.div_exact c spec with
-  | Some h -> push (hole_second Ast.Div h)
-  | None -> ());
+  if not skip_add then begin
+    (* add(??, c) — also covers add(c, ??) by commutativity. *)
+    push (hole_first Ast.Add (St.sub spec c));
+    (* sub(??, c) and sub(c, ??). *)
+    push (hole_first Ast.Sub (St.add spec c));
+    push (hole_second Ast.Sub (St.sub c spec))
+  end;
+  if not skip_mul then begin
+    (* mul(??, c): exact division. *)
+    (match map2_opt Expr.div_exact spec c with
+    | Some h -> push (hole_first Ast.Mul h)
+    | None -> ());
+    (* div(??, c). *)
+    push (hole_first Ast.Div (St.mul spec c));
+    (* div(c, ??): c / spec must be exact. *)
+    match map2_opt Expr.div_exact c spec with
+    | Some h -> push (hole_second Ast.Div h)
+    | None -> ()
+  end;
   (* power(??, q) for a scalar rational exponent. *)
   (match Spec.to_const c with
   | Some q when not (Q.is_zero q) && St.numel c = 1 -> (
@@ -652,33 +791,29 @@ let mul_split_candidates spec =
    completion is how [triu(A) + triu(B)] becomes [triu(A + B)] — the
    search cannot conjure the masked-away elements, but the library
    can. *)
-let masked_candidates lib spec svars =
-  ignore svars;
+let masked_candidates (ix : Stub.index) spec =
   let s = St.shape spec in
   if Shape.rank s <> 2 then []
   else
-    let has_zero = Array.exists Expr.is_zero (St.to_array spec) in
+    let has_zero = Array.exists Expr.is_zero (St.unsafe_data spec) in
     if not has_zero then []
     else
       (* The completion is allowed to mention element symbols the mask
          discards (that is its purpose), but only from inputs the spec
          actually draws on. *)
       let spec_names =
-        List.concat_map Expr.base_names (Array.to_list (St.to_array spec))
+        List.concat_map Expr.base_names (Array.to_list (St.unsafe_data spec))
         |> List.sort_uniq String.compare
       in
       let names_ok sem =
         List.for_all
           (fun n -> List.mem n spec_names)
-          (List.concat_map Expr.base_names (Array.to_list (St.to_array sem)))
+          (List.concat_map Expr.base_names
+             (Array.to_list (St.unsafe_data sem)))
       in
       List.concat_map
         (fun (c : Stub.t) ->
-          if
-            c.vt.dtype = Types.Float
-            && Shape.equal (St.shape c.sem) s
-            && names_ok c.sem
-          then
+          if Shape.equal (St.shape c.sem) s && names_ok c.sem then
             List.filter_map
               (fun op ->
                 match Dsl.Sexec.apply_op op [ c.sem ] with
@@ -689,21 +824,17 @@ let masked_candidates lib spec svars =
                     None)
               [ Ast.Triu; Ast.Tril ]
           else [])
-        (Stub.stubs lib)
+        ix.planes
 
 (* where(c, ??, ??) against a boolean mask from the library: each hole
    keeps the elements its branch selects (zero elsewhere), which lowers
    both branches' density — the mechanism the paper's complexity metric
    supports masking with. *)
-let where_candidates lib spec svars =
+let where_candidates (ix : Stub.index) spec svars =
   let s = St.shape spec in
   List.filter_map
-    (fun (c : Stub.t) ->
-      if
-        c.vt.dtype = Types.Bool
-        && fits_within (St.shape c.sem) s
-        && Sym.Set.subset (spec_vars c.sem) svars
-      then
+    (fun ((c : Stub.t), vars) ->
+      if fits_within (St.shape c.sem) s && Sym.Set.subset vars svars then
         let taken = St.where c.sem spec (St.create s Expr.zero) in
         let other = St.where c.sem (St.create s Expr.zero) spec in
         if nonzero_somewhere taken && nonzero_somewhere other then
@@ -711,7 +842,7 @@ let where_candidates lib spec svars =
             { op = Ast.Where; parts = [ P_conc c; P_hole taken; P_hole other ] }
         else None
       else None)
-    (Stub.stubs lib)
+    ix.masks
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -748,31 +879,46 @@ let recombines spec d =
   | exception (Invalid_argument _ | Dsl.Sexec.Eval_error _ | Q.Overflow) ->
       false
 
-let decompositions ?(config = default_config) ?(tel = Obs.Telemetry.null) lib
-    spec =
-  let svars = spec_vars spec in
+type budget = { complexity : float; visited : Spec.t list }
+
+let candidates ?(config = default_config) ?(tel = Obs.Telemetry.null) ?budget
+    lib spec =
+  let ix = Stub.index lib ~max_conc_depth:config.max_conc_depth in
   let spec_shape = St.shape spec in
+  let f =
+    match budget with
+    | Some { complexity; visited } -> Some (frame spec ~complexity ~visited)
+    | None -> None
+  in
+  let evars = match f with Some f -> f.evars | None -> element_vars spec in
+  let svars = Array.fold_left Sym.Set.union Sym.Set.empty evars in
   let concs =
     List.filter
-      (fun (s : Stub.t) ->
-        s.depth <= config.max_conc_depth
-        && s.vt.dtype = Types.Float
-        && (not (St.equal s.sem spec))
-        && nonzero_somewhere s.sem
-        && Sym.Set.subset (spec_vars s.sem) svars)
-      (Stub.stubs lib)
+      (fun (o : Stub.operand) ->
+        Sym.Set.subset o.vars svars && not (St.equal o.stub.sem spec))
+      ix.concrete
   in
+  let skipped = ref 0 in
   let elementwise =
     List.concat_map
-      (fun (c : Stub.t) ->
-        if fits_within (St.shape c.sem) spec_shape then
-          elementwise_candidates c spec
-        else [])
+      (fun (o : Stub.operand) ->
+        let c_shape = St.shape o.stub.sem in
+        if not (fits_within c_shape spec_shape) then []
+        else
+          let skip_add, skip_mul =
+            match f with
+            | None -> (false, false)
+            | Some f -> skip_families f o (broadcast_from c_shape spec_shape)
+          in
+          if skip_add then skipped := !skipped + 3;
+          if skip_mul then skipped := !skipped + 3;
+          elementwise_candidates ~skip_add ~skip_mul o.stub spec)
       concs
   in
   let contractions =
     List.concat_map
-      (fun (c : Stub.t) ->
+      (fun (o : Stub.operand) ->
+        let c = o.stub in
         if Shape.rank (St.shape c.sem) >= 1 then
           dot_hole_left spec c @ dot_hole_right spec c
           @ tensordot_hole_right spec c @ tensordot_hole_left spec c
@@ -785,13 +931,19 @@ let decompositions ?(config = default_config) ?(tel = Obs.Telemetry.null) lib
     @ sum_all_candidates config spec
     @ add_split_candidates config spec
     @ mul_split_candidates spec
-    @ masked_candidates lib spec svars
-    @ where_candidates lib spec svars
+    @ masked_candidates ix spec
+    @ where_candidates ix spec svars
     @ elementwise @ contractions
   in
-  let solved = List.filter (recombines spec) proposed in
   if Obs.Telemetry.enabled tel then begin
     Obs.Telemetry.add tel "invert.proposed" (List.length proposed);
-    Obs.Telemetry.add tel "invert.solved" (List.length solved)
+    Obs.Telemetry.add tel "invert.skipped" !skipped
   end;
+  proposed
+
+let decompositions ?config ?(tel = Obs.Telemetry.null) lib spec =
+  let proposed = candidates ?config ~tel lib spec in
+  let solved = List.filter (recombines spec) proposed in
+  if Obs.Telemetry.enabled tel then
+    Obs.Telemetry.add tel "invert.solved" (List.length solved);
   solved

@@ -19,8 +19,10 @@
     - two-hole [add]/[sub]/[mul] sketches split the specification by
       input-variable occurrence or by sign.
 
-    All returned decompositions are exact: recombining the parts under
-    the operation yields a tensor symbolically equal to [Φ]. *)
+    Every decomposition {!decompositions} returns is exact: recombining
+    the parts under the operation yields a tensor symbolically equal to
+    [Φ].  The search instead calls {!candidates} with its pruning budget
+    and checks {!recombines} itself, only on the candidates it keeps. *)
 
 type part = P_hole of Spec.t | P_conc of Stub.t
 
@@ -38,17 +40,72 @@ type config = {
 
 val default_config : config
 
+type budget = {
+  complexity : float;  (** the spec's {!Spec.complexity} *)
+  visited : Spec.t list;
+      (** the specs on the search path, the spec itself included *)
+}
+(** What the search's simplification filter (PRUNE) will demand of a
+    candidate: a single hole strictly below [complexity] (elementwise
+    sketches never tie structurally) that is not one of [visited]. *)
+
+val candidates :
+  ?config:config ->
+  ?tel:Obs.Telemetry.t ->
+  ?budget:budget ->
+  Stub.library ->
+  Spec.t ->
+  decomposition list
+(** Every sketch candidate of the spec with its hole specs built, not yet
+    checked by {!recombines}.
+
+    With a [budget], the six single-hole elementwise sketches
+    [add(??,c)], [sub(??,c)], [sub(c,??)], [mul(??,c)], [div(??,c)] and
+    [div(c,??)] are first bounded by variable sets alone (see
+    {!hole_bound}).  A family of three (additive or multiplicative) is
+    skipped when its bound reaches [budget.complexity] and no same-shape
+    spec of [budget.visited] could equal its hole: at every counted
+    element such a spec would have to hold each variable found in
+    exactly one operand and nothing outside the operands.  A skipped
+    candidate is one the filter would reject and that could not block
+    the node as on-path, so the filter's verdicts on what is built are
+    exactly its verdicts on the full list.  Without a budget every
+    candidate is built.  Concrete operands come from {!Stub.index}.
+
+    [tel] counts [invert.proposed] (candidates built) and
+    [invert.skipped] (candidates the budget skipped, three per skipped
+    family). *)
+
+val recombines : Spec.t -> decomposition -> bool
+(** Does applying the operation to the parts reproduce the spec
+    {e structurally}?  Additive, summing and contraction sketches are
+    exact by construction; the others are re-executed symbolically. *)
+
 val decompositions :
   ?config:config ->
   ?tel:Obs.Telemetry.t ->
   Stub.library ->
   Spec.t ->
   decomposition list
-(** All sketch decompositions of the spec, each with exact hole specs.
-    The list is unpruned; the search applies the simplification and
-    branch-and-bound filters.  [tel] counts [invert.proposed] (candidates
-    the per-operation solvers produced) and [invert.solved] (those whose
+(** All sketch decompositions of the spec, each with exact hole specs:
+    {!candidates} without a budget, filtered by {!recombines}.  The list
+    is unpruned (the eager path; the search itself calls {!candidates}
+    and {!recombines} only on what its filters keep).  [tel] counts
+    [invert.proposed] and [invert.solved] (candidates whose
     recombination reproduces the spec). *)
+
+val hole_bound : multiplicative:bool -> Spec.t -> Stub.t -> float
+(** [hole_bound ~multiplicative spec c]: the variable-set lower bound on
+    the {!Spec.complexity} of the hole of an elementwise sketch of [spec]
+    with concrete operand [c] (which must broadcast to the spec's shape),
+    for the additive sketches ([add], [sub]) or the multiplicative ones
+    ([mul], [div]).  Per element [i], [D_i = vars(spec_i) Δ vars(c_i)]
+    must survive in the hole; a multiplicative sketch does not count an
+    element where either operand is zero or holds a [0^q] atom
+    ({!Symbolic.Expr.singular}).  The bound is
+    [(Σ|D_i| / n) · (#{i : D_i ≠ ∅} / n)], computed with the float
+    expression of {!Spec.complexity}, so it never exceeds the complexity
+    of a hole the solver builds. *)
 
 val hole_specs : decomposition -> Spec.t list
 val conc_cost : decomposition -> float

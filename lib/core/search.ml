@@ -54,6 +54,7 @@ exception Out_of_budget
 type counters = {
   nodes : Tel.Counter.t;
   decomps : Tel.Counter.t;
+  solved : Tel.Counter.t;
   pruned_simp : Tel.Counter.t;
   pruned_bnb_local : Tel.Counter.t;
   pruned_bnb_global : Tel.Counter.t;
@@ -66,6 +67,7 @@ let make_counters tel =
   {
     nodes = Tel.counter tel "search.nodes";
     decomps = Tel.counter tel "search.decomps";
+    solved = Tel.counter tel "invert.solved";
     pruned_simp = Tel.counter tel "search.pruned.simp";
     pruned_bnb_local = Tel.counter tel "search.pruned.bnb_local";
     pruned_bnb_global = Tel.counter tel "search.pruned.bnb_global";
@@ -95,7 +97,15 @@ type state = {
      Only recorded when no candidate was suppressed by the path's
      visited set (such failures are path-dependent). *)
   memo_fail : float Spec.Tbl.t;
+  observe : observer option;
 }
+
+and observer =
+  visited:Spec.t list ->
+  Spec.t ->
+  (Invert.decomposition * float) list ->
+  bool ->
+  unit
 
 (* Monotone atomic minimum: safe for concurrent publishers because a
    failed CAS means someone else lowered the bound, which we then
@@ -174,17 +184,36 @@ let decomp_op_cost st (d : Invert.decomposition) =
 
 (* The decompositions worth recursing into — those that simplify (or
    structurally tie on unvisited specs) — annotated with their immediate
-   cost and sorted cheapest-first.  Shared by the sequential recursion
-   and the parallel root.  [visited] is the list of specs on the current
-   path, at most [max_depth] long, so a linear scan with {!Spec.equal}
-   beats building any key per hole. *)
+   cost and sorted cheapest-first, with the flag saying whether a
+   candidate that recombines was blocked by the path.  Shared by the
+   sequential recursion and the parallel root.  [visited] is the list of
+   specs on the current path, at most [max_depth] long, so a linear scan
+   with {!Spec.equal} beats building any key per hole.
+
+   SOLVE runs under PRUNE's budget: the solver skips the elementwise
+   holes the simplification test would reject before building them, and
+   recombination runs only on what the filter keeps, plus on on-path
+   candidates until one of them recombines.  Both verdicts are the ones
+   the filter would give on the full recombined list
+   ({!Invert.decompositions}).  Without simplification there is no
+   budget: every candidate is built. *)
 let viable_decomps st ~visited spec =
   let spec_cx = Spec.complexity spec in
+  let budget =
+    if st.cfg.use_simplification then
+      Some { Invert.complexity = spec_cx; visited }
+    else None
+  in
   let ds =
-    Invert.decompositions ~config:st.cfg.invert_config ~tel:st.tel st.lib
+    Invert.candidates ~config:st.cfg.invert_config ~tel:st.tel ?budget st.lib
       spec
   in
   Tel.Counter.add st.c.decomps (List.length ds);
+  let recombines d =
+    let ok = Invert.recombines spec d in
+    if ok then Tel.Counter.incr st.c.solved;
+    ok
+  in
   let visited_blocked = ref false in
   let viable =
     List.filter_map
@@ -192,7 +221,8 @@ let viable_decomps st ~visited spec =
         let holes = Invert.hole_specs d in
         let on_path h = List.exists (Spec.equal h) visited in
         if List.exists on_path holes then begin
-          visited_blocked := true;
+          if (not !visited_blocked) && recombines d then
+            visited_blocked := true;
           None
         end
         else
@@ -211,14 +241,23 @@ let viable_decomps st ~visited spec =
             Tel.Counter.incr st.c.pruned_simp;
             None
           end
+          else if not (recombines d) then None
           else
             match decomp_op_cost st d with
             | None -> None
             | Some opc -> Some (d, holes, opc +. Invert.conc_cost d))
       ds
   in
-  ( List.sort (fun (_, _, c1) (_, _, c2) -> compare c1 c2) viable,
-    !visited_blocked )
+  let viable =
+    List.sort (fun (_, _, c1) (_, _, c2) -> compare c1 c2) viable
+  in
+  Option.iter
+    (fun f ->
+      f ~visited spec
+        (List.map (fun (d, _, c) -> (d, c)) viable)
+        !visited_blocked)
+    st.observe;
+  (viable, !visited_blocked)
 
 (* Algorithm 2. *)
 let rec dfs st ~level ~visited ~cost_in spec : (Dsl.Ast.t * float) option =
@@ -458,8 +497,8 @@ let search_root ~jobs st spec =
       !timed_out )
   end
 
-let run ?(tel = Tel.null) ?(config = default_config) ?library ~model ~env
-    ~spec ~initial_bound ~consts () =
+let run ?(tel = Tel.null) ?(config = default_config) ?library ?observe ~model
+    ~env ~spec ~initial_bound ~consts () =
   let started = Unix.gettimeofday () in
   let keyc = Spec.fresh_counters () in
   Spec.with_counters keyc @@ fun () ->
@@ -493,6 +532,7 @@ let run ?(tel = Tel.null) ?(config = default_config) ?library ~model ~env
       cost_min = Atomic.make initial_bound;
       memo = Spec.Tbl.create 256;
       memo_fail = Spec.Tbl.create 256;
+      observe;
     }
   in
   let outcome, timed_out =

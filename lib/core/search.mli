@@ -8,7 +8,13 @@
     - {e simplification pruning} ([use_simplification]): only
       decompositions whose average hole complexity is below the current
       spec's complexity are explored (structural operations such as
-      [transpose] may tie, guarded by a visited set on the path);
+      [transpose] may tie, guarded by a visited set on the path).  The
+      solver works under this budget ({!Invert.candidates}): it skips
+      elementwise holes a variable-set bound proves too complex without
+      building them, and only candidates the filter keeps are checked
+      by recombination, so every node explores exactly the
+      decompositions the filter keeps from the full
+      {!Invert.decompositions} list;
     - {e branch and bound} ([use_bnb]): a path whose accumulated cost
       reaches the best complete program's cost is abandoned.
 
@@ -54,8 +60,15 @@ val default_config : config
 
 type stats = {
   nodes : int;  (** DFS invocations *)
-  decomps : int;  (** decompositions examined *)
-  pruned_simp : int;  (** decompositions cut by the simplification objective *)
+  decomps : int;
+      (** sketch candidates whose holes were built and handed to the
+          filter ([invert.proposed]); the elementwise candidates the
+          solver's variable-set bound skipped unbuilt are counted apart,
+          as [invert.skipped] *)
+  pruned_simp : int;
+      (** built candidates cut by the simplification objective, checked
+          before recombination, so it includes candidates that would not
+          have recombined; the skipped ones are not in it *)
   pruned_bnb : int;
       (** branches cut by branch-and-bound (all causes; the telemetry
           counters [search.pruned.bnb_local] / [bnb_global] / [bnb_hole]
@@ -75,10 +88,23 @@ type result = {
   stats : stats;
 }
 
+type observer =
+  visited:Spec.t list ->
+  Spec.t ->
+  (Invert.decomposition * float) list ->
+  bool ->
+  unit
+(** Called at every expanded node with the path (the spec first), the
+    spec, the viable decompositions with their immediate cost in the
+    order they are explored, and whether a candidate that recombines had
+    a hole on the path (such a node's failure is not memoized).  With
+    [jobs > 1] it is called from several domains. *)
+
 val run :
   ?tel:Obs.Telemetry.t ->
   ?config:config ->
   ?library:Stub.library ->
+  ?observe:observer ->
   model:Cost.Model.t ->
   env:Dsl.Types.env ->
   spec:Spec.t ->
@@ -95,4 +121,6 @@ val run :
     way.  [tel] (default {!Telemetry.null}, which costs nothing)
     receives phase spans, the prune/memo counter breakdown, and the
     bound trajectory; its [spec.key_*] counters are attributed to this
-    run alone even when other searches run concurrently. *)
+    run alone even when other searches run concurrently.  [observe]
+    sees every expanded node (tests use it to compare the search's
+    filter with the eager {!Invert.decompositions}). *)

@@ -2,6 +2,8 @@ module Ast = Dsl.Ast
 module Types = Dsl.Types
 module Sexec = Dsl.Sexec
 module Shape = Tensor.Shape
+module Expr = Symbolic.Expr
+module Sym = Symbolic.Sym
 
 type t = {
   prog : Ast.t;
@@ -32,6 +34,18 @@ let default_config =
 
 exception Stop_enumeration
 
+type operand = {
+  stub : t;
+  vars : Sym.Set.t;
+  elem_vars : Sym.Set.t array;
+}
+
+type index = {
+  concrete : operand list;
+  planes : t list;
+  masks : (t * Sym.Set.t) list;
+}
+
 (* A library entry: the cheapest stub seen for one symbolic value, and
    the order in which that value was first registered (the tie-breaker
    that keeps [all] independent of hash-table layout). *)
@@ -42,8 +56,12 @@ type library = {
   atom_list : t list;
   by_sem : entry Spec.Tbl.t;
   lib_env : Types.env;
+  lib_depth : int;
   hit_cap : bool;
   attempts : int;  (* candidate programs examined before deduplication *)
+  indexes : (int * index) list Atomic.t;
+      (* operand indexes by clamped [max_conc_depth], published by
+         compare-and-set (see [index]) *)
 }
 
 let stubs l = l.all
@@ -304,8 +322,8 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
         ("truncated", Obs.Telemetry.Bool !hit_cap);
         ("elapsed", Obs.Telemetry.Float (Unix.gettimeofday () -. enum_t0));
       ];
-  { all; atom_list; by_sem; lib_env = env; hit_cap = !hit_cap;
-    attempts = !attempts }
+  { all; atom_list; by_sem; lib_env = env; lib_depth = config.depth;
+    hit_cap = !hit_cap; attempts = !attempts; indexes = Atomic.make [] }
 
 (* Canonical identity of an enumeration: everything the resulting
    library depends on.  [deadline] and [jobs] are deliberately excluded
@@ -399,9 +417,66 @@ let lookup_broadcast lib spec =
   if Shape.equal (Spec.shape collapsed) (Spec.shape spec) then None
   else lookup_exact lib collapsed
 
+(* ------------------------------------------------------------------ *)
+(* Concrete-operand index                                              *)
+(* ------------------------------------------------------------------ *)
+
+let build_index lib max_conc_depth =
+  let elems (s : t) = Sexec.Stensor.unsafe_data s.sem in
+  let union = Array.fold_left Sym.Set.union Sym.Set.empty in
+  let concrete =
+    List.filter_map
+      (fun (s : t) ->
+        if
+          s.depth <= max_conc_depth
+          && s.vt.dtype = Types.Float
+          && Array.exists (fun e -> not (Expr.is_zero e)) (elems s)
+        then
+          let elem_vars = Array.map Expr.vars (elems s) in
+          Some { stub = s; vars = union elem_vars; elem_vars }
+        else None)
+      lib.all
+  in
+  {
+    concrete;
+    planes =
+      List.filter
+        (fun s -> s.vt.dtype = Types.Float && Shape.rank s.vt.shape = 2)
+        lib.all;
+    masks =
+      List.filter_map
+        (fun s ->
+          if s.vt.dtype = Types.Bool then
+            Some (s, union (Array.map Expr.vars (elems s)))
+          else None)
+        lib.all;
+  }
+
+(* Indexes are keyed by [max_conc_depth] clamped to the depths the
+   library holds, built on first use and published with a
+   compare-and-set: a library shared through [Cache] may be indexed by
+   several domains at once, and a loser of the race adopts the winner's
+   index (both are built from the same immutable library, so they are
+   equal anyway). *)
+let index lib ~max_conc_depth =
+  let key = max (-1) (min max_conc_depth lib.lib_depth) in
+  match List.assoc_opt key (Atomic.get lib.indexes) with
+  | Some ix -> ix
+  | None ->
+      let ix = build_index lib key in
+      let rec publish () =
+        let cur = Atomic.get lib.indexes in
+        match List.assoc_opt key cur with
+        | Some winner -> winner
+        | None ->
+            if Atomic.compare_and_set lib.indexes cur ((key, ix) :: cur) then ix
+            else publish ()
+      in
+      publish ()
+
 let const_stub lib q =
   let prog = Ast.Const (Symbolic.Q.to_float q) in
-  let sem = Spec.scalar (Symbolic.Expr.rat q) in
+  let sem = Spec.scalar (Expr.rat q) in
   let fresh = { prog; vt = Types.scalar_f; sem; cost = 0.; depth = 0 } in
   (* A library stub may share the semantics (e.g. sum(A/A) is the
      constant 4 on a 2x2 input) but a literal is never more expensive. *)

@@ -121,6 +121,38 @@ val lookup_broadcast : library -> Spec.t -> t option
     deliberately not consulted; callers combine this with
     {!lookup_exact} and pick the cheaper. *)
 
+(** {2 Concrete-operand index}
+
+    What the solver ({!Invert}) reads about the library at every search
+    node, computed once per library instead of once per node. *)
+
+type operand = {
+  stub : t;
+  vars : Symbolic.Sym.Set.t;  (** every symbol of the stub's value *)
+  elem_vars : Symbolic.Sym.Set.t array;
+      (** the symbols of each element, in row-major order *)
+}
+
+type index = {
+  concrete : operand list;
+      (** Float stubs with a nonzero element and depth at most the
+          index's [max_conc_depth], in library order: the concrete
+          operands of sketches *)
+  planes : t list;
+      (** rank-2 Float stubs of any depth, in library order: the
+          operands of masking completions *)
+  masks : (t * Symbolic.Sym.Set.t) list;
+      (** Bool stubs of any depth with their symbols, in library order:
+          the conditions of [where] sketches *)
+}
+
+val index : library -> max_conc_depth:int -> index
+(** The library's index for [max_conc_depth] (any value; it is clamped
+    to the depths the library holds).  Built on the first call for a
+    depth and shared afterwards.  Safe to call from several domains at
+    once: a racing builder publishes by compare-and-set, and every
+    caller gets an index equal to the one a single caller would get. *)
+
 val const_stub : library -> Symbolic.Q.t -> t option
 (** A [Const] leaf for a uniform-constant spec (the solver may conjure
     constants not present in the library, e.g. the 4 in

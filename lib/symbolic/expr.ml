@@ -452,6 +452,12 @@ let base_names t =
   var_bases t tbl;
   Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort String.compare
 
+let rec singular = function
+  | Rat _ | Var _ -> false
+  | Pow (Rat q, _) when Q.is_zero q -> true
+  | Add xs | Mul xs | App (_, xs) -> List.exists singular xs
+  | Pow (b, e) -> singular b || singular e
+
 let rec size t =
   match t with
   | Rat _ | Var _ -> 1

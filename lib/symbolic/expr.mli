@@ -96,6 +96,11 @@ val var_bases : t -> (string, unit) Hashtbl.t -> unit
 val base_names : t -> string list
 (** Sorted distinct input-tensor names occurring in the expression. *)
 
+val singular : t -> bool
+(** Does the expression contain an opaque [0^q] atom ([q <= 0], which
+    evaluates to an infinity)?  A product with such a factor or its
+    reciprocal may collapse to zero and lose the other factors' symbols. *)
+
 val size : t -> int
 (** Number of nodes — a syntactic complexity measure. *)
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI entry point: build, run the full test suite, then smoke-check that
-# the parallel engine is byte-identical to the sequential one on two
-# benchmarks through the actual CLI.
+# the parallel engine is byte-identical to the sequential one on four
+# benchmarks through the actual CLI (sum_stack and synth_8 go deep
+# enough that the specs on the search path matter).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,8 +11,8 @@ dune runtest
 
 smoke() {
   dune exec --no-build bin/stenso_cli.exe -- suite \
-    --benchmarks diag_dot,common_factor --cost-estimator flops \
-    --jobs "$1" --quiet
+    --benchmarks diag_dot,common_factor,sum_stack,synth_8 \
+    --cost-estimator flops --jobs "$1" --quiet
 }
 
 seq_out=$(smoke 1)

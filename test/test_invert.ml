@@ -210,6 +210,106 @@ let prop_decompositions_exact =
           | exception _ -> false)
         (Invert.decompositions lib spec))
 
+(* The variable-set bound the search uses to skip elementwise holes
+   unbuilt: for every single-hole add/sub/mul/div sketch the eager solver
+   builds, each variable in exactly one operand element survives in the
+   hole element and no variable outside both appears there (on every
+   element the bound counts), and the bound never exceeds the hole's
+   complexity.  Specs are generated programs or library values. *)
+let prop_hole_bound_admissible =
+  QCheck2.Test.make ~name:"invert: var-set hole bound never overestimates"
+    ~count:60
+    QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 5) bool)
+    (fun (seed, size, from_library) ->
+      let env, prog =
+        Suite.Generator.generate { Suite.Generator.default with size; seed }
+      in
+      let consts = List.nth [ [ 1. ]; [ 2.; 0.5 ]; [ 0.; 1. ] ] (seed mod 3) in
+      let lib = Stub.enumerate ~model ~consts env in
+      let spec =
+        let floats =
+          List.filter
+            (fun (s : Stub.t) -> s.vt.dtype = Types.Float)
+            (Stub.stubs lib)
+        in
+        if from_library && floats <> [] then
+          (List.nth floats (seed mod List.length floats)).sem
+        else Sexec.exec_env env prog
+      in
+      let vars = Symbolic.Expr.vars in
+      let check (d : Invert.decomposition) =
+        let family =
+          match d.parts with
+          | [ P_hole h; P_conc c ] | [ P_conc c; P_hole h ] -> (
+              match d.op with
+              | Ast.Add | Ast.Sub -> Some (false, h, c)
+              | Ast.Mul | Ast.Div -> Some (true, h, c)
+              | _ -> None)
+          | _ -> None
+        in
+        match family with
+        | None -> true
+        | Some (mult, h, c) ->
+            let cb = St.map2 (fun _ ce -> ce) spec c.sem in
+            let sa = St.to_array spec and ca = St.to_array cb in
+            let ha = St.to_array h in
+            let elements_ok =
+              Array.for_all Fun.id
+                (Array.mapi
+                   (fun i se ->
+                     let ce = ca.(i) in
+                     let counted =
+                       let decides e =
+                         not Symbolic.Expr.(is_zero e || singular e)
+                       in
+                       (not mult) || (decides se && decides ce)
+                     in
+                     (not counted)
+                     ||
+                     let sv = vars se and cv = vars ce and hv = vars ha.(i) in
+                     let module S = Symbolic.Sym.Set in
+                     let forced = S.union (S.diff sv cv) (S.diff cv sv) in
+                     S.subset forced hv && S.subset hv (S.union sv cv))
+                   sa)
+            in
+            let lb = Invert.hole_bound ~multiplicative:mult spec c in
+            if not (elements_ok && lb <= Spec.complexity h) then
+              QCheck2.Test.fail_reportf
+                "%s of %s: hole %s, bound %g, hole complexity %g"
+                (Format.asprintf "%a" Invert.pp d)
+                (Format.asprintf "%a" Spec.pp spec)
+                (Format.asprintf "%a" Spec.pp h)
+                lb (Spec.complexity h)
+            else true
+      in
+      List.for_all check (Invert.candidates lib spec))
+
+(* The budget skips a sketch family only when no spec on the path could
+   be its hole: [multiply(??, 1)] has the spec itself as its hole, which
+   is skipped off the path but built (to block the node) when the spec is
+   on it. *)
+let test_budget_keeps_path_holes () =
+  let env, lib = setup "input A : f32[2,2]\ninput B : f32[2,2]" in
+  let spec = spec_of env "A * B" in
+  let identity (d : Invert.decomposition) =
+    d.op = Ast.Mul
+    &&
+    match d.parts with
+    | [ P_hole h; P_conc _ ] -> Spec.equal h spec
+    | _ -> false
+  in
+  let built visited =
+    List.exists identity
+      (Invert.candidates
+         ~budget:{ complexity = Spec.complexity spec; visited }
+         lib spec)
+  in
+  Alcotest.(check bool) "built without a budget" true
+    (List.exists identity (Invert.candidates lib spec));
+  Alcotest.(check bool) "skipped off the path" false (built []);
+  Alcotest.(check bool) "built when the spec is on the path" true
+    (built [ spec ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_decompositions_exact;
@@ -225,4 +325,7 @@ let suite =
     Alcotest.test_case "structural inversions" `Quick test_transpose_sqrt_exp;
     Alcotest.test_case "power inversions" `Quick test_power_inversions;
     Alcotest.test_case "maximum stripping" `Quick test_maximum_strip;
+    Alcotest.test_case "budget keeps holes on the path" `Quick
+      test_budget_keeps_path_holes;
+    QCheck_alcotest.to_alcotest prop_hole_bound_admissible;
   ]

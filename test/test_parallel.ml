@@ -149,6 +149,47 @@ let test_parallel_improves_suite_sample () =
   Alcotest.(check bool) "equivalent" true
     (Sexec.equivalent b.env b.program o.optimized)
 
+(* The concrete-operand index of a library shared through [Stub.Cache]:
+   two domains that take the library from the cache and force its index
+   at the same moment get one index, equal to that of a library
+   enumerated and indexed by a single domain. *)
+let test_operand_index_shared () =
+  let env =
+    [ ("A", Types.float_t [| 3; 4 |]); ("B", Types.float_t [| 4; 3 |]) ]
+  in
+  let cache = Stub.Cache.create () in
+  let arrived = Atomic.make 0 in
+  let force () =
+    let lib, _ = Stub.Cache.enumerate cache ~model ~consts:[ 1. ] env in
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do
+      Domain.cpu_relax ()
+    done;
+    Stub.index lib ~max_conc_depth:1
+  in
+  let other = Domain.spawn force in
+  let mine = force () in
+  let theirs = Domain.join other in
+  Alcotest.(check bool) "both domains hold one index" true (mine == theirs);
+  let summary (ix : Stub.index) =
+    let vars s =
+      List.map Symbolic.Sym.to_string (Symbolic.Sym.Set.elements s)
+    in
+    let named (s : Stub.t) v = (Ast.to_string s.prog, vars v) in
+    ( List.map
+        (fun (o : Stub.operand) ->
+          (named o.stub o.vars, Array.to_list (Array.map vars o.elem_vars)))
+        ix.concrete,
+      List.map (fun (s : Stub.t) -> Ast.to_string s.prog) ix.planes,
+      List.map (fun (s, v) -> named s v) ix.masks )
+  in
+  let alone =
+    Stub.index (Stub.enumerate ~model ~consts:[ 1. ] env) ~max_conc_depth:1
+  in
+  Alcotest.(check bool) "equal to a single-domain index" true
+    (summary mine = summary alone);
+  Alcotest.(check bool) "operands indexed" true (mine.concrete <> [])
+
 let suite =
   [
     Alcotest.test_case "Par.map ordering and exceptions" `Quick test_par_map;
@@ -162,4 +203,6 @@ let suite =
       test_driver_deterministic;
     Alcotest.test_case "parallel end-to-end via Config" `Quick
       test_parallel_improves_suite_sample;
+    Alcotest.test_case "operand index shared across domains" `Quick
+      test_operand_index_shared;
   ]

@@ -171,6 +171,91 @@ let test_cost_never_above_bound () =
           b.name)
     Suite.Benchmarks.github
 
+(* The search solves under the simplification filter's budget: the
+   solver skips elementwise holes the filter would reject and recombines
+   only what the filter keeps.  At every expanded node, the viable list
+   and the visited-blocked flag must be exactly those of the eager
+   formulation: every candidate built and recombined
+   ({!Invert.decompositions}), then filtered.  The node and memo counts
+   are pinned to those of the eager engine. *)
+let eager_viable config lib ~visited spec =
+  let spec_cx = Spec.complexity spec in
+  let blocked = ref false in
+  let viable =
+    List.filter_map
+      (fun (d : Invert.decomposition) ->
+        let holes = Invert.hole_specs d in
+        if List.exists (fun h -> List.exists (Spec.equal h) visited) holes
+        then begin
+          blocked := true;
+          None
+        end
+        else
+          let cxs = List.map Spec.complexity holes in
+          let avg =
+            List.fold_left ( +. ) 0. cxs
+            /. float_of_int (max 1 (List.length cxs))
+          in
+          let tie = match d.op with Ast.Transpose _ -> true | _ -> false in
+          if not (avg < spec_cx || (avg = spec_cx && tie)) then None
+          else
+            let arg_ts =
+              List.map
+                (function
+                  | Invert.P_hole h ->
+                      Types.float_t (Spec.shape (Spec.collapse h))
+                  | Invert.P_conc (s : Stub.t) -> s.vt)
+                d.parts
+            in
+            match model.Cost.Model.op_cost d.op arg_ts with
+            | c -> Some (d, c +. Invert.conc_cost d)
+            | exception Types.Type_error _ -> None)
+      (Invert.decompositions ~config:config.Search.invert_config lib spec)
+  in
+  (List.stable_sort (fun (_, c1) (_, c2) -> compare c1 c2) viable, !blocked)
+
+let test_budgeted_equals_eager () =
+  let config =
+    Config.default |> Config.with_estimator `Flops |> Config.search_config
+  in
+  List.iter
+    (fun (name, (nodes, hits, misses)) ->
+      let b = Suite.Benchmarks.find name in
+      let consts = Superopt.consts_of b.program in
+      let library =
+        Stub.enumerate ~config:config.stub_config ~model ~consts b.env
+      in
+      let expanded = ref 0 in
+      let observe ~visited spec viable blocked =
+        incr expanded;
+        let eager, eager_blocked = eager_viable config library ~visited spec in
+        if blocked <> eager_blocked then
+          Alcotest.failf "%s: node %d blocked %b, eagerly %b" name !expanded
+            blocked eager_blocked;
+        if viable <> eager then
+          Alcotest.failf "%s: node %d keeps %d decompositions, eagerly %d"
+            name !expanded (List.length viable) (List.length eager)
+      in
+      let r =
+        Search.run ~config ~library ~observe ~model ~env:b.env
+          ~spec:(Sexec.exec_env b.env b.program)
+          ~initial_bound:(Cost.Model.program_cost model b.env b.program)
+          ~consts ()
+      in
+      Alcotest.(check bool) (name ^ ": nodes expanded") true (!expanded > 0);
+      Alcotest.(check (list int))
+        (name ^ ": nodes, memo hits, memo misses")
+        [ nodes; hits; misses ]
+        [ r.stats.nodes; r.stats.memo_hits; r.stats.memo_misses ])
+    [
+      ("diag_dot", (16, 1, 2));
+      ("log_exp_1", (20, 2, 5));
+      ("common_factor", (75, 14, 35));
+      ("sum_stack", (227, 78, 103));
+      ("synth_2", (63, 14, 35));
+      ("synth_8", (44, 10, 9));
+    ]
+
 let suite =
   [
     Alcotest.test_case "finds the paper's rewrites" `Quick
@@ -189,4 +274,6 @@ let suite =
       test_shared_node_budget;
     Alcotest.test_case "Algorithm 1 contract (github suite)" `Slow
       test_cost_never_above_bound;
+    Alcotest.test_case "budgeted solve equals eager, node by node" `Quick
+      test_budgeted_equals_eager;
   ]
