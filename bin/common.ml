@@ -1,7 +1,30 @@
 (* Plumbing shared by the CLI's commands and the `stenso bench`
-   sections: fatal errors, file output and the one report writer. *)
+   sections: fatal errors, file input and output, and the one report
+   writer. *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("stenso: " ^ s); exit 1) fmt
+
+(* Exit 65 (EX_DATAERR): the input file is malformed (a positioned parse
+   error or an ill-typed program). *)
+let die_dataerr file msg =
+  prerr_endline (Printf.sprintf "stenso: %s: %s" file msg);
+  exit 65
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A program file, parsed and type-checked; a malformed or ill-typed
+   one exits 65. *)
+let load_program path =
+  try
+    let env, prog = Dsl.Parser.program (read_file path) in
+    ignore (Dsl.Types.infer env prog);
+    (env, prog)
+  with Dsl.Parser.Parse_error msg | Dsl.Types.Type_error msg ->
+    die_dataerr path msg
 
 let write_file path contents =
   let oc = open_out path in

@@ -17,19 +17,6 @@
 
 open Common
 
-(* EX_DATAERR: the input file is malformed (positioned parse error). *)
-let ex_dataerr = 65
-
-let die_dataerr file msg =
-  prerr_endline (Printf.sprintf "stenso: %s: %s" file msg);
-  exit ex_dataerr
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Emit the same surface syntax the parser accepts, so outputs can be
    fed back in — the same rendering the persistent store serves, so
    cached and fresh runs are byte-identical. *)
@@ -92,13 +79,11 @@ let with_trace trace f =
 let optimize_run program_path synth_out estimator engine exec timeout jobs
     no_bnb no_simplification extended_ops cost_cache rules_depth no_store
     store_dir trace verbose =
-  let source =
+  let env, prog =
     match program_path with
-    | Some p -> read_file p
+    | Some p -> load_program p
     | None -> die "--program is required"
   in
-  let env, prog = Dsl.Parser.program source in
-  ignore (Dsl.Types.infer env prog);
   let config =
     config_of ~rules_depth ~engine ~exec ~timeout ~jobs ~no_bnb
       ~no_simplification ~extended_ops ?cost_cache estimator
@@ -335,12 +320,7 @@ let run_run program_path engine exec seed trace verbose =
   (* Execute a program on random seeded inputs through the selected
      engine — a quick way to exercise the compiled path and inspect its
      fusion/arena statistics on a concrete program. *)
-  let source = read_file program_path in
-  let env, prog =
-    try Dsl.Parser.program source
-    with Dsl.Parser.Parse_error msg -> die_dataerr program_path msg
-  in
-  ignore (Dsl.Types.infer env prog);
+  let env, prog = load_program program_path in
   let engine = engine_of engine in
   let st = Random.State.make [| seed |] in
   let inputs = Dsl.Interp.random_inputs st env in
@@ -885,7 +865,9 @@ let optimize_term =
 let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize"
-       ~doc:"Superoptimize one tensor program (the default command).")
+       ~doc:
+         "Superoptimize one tensor program (the default command).  A \
+          malformed or ill-typed program exits 65 ($(b,EX_DATAERR)).")
     optimize_term
 
 let suite_cmd =
@@ -972,7 +954,8 @@ let run_cmd =
          "Execute one tensor program on random seeded inputs through the \
           selected engine and print the result.  With $(b,--verbose) the \
           compiled engine also reports its plan: steps, fused \
-          operations, folded constants, and arena reuse.")
+          operations, folded constants, and arena reuse.  A malformed or \
+          ill-typed program exits 65 ($(b,EX_DATAERR)).")
     Term.(
       const run_run $ prog_pos_arg $ engine_arg $ exec_options_term
       $ seed_arg $ trace_arg $ verbose_arg)

@@ -103,21 +103,22 @@ let estimator_name = function
    (they change the kernels the measured estimator times, hence costs,
    hence outcomes) while [domains] is excluded like [jobs]: VM results
    are bitwise-independent of it by construction, and its default is
-   machine-derived. *)
+   machine-derived.  [memo=true] and [inv[conc=1,split=64]] spell the
+   search's and solver's constants (memoization on, concrete operands of
+   depth at most 1, at most 64 split terms) so that outcome-store keys
+   keep their bytes. *)
 let fingerprint t =
   let s = t.search in
   let stub = s.Search.stub_config in
-  let inv = s.Search.invert_config in
   let module O = Texec.Engine.Options in
   Printf.sprintf
-    "cfg:est=%s;eng=%s;exec[fus=%b,red=%b,tile=%d];bnb=%b;simp=%b;budget=%d;timeout=%.17g;depth=%d;memo=%b;stub[d=%d,max=%d,ext=%b,full=%b];inv[conc=%d,split=%d]"
+    "cfg:est=%s;eng=%s;exec[fus=%b,red=%b,tile=%d];bnb=%b;simp=%b;budget=%d;timeout=%.17g;depth=%d;memo=true;stub[d=%d,max=%d,ext=%b,full=%b];inv[conc=1,split=64]"
     (estimator_name t.estimator)
     (engine_name t.engine)
     (O.fusion t.exec) (O.reduction_fusion t.exec) (O.tile t.exec)
     s.Search.use_bnb s.Search.use_simplification s.Search.node_budget
-    s.Search.timeout s.Search.max_depth s.Search.memoize stub.Stub.depth
-    stub.Stub.max_stubs stub.Stub.extended_ops stub.Stub.full_binary
-    inv.Invert.max_conc_depth inv.Invert.max_split_terms
+    s.Search.timeout s.Search.max_depth stub.Stub.depth stub.Stub.max_stubs
+    stub.Stub.extended_ops stub.Stub.full_binary
   (* Appended only when tiering is on, so every fingerprint (and hence
      every outcome-store key) produced before the tiered optimizer
      existed is byte-identical to an untiered run's today. *)

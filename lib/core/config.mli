@@ -1,7 +1,7 @@
 (** Builder-style configuration for the whole superoptimizer.
 
-    [Config.t] wraps the nested {!Search.config} / {!Stub.config} /
-    {!Invert.config} records (which remain the implementation: read
+    [Config.t] wraps the nested {!Search.config} / {!Stub.config}
+    records (which remain the implementation: read
     them through {!search_config}, set any field without a builder
     through the [search] field) together with the cost-estimator
     choice, so call sites read as a pipeline:
@@ -87,7 +87,7 @@ val model : ?tel:Obs.Telemetry.t -> t -> Cost.Model.t
 val fingerprint : t -> string
 (** Canonical rendering of every field that determines a synthesis
     result: estimator id, pruning switches, budgets, depths, the
-    nested stub/invert parameters, and the cost-relevant exec options
+    nested stub parameters, and the cost-relevant exec options
     (fusion, reduction fusion, tile).  [jobs] and the exec [domains]
     count are excluded (results are independent of them by
     construction), as is the [cost_cache] path.

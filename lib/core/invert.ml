@@ -8,9 +8,10 @@ module Sym = Symbolic.Sym
 
 type part = P_hole of Spec.t | P_conc of Stub.t
 type decomposition = { op : Ast.op; parts : part list }
-type config = { max_conc_depth : int; max_split_terms : int }
 
-let default_config = { max_conc_depth = 1; max_split_terms = 64 }
+(* Sums and additive splits are only offered for at most this many terms
+   per element. *)
+let max_split_terms = 64
 
 let hole_specs d =
   List.filter_map (function P_hole s -> Some s | P_conc _ -> None) d.parts
@@ -225,10 +226,11 @@ let elementwise_candidates ~skip_add ~skip_mul (conc : Stub.t) spec =
   let push d = out := d :: !out in
   if not skip_add then begin
     (* add(??, c) — also covers add(c, ??) by commutativity. *)
-    push (hole_first Ast.Add (St.sub spec c));
-    (* sub(??, c) and sub(c, ??). *)
+    let h = St.sub spec c in
+    push (hole_first Ast.Add h);
+    (* sub(??, c) and sub(c, ??), whose hole c - spec is -h. *)
     push (hole_first Ast.Sub (St.add spec c));
-    push (hole_second Ast.Sub (St.sub c spec))
+    push (hole_second Ast.Sub (St.neg h))
   end;
   if not skip_mul then begin
     (* mul(??, c): exact division. *)
@@ -328,9 +330,9 @@ let uniform_term_count spec =
     if t >= 2 && Array.for_all (fun e -> count e = t) arr then Some t
     else None
 
-let sum_axis_candidates cfg spec =
+let sum_axis_candidates spec =
   match uniform_term_count spec with
-  | Some t when t <= cfg.max_split_terms ->
+  | Some t when t <= max_split_terms ->
       let s = St.shape spec in
       List.init
         (Shape.rank s + 1)
@@ -355,11 +357,11 @@ let divisor_pairs t =
   in
   go 2 []
 
-let sum_all_candidates cfg spec =
+let sum_all_candidates spec =
   if Shape.rank (St.shape spec) <> 0 then []
   else
     match uniform_term_count spec with
-    | Some t when t <= cfg.max_split_terms ->
+    | Some t when t <= max_split_terms ->
         let terms = Expr.terms (St.get spec [||]) in
         let arr = Array.of_list terms in
         let flat =
@@ -382,21 +384,15 @@ let sum_all_candidates cfg spec =
 
 (* The concrete operand of a contraction inversion must consist of
    distinct symbols so coefficients are well-defined. *)
-let symbolic_elements c =
-  let arr = St.to_array c in
-  let ok =
-    Array.for_all (function Expr.Var _ -> true | _ -> false) arr
-  in
-  if not ok then None
-  else
-    let syms =
-      Array.map (function Expr.Var s -> s | _ -> assert false) arr
-    in
-    let distinct =
-      Array.length syms
-      = Sym.Set.cardinal (Array.fold_right Sym.Set.add syms Sym.Set.empty)
-    in
-    if distinct then Some syms else None
+let distinct_symbols c =
+  let seen = ref Sym.Set.empty in
+  Array.for_all
+    (function
+      | Expr.Var s when not (Sym.Set.mem s !seen) ->
+          seen := Sym.Set.add s !seen;
+          true
+      | _ -> false)
+    (St.unsafe_data c)
 
 (* Solve [phi = sum_j H_j * c_j] for the vector (H_j) by successive
    linear-coefficient extraction; every coefficient must be free of the
@@ -459,254 +455,117 @@ let assign_solve_element phi (csyms : Sym.t array) =
     (Expr.terms phi);
   Array.map (fun ts -> Expr.add ts) buckets
 
-(* dot(??, c): out = H[:-1] ++ (c minus its contraction axis). *)
-let dot_hole_left spec (conc : Stub.t) =
-  let c = conc.Stub.sem in
-  let cs = St.shape c in
-  let rc = Shape.rank cs in
-  if rc = 0 then []
-  else
-    match symbolic_elements c with
-    | None -> []
-    | Some _ ->
-        let s = St.shape spec in
-        let rs = Shape.rank s in
-        let c_rest = rc - 1 in
-        if rs < c_rest then []
-        else
-          let lead = Array.sub s 0 (rs - c_rest) in
-          let trail = Array.sub s (rs - c_rest) c_rest in
-          let contraction_axis = if rc = 1 then 0 else rc - 2 in
-          let expected_trail = Shape.remove_axis cs contraction_axis in
-          if not (Shape.equal trail expected_trail) then []
-          else
-            let k = cs.(contraction_axis) in
-            let hole_shape = Array.append lead [| k |] in
-            let solve_strategy strategy =
-              try
-                let hole = St.create hole_shape Expr.zero in
-                let seen = Hashtbl.create 16 in
-                Shape.iter_indices s (fun idx ->
-                    let lead_idx = Array.sub idx 0 (Array.length lead) in
-                    let trail_idx = Array.sub idx (Array.length lead) c_rest in
-                    let csyms =
-                      Array.init k (fun j ->
-                          let cidx =
-                            Shape.insert_axis trail_idx contraction_axis j
-                          in
-                          match St.get c cidx with
-                          | Expr.Var v -> v
-                          | _ -> raise No_solution)
-                    in
-                    let coeffs = strategy (St.get spec idx) csyms in
-                    Array.iteri
-                      (fun j coeff ->
-                        let hidx = Array.append lead_idx [| j |] in
-                        match Hashtbl.find_opt seen hidx with
-                        | Some prev ->
-                            if not (Expr.equal prev coeff) then
-                              raise No_solution
-                        | None ->
-                            Hashtbl.replace seen (Array.copy hidx) coeff;
-                            St.set hole hidx coeff)
-                      coeffs);
-                (* Verify by reconstruction. *)
-                if St.equal (St.dot hole c) spec then
-                  Some { op = Ast.Dot; parts = [ P_hole hole; P_conc conc ] }
-                else None
-              with No_solution | Invalid_argument _ | Q.Overflow -> None
-            in
-            List.filter_map solve_strategy
-              [ linear_solve_element; assign_solve_element ]
+let linear_or_assign phi csyms =
+  try linear_solve_element phi csyms
+  with No_solution -> assign_solve_element phi csyms
 
-(* dot(c, ??): out = c[:-1] ++ (H minus its contraction axis); we try
-   hole ranks 1 and 2. *)
-let dot_hole_right spec (conc : Stub.t) =
-  let c = conc.Stub.sem in
-  let cs = St.shape c in
-  let rc = Shape.rank cs in
-  if rc = 0 then []
-  else
-    match symbolic_elements c with
-    | None -> []
-    | Some _ ->
-        let s = St.shape spec in
-        let rs = Shape.rank s in
-        let c_lead = rc - 1 in
-        if rs < c_lead then []
-        else if not (Shape.equal (Array.sub s 0 c_lead) (Array.sub cs 0 c_lead))
-        then []
-        else
-          let k = cs.(rc - 1) in
-          let hole_shapes =
-            if rs = c_lead then [ [| k |] ]
-            else if rs = c_lead + 1 then [ [| k; s.(rs - 1) |] ]
-            else []
-          in
-          List.filter_map
-            (fun hole_shape ->
-              try
-                let hole = St.create hole_shape Expr.zero in
-                let seen = Hashtbl.create 16 in
-                Shape.iter_indices s (fun idx ->
-                    let lead_idx = Array.sub idx 0 c_lead in
-                    let csyms =
-                      Array.init k (fun j ->
-                          match St.get c (Array.append lead_idx [| j |]) with
-                          | Expr.Var v -> v
-                          | _ -> raise No_solution)
-                    in
-                    let coeffs =
-                      try linear_solve_element (St.get spec idx) csyms
-                      with No_solution ->
-                        assign_solve_element (St.get spec idx) csyms
-                    in
-                    Array.iteri
-                      (fun j coeff ->
-                        let hidx =
-                          if Array.length hole_shape = 1 then [| j |]
-                          else [| j; idx.(rs - 1) |]
-                        in
-                        match Hashtbl.find_opt seen hidx with
-                        | Some prev ->
-                            if not (Expr.equal prev coeff) then
-                              raise No_solution
-                        | None ->
-                            Hashtbl.replace seen (Array.copy hidx) coeff;
-                            St.set hole hidx coeff)
-                      coeffs);
-                if St.equal (St.dot c hole) spec then
-                  Some { op = Ast.Dot; parts = [ P_conc conc; P_hole hole ] }
-                else None
-              with No_solution | Invalid_argument _ | Q.Overflow -> None)
-            hole_shapes
+(* The hole of a contraction sketch, element by element: at spec index
+   [idx] the contraction symbols are [c]'s elements at [c_at idx j]
+   ([j < k]), [solve] gives one coefficient per symbol, and coefficient
+   [j] fills the hole at [h_at idx j] — an element reached twice must
+   get the same coefficient.  The hole is kept only if [rebuild hole]
+   reproduces the spec. *)
+let solve_contraction ~solve spec c ~k ~hole_shape ~c_at ~h_at ~rebuild =
+  try
+    let hole = St.create hole_shape Expr.zero in
+    let seen = Hashtbl.create 16 in
+    Shape.iter_indices (St.shape spec) (fun idx ->
+        let csyms =
+          Array.init k (fun j ->
+              match St.get c (c_at idx j) with
+              | Expr.Var v -> v
+              | _ -> raise No_solution)
+        in
+        Array.iteri
+          (fun j coeff ->
+            let hidx = h_at idx j in
+            match Hashtbl.find_opt seen hidx with
+            | Some prev ->
+                if not (Expr.equal prev coeff) then raise No_solution
+            | None ->
+                Hashtbl.replace seen (Array.copy hidx) coeff;
+                St.set hole hidx coeff)
+          (solve (St.get spec idx) csyms));
+    if St.equal (rebuild hole) spec then Some hole else None
+  with No_solution | Invalid_argument _ | Q.Overflow -> None
 
-(* tensordot(c, ??, ([0],[0])): out = c[1:] ++ H[1:]. *)
-let tensordot_hole_right spec (conc : Stub.t) =
+(* The contraction sketches of a concrete operand [c] of rank >= 1
+   with distinct symbols, in this order:
+   - [dot(??, c)]: spec = H[:-1] ++ (c minus its contraction axis),
+     solved whole by linear extraction and then by term assignment;
+   - [dot(c, ??)]: spec = c[:-1] ++ H[1:], for a hole of rank 1 or 2;
+   - [tensordot(c, ??, ([0],[0]))]: spec = c[1:] ++ H[1:];
+   - [tensordot(??, c, ([0],[0]))]: spec = H[1:] ++ c[1:].
+   The last three fall back from linear extraction to term assignment
+   element by element. *)
+let contraction_candidates spec (conc : Stub.t) =
   let c = conc.Stub.sem in
-  let cs = St.shape c in
-  let rc = Shape.rank cs in
-  if rc = 0 then []
+  let cs = St.shape c and s = St.shape spec in
+  let c_rest = Shape.rank cs - 1 in
+  let nl = Shape.rank s - c_rest in
+  if c_rest < 0 || nl < 0 || not (distinct_symbols c) then []
   else
-    match symbolic_elements c with
-    | None -> []
-    | Some _ ->
-        let s = St.shape spec in
-        let rs = Shape.rank s in
-        let c_rest = rc - 1 in
-        if rs < c_rest then []
-        else if
-          not
-            (Shape.equal (Array.sub s 0 c_rest)
-               (Array.sub cs 1 c_rest))
-        then []
-        else
-          let k = cs.(0) in
-          let hole_shape = Array.append [| k |] (Array.sub s c_rest (rs - c_rest)) in
-          try
-            let hole = St.create hole_shape Expr.zero in
-            let seen = Hashtbl.create 16 in
-            Shape.iter_indices s (fun idx ->
-                let lead_idx = Array.sub idx 0 c_rest in
-                let tail_idx = Array.sub idx c_rest (rs - c_rest) in
-                let csyms =
-                  Array.init k (fun j ->
-                      match St.get c (Array.append [| j |] lead_idx) with
-                      | Expr.Var v -> v
-                      | _ -> raise No_solution)
-                in
-                let coeffs =
-                  try linear_solve_element (St.get spec idx) csyms
-                  with No_solution ->
-                    assign_solve_element (St.get spec idx) csyms
-                in
-                Array.iteri
-                  (fun j coeff ->
-                    let hidx = Array.append [| j |] tail_idx in
-                    match Hashtbl.find_opt seen hidx with
-                    | Some prev ->
-                        if not (Expr.equal prev coeff) then raise No_solution
-                    | None ->
-                        Hashtbl.replace seen (Array.copy hidx) coeff;
-                        St.set hole hidx coeff)
-                  coeffs);
-            if St.equal (St.tensordot c hole ~axes_a:[ 0 ] ~axes_b:[ 0 ]) spec
-            then
-              [
-                {
-                  op = Ast.Tensordot ([ 0 ], [ 0 ]);
-                  parts = [ P_conc conc; P_hole hole ];
-                };
-              ]
-            else []
-          with No_solution | Invalid_argument _ | Q.Overflow -> []
-
-(* tensordot(??, c, ([0],[0])): out = H[1:] ++ c[1:]. *)
-let tensordot_hole_left spec (conc : Stub.t) =
-  let c = conc.Stub.sem in
-  let cs = St.shape c in
-  let rc = Shape.rank cs in
-  if rc = 0 then []
-  else
-    match symbolic_elements c with
-    | None -> []
-    | Some _ ->
-        let s = St.shape spec in
-        let rs = Shape.rank s in
-        let c_rest = rc - 1 in
-        if rs < c_rest then []
-        else if
-          not
-            (Shape.equal
-               (Array.sub s (rs - c_rest) c_rest)
-               (Array.sub cs 1 c_rest))
-        then []
-        else
-          let k = cs.(0) in
-          let lead = Array.sub s 0 (rs - c_rest) in
-          let hole_shape = Array.append [| k |] lead in
-          try
-            let hole = St.create hole_shape Expr.zero in
-            let seen = Hashtbl.create 16 in
-            Shape.iter_indices s (fun idx ->
-                let lead_idx = Array.sub idx 0 (Array.length lead) in
-                let tail_idx =
-                  Array.sub idx (Array.length lead) c_rest
-                in
-                let csyms =
-                  Array.init k (fun j ->
-                      match St.get c (Array.append [| j |] tail_idx) with
-                      | Expr.Var v -> v
-                      | _ -> raise No_solution)
-                in
-                let coeffs =
-                  try linear_solve_element (St.get spec idx) csyms
-                  with No_solution ->
-                    assign_solve_element (St.get spec idx) csyms
-                in
-                Array.iteri
-                  (fun j coeff ->
-                    let hidx = Array.append [| j |] lead_idx in
-                    match Hashtbl.find_opt seen hidx with
-                    | Some prev ->
-                        if not (Expr.equal prev coeff) then raise No_solution
-                    | None ->
-                        Hashtbl.replace seen (Array.copy hidx) coeff;
-                        St.set hole hidx coeff)
-                  coeffs);
-            if
-              St.equal
-                (St.tensordot hole c ~axes_a:[ 0 ] ~axes_b:[ 0 ])
-                spec
-            then
-              [
-                {
-                  op = Ast.Tensordot ([ 0 ], [ 0 ]);
-                  parts = [ P_hole hole; P_conc conc ];
-                };
-              ]
-            else []
-          with No_solution | Invalid_argument _ | Q.Overflow -> []
+    let sketch ?(solve = linear_or_assign) op parts ~k ~hole_shape ~c_at ~h_at
+        rebuild =
+      match
+        solve_contraction ~solve spec c ~k ~hole_shape ~c_at ~h_at ~rebuild
+      with
+      | Some h -> [ { op; parts = parts (P_hole h) } ]
+      | None -> []
+    in
+    let hole_first h = [ h; P_conc conc ]
+    and hole_second h = [ P_conc conc; h ] in
+    let dot_left =
+      let axis = max 0 (c_rest - 1) in
+      if not (Shape.equal (Array.sub s nl c_rest) (Shape.remove_axis cs axis))
+      then []
+      else
+        let k = cs.(axis) in
+        List.concat_map
+          (fun solve ->
+            sketch ~solve Ast.Dot hole_first ~k
+              ~hole_shape:(Array.append (Array.sub s 0 nl) [| k |])
+              ~c_at:(fun idx j ->
+                Shape.insert_axis (Array.sub idx nl c_rest) axis j)
+              ~h_at:(fun idx j -> Array.append (Array.sub idx 0 nl) [| j |])
+              (fun h -> St.dot h c))
+          [ linear_solve_element; assign_solve_element ]
+    in
+    let dot_right =
+      let k = cs.(c_rest) in
+      if
+        nl > 1
+        || not (Shape.equal (Array.sub s 0 c_rest) (Array.sub cs 0 c_rest))
+      then []
+      else
+        sketch Ast.Dot hole_second ~k
+          ~hole_shape:(Array.append [| k |] (Array.sub s c_rest nl))
+          ~c_at:(fun idx j -> Array.append (Array.sub idx 0 c_rest) [| j |])
+          ~h_at:(fun idx j -> Array.append [| j |] (Array.sub idx c_rest nl))
+          (fun h -> St.dot c h)
+    in
+    let k = cs.(0) and td = Ast.Tensordot ([ 0 ], [ 0 ]) in
+    let tensordot a b = St.tensordot a b ~axes_a:[ 0 ] ~axes_b:[ 0 ] in
+    let c_tail = Array.sub cs 1 c_rest in
+    let tensordot_right =
+      if not (Shape.equal (Array.sub s 0 c_rest) c_tail) then []
+      else
+        sketch td hole_second ~k
+          ~hole_shape:(Array.append [| k |] (Array.sub s c_rest nl))
+          ~c_at:(fun idx j -> Array.append [| j |] (Array.sub idx 0 c_rest))
+          ~h_at:(fun idx j -> Array.append [| j |] (Array.sub idx c_rest nl))
+          (fun h -> tensordot c h)
+    in
+    let tensordot_left =
+      if not (Shape.equal (Array.sub s nl c_rest) c_tail) then []
+      else
+        sketch td hole_first ~k
+          ~hole_shape:(Array.append [| k |] (Array.sub s 0 nl))
+          ~c_at:(fun idx j -> Array.append [| j |] (Array.sub idx nl c_rest))
+          ~h_at:(fun idx j -> Array.append [| j |] (Array.sub idx 0 nl))
+          (fun h -> tensordot h c)
+    in
+    dot_left @ dot_right @ tensordot_right @ tensordot_left
 
 (* ------------------------------------------------------------------ *)
 (* Two-hole splits                                                     *)
@@ -725,10 +584,10 @@ let term_split spec pred =
   in
   (left, right)
 
-let add_split_candidates cfg spec =
+let add_split_candidates spec =
   match uniform_term_count spec with
   | None -> []
-  | Some t when t > cfg.max_split_terms -> []
+  | Some t when t > max_split_terms -> []
   | Some _ ->
       let bases =
         List.sort_uniq String.compare
@@ -881,9 +740,8 @@ let recombines spec d =
 
 type budget = { complexity : float; visited : Spec.t list }
 
-let candidates ?(config = default_config) ?(tel = Obs.Telemetry.null) ?budget
-    lib spec =
-  let ix = Stub.index lib ~max_conc_depth:config.max_conc_depth in
+let candidates ?(tel = Obs.Telemetry.null) ?budget lib spec =
+  let ix = Stub.index lib in
   let spec_shape = St.shape spec in
   let f =
     match budget with
@@ -917,19 +775,14 @@ let candidates ?(config = default_config) ?(tel = Obs.Telemetry.null) ?budget
   in
   let contractions =
     List.concat_map
-      (fun (o : Stub.operand) ->
-        let c = o.stub in
-        if Shape.rank (St.shape c.sem) >= 1 then
-          dot_hole_left spec c @ dot_hole_right spec c
-          @ tensordot_hole_right spec c @ tensordot_hole_left spec c
-        else [])
+      (fun (o : Stub.operand) -> contraction_candidates spec o.stub)
       concs
   in
   let proposed =
     unary_candidates spec
-    @ sum_axis_candidates config spec
-    @ sum_all_candidates config spec
-    @ add_split_candidates config spec
+    @ sum_axis_candidates spec
+    @ sum_all_candidates spec
+    @ add_split_candidates spec
     @ mul_split_candidates spec
     @ masked_candidates ix spec
     @ where_candidates ix spec svars
@@ -941,8 +794,8 @@ let candidates ?(config = default_config) ?(tel = Obs.Telemetry.null) ?budget
   end;
   proposed
 
-let decompositions ?config ?(tel = Obs.Telemetry.null) lib spec =
-  let proposed = candidates ?config ~tel lib spec in
+let decompositions ?(tel = Obs.Telemetry.null) lib spec =
+  let proposed = candidates ~tel lib spec in
   let solved = List.filter (recombines spec) proposed in
   if Obs.Telemetry.enabled tel then
     Obs.Telemetry.add tel "invert.solved" (List.length solved);

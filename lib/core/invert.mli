@@ -12,12 +12,18 @@
     - [dot]/[tensordot] invert by linear-coefficient extraction over the
       concrete operand's symbols, with a term-assignment fallback for
       specifications that are nonlinear in those symbols (e.g. the
-      quadratic form [xᵀAx]); every contraction solution is verified by
-      symbolic reconstruction;
-    - [sum] inverts by partitioning each element's terms in canonical
-      order into a new axis;
+      quadratic form [xᵀAx]).  The four contraction sketches
+      ([dot(??,c)], [dot(c,??)], [tensordot(c,??)], [tensordot(??,c)])
+      share one solver and differ only in which operand element and
+      hole element each specification element reads and fills; every
+      solution is verified by symbolic reconstruction;
+    - [sum] inverts by partitioning each element's terms (at most 64
+      per element) in canonical order into a new axis;
     - two-hole [add]/[sub]/[mul] sketches split the specification by
       input-variable occurrence or by sign.
+
+    Concrete operands are the depth-0 and depth-1 stubs of
+    {!Stub.index}.
 
     Every decomposition {!decompositions} returns is exact: recombining
     the parts under the operation yields a tensor symbolically equal to
@@ -31,15 +37,6 @@ type decomposition = {
   parts : part list;  (** in operation-argument order *)
 }
 
-type config = {
-  max_conc_depth : int;
-      (** maximum stub depth usable as a concrete sketch operand; the
-          paper's depth-2 stub library yields depth-1 concrete parts *)
-  max_split_terms : int;  (** cap on term count for sum/add splitting *)
-}
-
-val default_config : config
-
 type budget = {
   complexity : float;  (** the spec's {!Spec.complexity} *)
   visited : Spec.t list;
@@ -50,7 +47,6 @@ type budget = {
     sketches never tie structurally) that is not one of [visited]. *)
 
 val candidates :
-  ?config:config ->
   ?tel:Obs.Telemetry.t ->
   ?budget:budget ->
   Stub.library ->
@@ -82,7 +78,6 @@ val recombines : Spec.t -> decomposition -> bool
     exact by construction; the others are re-executed symbolically. *)
 
 val decompositions :
-  ?config:config ->
   ?tel:Obs.Telemetry.t ->
   Stub.library ->
   Spec.t ->

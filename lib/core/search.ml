@@ -7,26 +7,22 @@ module Tel = Obs.Telemetry
 
 type config = {
   stub_config : Stub.config;
-  invert_config : Invert.config;
   use_bnb : bool;
   use_simplification : bool;
   node_budget : int;
   timeout : float;
   max_depth : int;
-  memoize : bool;
   jobs : int;
 }
 
 let default_config =
   {
     stub_config = Stub.default_config;
-    invert_config = Invert.default_config;
     use_bnb = true;
     use_simplification = true;
     node_budget = 200_000;
     timeout = 600.;
     max_depth = 12;
-    memoize = true;
     jobs = 1;
   }
 
@@ -205,8 +201,7 @@ let viable_decomps st ~visited spec =
     else None
   in
   let ds =
-    Invert.candidates ~config:st.cfg.invert_config ~tel:st.tel ?budget st.lib
-      spec
+    Invert.candidates ~tel:st.tel ?budget st.lib spec
   in
   Tel.Counter.add st.c.decomps (List.length ds);
   let recombines d =
@@ -275,16 +270,10 @@ let rec dfs st ~level ~visited ~cost_in spec : (Dsl.Ast.t * float) option =
   | matched ->
       if level >= st.cfg.max_depth then matched
       else
-        let memo_hit =
-          if st.cfg.memoize then begin
-            let hit = Spec.Tbl.find_opt st.memo spec in
-            (match hit with
-            | Some _ -> Tel.Counter.incr st.c.memo_hits
-            | None -> Tel.Counter.incr st.c.memo_misses);
-            hit
-          end
-          else None
-        in
+        let memo_hit = Spec.Tbl.find_opt st.memo spec in
+        Tel.Counter.incr
+          (if Option.is_some memo_hit then st.c.memo_hits
+           else st.c.memo_misses);
         (match memo_hit with
         | Some (prog, cost) ->
             if
@@ -323,11 +312,10 @@ let rec dfs st ~level ~visited ~cost_in spec : (Dsl.Ast.t * float) option =
               viable;
             (match !best with
             | Some prog ->
-                if st.cfg.memoize then
-                  Spec.Tbl.replace st.memo spec (prog, !best_cost);
+                Spec.Tbl.replace st.memo spec (prog, !best_cost);
                 Some (prog, !best_cost)
             | None ->
-                if st.cfg.memoize && not visited_blocked then
+                if not visited_blocked then
                   (match Spec.Tbl.find_opt st.memo_fail spec with
                   | Some c when c <= cost_in -> ()
                   | _ -> Spec.Tbl.replace st.memo_fail spec cost_in);

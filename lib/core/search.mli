@@ -21,6 +21,10 @@
     Both can be disabled independently to reproduce the paper's
     simplification-only configuration (Fig. 5).
 
+    Every run memoizes, per spec, the best sub-program found, and for a
+    spec whose failure no on-path hole caused, the lowest incoming cost
+    it failed at: a later visit at that cost or above fails at once.
+
     With [jobs > 1] the root level runs on a fixed pool of domains: the
     viable top-level decompositions are distributed round-robin, the
     branch-and-bound bound is shared atomically (a complete program
@@ -42,7 +46,6 @@
 
 type config = {
   stub_config : Stub.config;
-  invert_config : Invert.config;
   use_bnb : bool;
   use_simplification : bool;
   node_budget : int;
@@ -50,7 +53,6 @@ type config = {
           by all workers, independent of [jobs] *)
   timeout : float;  (** wall-clock seconds before giving up *)
   max_depth : int;  (** recursion depth cap *)
-  memoize : bool;  (** cache synthesized sub-programs per spec *)
   jobs : int;
       (** domains for the root-level decomposition fan-out; [1] is the
           fully sequential engine *)

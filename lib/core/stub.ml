@@ -56,12 +56,10 @@ type library = {
   atom_list : t list;
   by_sem : entry Spec.Tbl.t;
   lib_env : Types.env;
-  lib_depth : int;
   hit_cap : bool;
   attempts : int;  (* candidate programs examined before deduplication *)
-  indexes : (int * index) list Atomic.t;
-      (* operand indexes by clamped [max_conc_depth], published by
-         compare-and-set (see [index]) *)
+  index : index option Atomic.t;
+      (* the operand index, published by compare-and-set (see [index]) *)
 }
 
 let stubs l = l.all
@@ -322,8 +320,8 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
         ("truncated", Obs.Telemetry.Bool !hit_cap);
         ("elapsed", Obs.Telemetry.Float (Unix.gettimeofday () -. enum_t0));
       ];
-  { all; atom_list; by_sem; lib_env = env; lib_depth = config.depth;
-    hit_cap = !hit_cap; attempts = !attempts; indexes = Atomic.make [] }
+  { all; atom_list; by_sem; lib_env = env; hit_cap = !hit_cap;
+    attempts = !attempts; index = Atomic.make None }
 
 (* Canonical identity of an enumeration: everything the resulting
    library depends on.  [deadline] and [jobs] are deliberately excluded
@@ -421,7 +419,11 @@ let lookup_broadcast lib spec =
 (* Concrete-operand index                                              *)
 (* ------------------------------------------------------------------ *)
 
-let build_index lib max_conc_depth =
+(* Stubs up to this depth are concrete sketch operands: the paper's
+   depth-2 library yields depth-1 concrete parts. *)
+let max_conc_depth = 1
+
+let build_index lib =
   let elems (s : t) = Sexec.Stensor.unsafe_data s.sem in
   let union = Array.fold_left Sym.Set.union Sym.Set.empty in
   let concrete =
@@ -452,27 +454,17 @@ let build_index lib max_conc_depth =
         lib.all;
   }
 
-(* Indexes are keyed by [max_conc_depth] clamped to the depths the
-   library holds, built on first use and published with a
-   compare-and-set: a library shared through [Cache] may be indexed by
-   several domains at once, and a loser of the race adopts the winner's
-   index (both are built from the same immutable library, so they are
-   equal anyway). *)
-let index lib ~max_conc_depth =
-  let key = max (-1) (min max_conc_depth lib.lib_depth) in
-  match List.assoc_opt key (Atomic.get lib.indexes) with
+(* Built on first use and published with a compare-and-set: a library
+   shared through [Cache] may be indexed by several domains at once, and
+   a loser of the race adopts the winner's index (both are built from
+   the same immutable library, so they are equal anyway). *)
+let index lib =
+  match Atomic.get lib.index with
   | Some ix -> ix
   | None ->
-      let ix = build_index lib key in
-      let rec publish () =
-        let cur = Atomic.get lib.indexes in
-        match List.assoc_opt key cur with
-        | Some winner -> winner
-        | None ->
-            if Atomic.compare_and_set lib.indexes cur ((key, ix) :: cur) then ix
-            else publish ()
-      in
-      publish ()
+      let ix = build_index lib in
+      if Atomic.compare_and_set lib.index None (Some ix) then ix
+      else Option.get (Atomic.get lib.index)
 
 let const_stub lib q =
   let prog = Ast.Const (Symbolic.Q.to_float q) in
@@ -489,13 +481,8 @@ let const_stub lib q =
 (* ------------------------------------------------------------------ *)
 
 module Values = struct
-  type table = {
-    tbl : Tensor.Ftensor.t list Spec.Tbl.t;
-        (* stub semantics -> one output tensor per sample *)
-    ordered : (t * Tensor.Ftensor.t list) list;
-    fp : string;
-    samples : (string * Tensor.Ftensor.t) list list;
-  }
+  type table = (t * Tensor.Ftensor.t list) list
+      (* every stub with one output tensor per sample, in library order *)
 
   (* Sampled inputs are identified by the IEEE-754 bit pattern of every
      element (plus name and shape), like the enumeration fingerprint's
@@ -530,33 +517,23 @@ module Values = struct
     Printf.sprintf "values:%s;inputs=%s" library_fp
       (inputs_fingerprint samples)
 
-  let fingerprint_of t = t.fp
-  let samples t = t.samples
+  let build (lib : library) samples =
+    List.filter_map
+      (fun stub ->
+        (* Ill-behaved evaluations (a stub is well-typed but its value
+           may still overflow or hit 0/0 on a given draw) keep their
+           non-finite floats: they simply never match a finite target
+           signature. *)
+        match
+          List.map
+            (fun inputs -> Dsl.Interp.eval_alist inputs stub.prog)
+            samples
+        with
+        | outs -> Some (stub, outs)
+        | exception _ -> None)
+      lib.all
 
-  let build ~library_fp (lib : library) samples =
-    let tbl = Spec.Tbl.create (List.length lib.all) in
-    let ordered =
-      List.filter_map
-        (fun stub ->
-          (* Ill-behaved evaluations (a stub is well-typed but its
-             value may still overflow or hit 0/0 on a given draw) keep
-             their non-finite floats: they simply never match a finite
-             target signature. *)
-          match
-            List.map
-              (fun inputs -> Dsl.Interp.eval_alist inputs stub.prog)
-              samples
-          with
-          | outs ->
-              Spec.Tbl.replace tbl stub.sem outs;
-              Some (stub, outs)
-          | exception _ -> None)
-        lib.all
-    in
-    { tbl; ordered; fp = fingerprint ~library_fp samples; samples }
-
-  let outputs t (stub : t) = Spec.Tbl.find_opt t.tbl stub.sem
-  let to_list t = t.ordered
+  let to_list t = t
 
   (* One table per (library, input draw) fingerprint, shared across
      lifts the same way [Cache] shares enumerated libraries.  Truncated
@@ -575,7 +552,7 @@ module Values = struct
         Obs.Telemetry.incr tel "stub.values_cache_hits";
         t
     | None ->
-        let t = build ~library_fp lib samples in
+        let t = build lib samples in
         if not lib.hit_cap then
           Mutex.protect cache_mutex (fun () ->
               if not (Hashtbl.mem cache fp) then Hashtbl.replace cache fp t);

@@ -135,9 +135,9 @@ type operand = {
 
 type index = {
   concrete : operand list;
-      (** Float stubs with a nonzero element and depth at most the
-          index's [max_conc_depth], in library order: the concrete
-          operands of sketches *)
+      (** Float stubs with a nonzero element and depth at most 1 (the
+          paper's depth-2 library yields depth-1 concrete parts), in
+          library order: the concrete operands of sketches *)
   planes : t list;
       (** rank-2 Float stubs of any depth, in library order: the
           operands of masking completions *)
@@ -146,12 +146,11 @@ type index = {
           the conditions of [where] sketches *)
 }
 
-val index : library -> max_conc_depth:int -> index
-(** The library's index for [max_conc_depth] (any value; it is clamped
-    to the depths the library holds).  Built on the first call for a
-    depth and shared afterwards.  Safe to call from several domains at
-    once: a racing builder publishes by compare-and-set, and every
-    caller gets an index equal to the one a single caller would get. *)
+val index : library -> index
+(** The library's index, built on the first call and shared afterwards.
+    Safe to call from several domains at once: a racing builder
+    publishes by compare-and-set, and every caller gets an index equal
+    to the one a single caller would get. *)
 
 val const_stub : library -> Symbolic.Q.t -> t option
 (** A [Const] leaf for a uniform-constant spec (the solver may conjure
@@ -165,24 +164,14 @@ val const_stub : library -> Symbolic.Q.t -> t option
 module Values : sig
   type table
 
-  val inputs_fingerprint : (string * Tensor.Ftensor.t) list list -> string
-  (** Canonical identity of an input draw: name, shape, and the
-      IEEE-754 bit pattern of every element of every sample (hashed).
-      Two different draws — even from the same distribution — never
-      share a fingerprint, so value tables and any store entries keyed
-      through them cannot collide across distributions. *)
-
   val fingerprint :
     library_fp:string -> (string * Tensor.Ftensor.t) list list -> string
   (** Cache identity of a table: the stub-library fingerprint
       ({!fingerprint} of the enumeration, including the cost-model id
-      if the caller keys by it) combined with {!inputs_fingerprint}. *)
-
-  val build :
-    library_fp:string ->
-    library ->
-    (string * Tensor.Ftensor.t) list list ->
-    table
+      if the caller keys by it) combined with a digest of the sampled
+      inputs — name, shape and the IEEE-754 bit pattern of every
+      element of every sample.  Two different draws, even from the same
+      distribution, never share a fingerprint. *)
 
   val get :
     ?tel:Obs.Telemetry.t ->
@@ -190,16 +179,12 @@ module Values : sig
     library ->
     (string * Tensor.Ftensor.t) list list ->
     table
-  (** Like {!build}, but shares one table per {!fingerprint} across
-      lifts (never for truncated libraries, mirroring {!Cache}).  A
-      shared hit increments the [stub.values_cache_hits] counter. *)
-
-  val outputs : table -> t -> Tensor.Ftensor.t list option
-  (** The stub's output on each sample, in sample order. *)
+  (** Evaluate every stub on every sample, sharing one table per
+      {!fingerprint} across lifts (never for truncated libraries,
+      mirroring {!Cache}).  A shared hit increments the
+      [stub.values_cache_hits] counter. *)
 
   val to_list : table -> (t * Tensor.Ftensor.t list) list
-  (** All stubs with their outputs, in library (cost) order. *)
-
-  val fingerprint_of : table -> string
-  val samples : table -> (string * Tensor.Ftensor.t) list list
+  (** All stubs with their outputs, in library (cost) order; a stub
+      whose evaluation raises on some sample is left out. *)
 end

@@ -282,7 +282,9 @@ echo "ml-suite smoke check passed"
 # the emitted DSL must re-parse and execute (`stenso run` on the
 # synthesized program), and the regenerated stenso.lift/1 report must
 # validate with a 100% success floor.  A loop-language parse error must
-# exit 65 (EX_DATAERR) with a line/column diagnostic.
+# exit 65 (EX_DATAERR) with a line/column diagnostic, and so must
+# `optimize` on a malformed or an ill-typed program and `run` on an
+# ill-typed one.
 "$stenso" lift --bench lift_dot --no-store --cost-estimator flops \
   --synth-out "$scratch/dot.tdsl" --report "$scratch/lift.json" --quiet
 "$stenso" run "$scratch/dot.tdsl" > /dev/null
@@ -301,6 +303,18 @@ case "$lift_err" in
   *) echo "FAIL: lift parse error lacks line/column: $lift_err" >&2
      exit 1 ;;
 esac
+printf 'input A : f32[3,4]\nreturn np.trace(A @@ A)\n' > "$scratch/bad.tdsl"
+printf 'input A : f32[3,4]\ninput B : f32[4,3]\nreturn np.trace(A @ B.T)\n' \
+  > "$scratch/ill.tdsl"
+for cmd in "optimize --no-store --program $scratch/bad.tdsl" \
+  "optimize --no-store --program $scratch/ill.tdsl" "run $scratch/ill.tdsl"; do
+  rc=0
+  "$stenso" $cmd > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 65 ]; then
+    echo "FAIL: stenso $cmd exited $rc, want 65" >&2
+    exit 1
+  fi
+done
 echo "lift smoke check passed"
 
 # Benchmark smoke check: every perfbench workload, traced and untraced,

@@ -1,5 +1,5 @@
 (* The builder-style Stenso.Config surface: builders must round-trip to
-   the legacy Search/Stub/Invert records they wrap. *)
+   the legacy Search/Stub records they wrap. *)
 open Stenso
 
 let test_default_matches_legacy () =
@@ -52,6 +52,19 @@ let test_estimator_of_string () =
   | Ok _ -> Alcotest.fail "accepted bogus estimator"
   | Error _ -> ()
 
+(* Outcome-store keys embed the fingerprint: these strings must never
+   change, not even when a field they name leaves the configuration. *)
+let test_fingerprint_golden () =
+  let tail =
+    "eng=vm;exec[fus=true,red=true,tile=64];bnb=true;simp=true;\
+     budget=200000;timeout=600;depth=12;memo=true;\
+     stub[d=2,max=20000,ext=false,full=false];inv[conc=1,split=64]"
+  in
+  Alcotest.(check string) "default" ("cfg:est=measured;" ^ tail)
+    (Config.fingerprint Config.default);
+  Alcotest.(check string) "flops" ("cfg:est=flops;" ^ tail)
+    (Config.fingerprint (Config.default |> Config.with_estimator `Flops))
+
 let suite =
   [
     Alcotest.test_case "default wraps the legacy records" `Quick
@@ -61,4 +74,5 @@ let suite =
     Alcotest.test_case "estimator selects the model" `Quick
       test_model_selection;
     Alcotest.test_case "estimator parsing" `Quick test_estimator_of_string;
+    Alcotest.test_case "fingerprint is pinned" `Quick test_fingerprint_golden;
   ]

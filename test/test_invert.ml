@@ -126,6 +126,46 @@ let test_quadratic_assignment () =
          | _ -> false)
        ds)
 
+(* Does some decomposition apply [op] to exactly these parts: [`H src]
+   a hole equal to [src]'s value, [`C src] a concrete operand with it? *)
+let solutions env ds op parts =
+  let part p q =
+    match (p, q) with
+    | Invert.P_hole h, `H src -> Spec.equal h (spec_of env src)
+    | Invert.P_conc c, `C src -> Spec.equal c.Stub.sem (spec_of env src)
+    | _ -> false
+  in
+  List.length
+    (List.filter
+       (fun (d : Invert.decomposition) ->
+         d.op = op
+         && List.length d.parts = List.length parts
+         && List.for_all2 part d.parts parts)
+       ds)
+
+(* One known hole per contraction sketch.  [dot(??, c)] tries linear
+   extraction and term assignment each over the whole hole: a spec
+   linear in [x] is solved by both, one that is not by assignment
+   alone. *)
+let test_contraction_sketches () =
+  let expect env lib name src op parts n =
+    let ds = check_all_exact name env lib src in
+    Alcotest.(check int) name n (solutions env ds op parts)
+  in
+  let env, lib = setup "input A : f32[2,3]\ninput x : f32[3]" in
+  let check = expect env lib in
+  check "dot(??, c) by both" "A @ x" Ast.Dot [ `H "A"; `C "x" ] 2;
+  check "dot(??, c) by assignment" "np.dot(A * x, x)" Ast.Dot
+    [ `H "A * x"; `C "x" ] 1;
+  check "dot(c, ??) rank-1 hole" "A @ x" Ast.Dot [ `C "A"; `H "x" ] 1;
+  let env, lib = setup "input A : f32[3,2]\ninput B : f32[3,4]" in
+  let check = expect env lib in
+  check "dot(c, ??) rank-2 hole" "A.T @ B" Ast.Dot
+    [ `C "np.transpose(A)"; `H "B" ] 1;
+  let td = Ast.Tensordot ([ 0 ], [ 0 ]) in
+  check "tensordot(c, ??)" "A.T @ B" td [ `C "A"; `H "B" ] 1;
+  check "tensordot(??, c)" "A.T @ B" td [ `H "A"; `C "B" ] 1
+
 let test_two_hole_splits () =
   let env, lib = setup "input A : f32[2,2]\ninput B : f32[2,2]" in
   let ds = check_all_exact "mixed sum" env lib "A * A + B" in
@@ -284,6 +324,25 @@ let prop_hole_bound_admissible =
       in
       List.for_all check (Invert.candidates lib spec))
 
+(* The hole of [sub(c, ??)] is built as the negation of [add(??, c)]'s
+   hole [spec - c]; it must equal the direct subtraction [c - spec]. *)
+let prop_sub_hole_is_negation =
+  QCheck2.Test.make ~name:"invert: sub(c, ??) hole is c - spec" ~count:40
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let env, prog =
+        Suite.Generator.generate
+          { Suite.Generator.default with size = 4; seed }
+      in
+      let lib = Stub.enumerate ~model ~consts:[ 1.; 2. ] env in
+      let spec = Sexec.exec_env env prog in
+      List.for_all
+        (fun (d : Invert.decomposition) ->
+          match (d.op, d.parts) with
+          | Ast.Sub, [ P_conc c; P_hole h ] -> St.equal h (St.sub c.sem spec)
+          | _ -> true)
+        (Invert.candidates lib spec))
+
 (* The budget skips a sketch family only when no spec on the path could
    be its hole: [multiply(??, 1)] has the spec itself as its hole, which
    is skipped off the path but built (to block the node) when the spec is
@@ -328,4 +387,7 @@ let suite =
     Alcotest.test_case "budget keeps holes on the path" `Quick
       test_budget_keeps_path_holes;
     QCheck_alcotest.to_alcotest prop_hole_bound_admissible;
+    Alcotest.test_case "contraction sketches recover their holes" `Quick
+      test_contraction_sketches;
+    QCheck_alcotest.to_alcotest prop_sub_hole_is_negation;
   ]

@@ -165,7 +165,7 @@ let test_operand_index_shared () =
     while Atomic.get arrived < 2 do
       Domain.cpu_relax ()
     done;
-    Stub.index lib ~max_conc_depth:1
+    Stub.index lib
   in
   let other = Domain.spawn force in
   let mine = force () in
@@ -184,7 +184,7 @@ let test_operand_index_shared () =
       List.map (fun (s, v) -> named s v) ix.masks )
   in
   let alone =
-    Stub.index (Stub.enumerate ~model ~consts:[ 1. ] env) ~max_conc_depth:1
+    Stub.index (Stub.enumerate ~model ~consts:[ 1. ] env)
   in
   Alcotest.(check bool) "equal to a single-domain index" true
     (summary mine = summary alone);

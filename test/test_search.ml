@@ -178,7 +178,7 @@ let test_cost_never_above_bound () =
    formulation: every candidate built and recombined
    ({!Invert.decompositions}), then filtered.  The node and memo counts
    are pinned to those of the eager engine. *)
-let eager_viable config lib ~visited spec =
+let eager_viable lib ~visited spec =
   let spec_cx = Spec.complexity spec in
   let blocked = ref false in
   let viable =
@@ -210,7 +210,7 @@ let eager_viable config lib ~visited spec =
             match model.Cost.Model.op_cost d.op arg_ts with
             | c -> Some (d, c +. Invert.conc_cost d)
             | exception Types.Type_error _ -> None)
-      (Invert.decompositions ~config:config.Search.invert_config lib spec)
+      (Invert.decompositions lib spec)
   in
   (List.stable_sort (fun (_, c1) (_, c2) -> compare c1 c2) viable, !blocked)
 
@@ -228,7 +228,7 @@ let test_budgeted_equals_eager () =
       let expanded = ref 0 in
       let observe ~visited spec viable blocked =
         incr expanded;
-        let eager, eager_blocked = eager_viable config library ~visited spec in
+        let eager, eager_blocked = eager_viable library ~visited spec in
         if blocked <> eager_blocked then
           Alcotest.failf "%s: node %d blocked %b, eagerly %b" name !expanded
             blocked eager_blocked;
