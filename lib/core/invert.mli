@@ -37,36 +37,30 @@ type decomposition = {
   parts : part list;  (** in operation-argument order *)
 }
 
-type budget = {
-  complexity : float;  (** the spec's {!Spec.complexity} *)
-  visited : Spec.t list;
-      (** the specs on the search path, the spec itself included *)
-}
-(** What the search's simplification filter (PRUNE) will demand of a
-    candidate: a single hole strictly below [complexity] (elementwise
-    sketches never tie structurally) that is not one of [visited]. *)
-
 val candidates :
   ?tel:Obs.Telemetry.t ->
-  ?budget:budget ->
+  ?budget:float ->
   Stub.library ->
   Spec.t ->
   decomposition list
 (** Every sketch candidate of the spec with its hole specs built, not yet
     checked by {!recombines}.
 
-    With a [budget], the six single-hole elementwise sketches
-    [add(??,c)], [sub(??,c)], [sub(c,??)], [mul(??,c)], [div(??,c)] and
-    [div(c,??)] are first bounded by variable sets alone (see
-    {!hole_bound}).  A family of three (additive or multiplicative) is
-    skipped when its bound reaches [budget.complexity] and no same-shape
-    spec of [budget.visited] could equal its hole: at every counted
-    element such a spec would have to hold each variable found in
-    exactly one operand and nothing outside the operands.  A skipped
-    candidate is one the filter would reject and that could not block
-    the node as on-path, so the filter's verdicts on what is built are
-    exactly its verdicts on the full list.  Without a budget every
-    candidate is built.  Concrete operands come from {!Stub.index}.
+    [budget] is the spec's {!Spec.complexity}: what the search's
+    simplification filter (PRUNE) demands of a single elementwise hole is
+    a complexity strictly below it, since elementwise sketches never tie
+    structurally.  With a budget, the six single-hole elementwise
+    sketches [add(??,c)], [sub(??,c)], [sub(c,??)], [mul(??,c)],
+    [div(??,c)] and [div(c,??)] are first bounded by variable sets alone
+    (see {!hole_bound}), and a family of three (additive or
+    multiplicative) is skipped unbuilt when its bound reaches the
+    budget.  A skipped candidate is one the filter would reject, so the
+    filter's verdicts on what is built are exactly its verdicts on the
+    full list.  The identities [mul(??,1)] and [div(??,1)], whose hole is
+    the spec itself, are skipped this way unless the spec has a nonzero
+    element free of symbols or singular.  Without a budget every
+    candidate is built.  [power(??,1)] is never proposed.  Concrete
+    operands come from {!Stub.index}.
 
     [tel] counts [invert.proposed] (candidates built) and
     [invert.skipped] (candidates the budget skipped, three per skipped

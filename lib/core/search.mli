@@ -8,7 +8,8 @@
     - {e simplification pruning} ([use_simplification]): only
       decompositions whose average hole complexity is below the current
       spec's complexity are explored (structural operations such as
-      [transpose] may tie, guarded by a visited set on the path).  The
+      [transpose] may tie), and a decomposition with a hole equal to a
+      spec on the current path is never explored.  The
       solver works under this budget ({!Invert.candidates}): it skips
       elementwise holes a variable-set bound proves too complex without
       building them, and only candidates the filter keeps are checked
@@ -21,9 +22,10 @@
     Both can be disabled independently to reproduce the paper's
     simplification-only configuration (Fig. 5).
 
-    Every run memoizes, per spec, the best sub-program found, and for a
-    spec whose failure no on-path hole caused, the lowest incoming cost
-    it failed at: a later visit at that cost or above fails at once.
+    Every run memoizes, per spec, the best sub-program found and its
+    cost; a later visit reuses it when it fits under the bound.  Failures
+    are not memoized: whether a spec fails depends on the remaining depth
+    and the path, which a spec key does not capture.
 
     With [jobs > 1] the root level runs on a fixed pool of domains: the
     viable top-level decompositions are distributed round-robin, the
@@ -91,16 +93,11 @@ type result = {
 }
 
 type observer =
-  visited:Spec.t list ->
-  Spec.t ->
-  (Invert.decomposition * float) list ->
-  bool ->
-  unit
+  visited:Spec.t list -> Spec.t -> (Invert.decomposition * float) list -> unit
 (** Called at every expanded node with the path (the spec first), the
-    spec, the viable decompositions with their immediate cost in the
-    order they are explored, and whether a candidate that recombines had
-    a hole on the path (such a node's failure is not memoized).  With
-    [jobs > 1] it is called from several domains. *)
+    spec, and the viable decompositions with their immediate cost in the
+    order they are explored.  With [jobs > 1] it is called from several
+    domains. *)
 
 val run :
   ?tel:Obs.Telemetry.t ->
