@@ -384,44 +384,6 @@ let fill (sketch : sketch) ~(out_shape : int array)
                           | exception _ -> None)))
 
 (* ------------------------------------------------------------------ *)
-(* Certification                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Differential check of the loop kernel against the candidate run by
-   the configured engine (the VM by default), on fresh draws — the same
-   skip-and-redraw domain handling as [Superopt.validate_concrete]. *)
-let differential ?(trials = 8) ?(max_draws = 256) ~engine ~exec_options ~env
-    kernel cand =
-  let st = Random.State.make [| 0x11f7ed |] in
-  let eval_cand =
-    match engine with
-    | `Interp -> fun inputs -> Interp.eval_alist inputs cand
-    | `Vm ->
-        let compiled =
-          Texec.Engine.compile ~options:exec_options ~env cand
-        in
-        fun inputs ->
-          Texec.Engine.run compiled (fun n -> List.assoc n inputs)
-  in
-  let close x y = Float.abs (x -. y) <= 1e-9 +. (1e-6 *. Float.abs y) in
-  let max_draws = max trials max_draws in
-  let ok = ref true in
-  let effective = ref 0 in
-  let draws = ref 0 in
-  while !ok && !effective < trials && !draws < max_draws do
-    incr draws;
-    let inputs = Interp.random_inputs st env in
-    let expected = Loop_interp.run_tensors kernel inputs in
-    if Ftensor.fold (fun acc x -> acc && Float.is_finite x) true expected
-    then begin
-      incr effective;
-      if not (Ftensor.for_all2 close expected (eval_cand inputs)) then
-        ok := false
-    end
-  done;
-  !ok && !effective > 0
-
-(* ------------------------------------------------------------------ *)
 (* The lift                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -499,7 +461,10 @@ let lift ?(tel = Tel.null) ?(config = Config.default)
           (match Sexec.exec_env env cand with
           | cand_spec -> Spec.equal spec cand_spec
           | exception _ -> false)
-          && differential ~engine ~exec_options ~env kernel cand
+          && Superopt.differential ~trials:8 ~max_draws:256 ~seed:0x11f7ed
+               ~engine ~exec_options ~env
+               ~reference:(Loop_interp.run_tensors kernel)
+               cand
         in
         verify_s := !verify_s +. Unix.gettimeofday () -. t;
         ok

@@ -185,13 +185,29 @@ val validate_concrete :
   Dsl.Ast.t ->
   bool
 (** Differential testing on random concrete inputs — a secondary check
-    used by the test-suite alongside symbolic verification.  The
-    reference program (first argument) always runs on the tree-walking
-    interpreter; the candidate runs on [engine] (default [`Vm], compiled
-    once under [exec_options] — default [Exec.Options.default] — and
-    reused across trials), so VM-backed validation doubles as a
-    differential test of the compiled path.  Draws whose original output
-    is non-finite fall outside the engine's positive-value domain and
-    are redrawn rather than counted, until [trials] in-domain
-    comparisons have actually run or [max_draws] (default 512, never
-    below [trials]) draws are exhausted. *)
+    used by the test-suite alongside symbolic verification:
+    {!differential} with the reference program (first argument) run on
+    the tree-walking interpreter, [trials] 16 and [max_draws] 512 by
+    default, and the candidate on [engine] (default [`Vm]) under
+    [exec_options] (default [Exec.Options.default]). *)
+
+val differential :
+  trials:int ->
+  max_draws:int ->
+  seed:int ->
+  engine:Texec.Engine.kind ->
+  exec_options:Texec.Engine.Options.t ->
+  env:Dsl.Types.env ->
+  reference:((string * Tensor.Ftensor.t) list -> Tensor.Ftensor.t) ->
+  Dsl.Ast.t ->
+  bool
+(** [differential ... ~reference cand]: does [cand] agree with the
+    [reference] evaluator on random inputs drawn for [env] from a
+    generator seeded with [seed]?  The candidate runs on [engine]
+    (compiled once under [exec_options] and reused across trials), so
+    VM-backed validation doubles as a differential test of the compiled
+    path.  Draws whose reference output is non-finite fall outside the
+    engine's positive-value domain and are redrawn rather than counted,
+    until [trials] in-domain comparisons have run or [max_draws] (never
+    below [trials]) draws are exhausted.  At least one comparison must
+    have run: a pair that is never in domain is rejected. *)

@@ -60,8 +60,8 @@ let infer_op (op : Ast.op) (args : vt list) : vt =
       else
         let axis_b = if rb = 1 then 0 else rb - 2 in
         if a.shape.(ra - 1) <> b.shape.(axis_b) then
-          err "dot: contracted dimensions differ (%a vs %a)" Shape.pp a.shape
-            Shape.pp b.shape
+          err "dot: contracted dimensions differ (%d vs %d)" a.shape.(ra - 1)
+            b.shape.(axis_b)
         else
           float_t
             (Array.append

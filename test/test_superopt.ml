@@ -85,7 +85,12 @@ let test_validate_redraws_out_of_domain () =
   Alcotest.(check bool) "inequivalent pair rejected" false
     (Superopt.validate_concrete ~env a b);
   Alcotest.(check bool) "identical pair accepted" true
-    (Superopt.validate_concrete ~env a a)
+    (Superopt.validate_concrete ~env a a);
+  (* log(A - A) is never finite: no draw is in domain, so nothing was
+     compared and the pair must not pass. *)
+  let never = Ast.App (Log, [ App (Sub, [ Input "A"; Input "A" ]) ]) in
+  Alcotest.(check bool) "never-in-domain pair rejected" false
+    (Superopt.validate_concrete ~env never (Input "A"))
 
 let test_consts_of () =
   let p = Parser.expression "np.power(A, -1) + 3 * A" in

@@ -36,7 +36,14 @@ let test_contractions () =
   expect_type "np.tensordot(A, A, ([0], [0]))" (f [| 4; 4 |]);
   expect_type "np.tensordot(A, A, ([0, 1], [0, 1]))" Types.scalar_f;
   expect_reject "np.tensordot(A, A, ([1], [1, 0]))";
-  expect_reject "np.tensordot(A, B, ([0], [0]))"
+  expect_reject "np.tensordot(A, B, ([0], [0]))";
+  (* The message names the contracted sizes, not the operand shapes,
+     which are equal here. *)
+  match infer "np.trace(A @ B.T)" with
+  | exception Types.Type_error m ->
+      Alcotest.(check string)
+        "dot error" "dot: contracted dimensions differ (4 vs 3)" m
+  | _ -> Alcotest.fail "np.trace(A @ B.T): expected rejection"
 
 let test_reductions_structure () =
   expect_type "np.sum(A)" Types.scalar_f;
