@@ -60,7 +60,10 @@ echo "usage-error smoke check passed"
 # Archive regression check: the full 33-benchmark flops suite must pick
 # the same program at the same cost for every benchmark as the committed
 # BENCH_suite_flops.json, so a change to spec keying, hashing or stub
-# ordering that alters a chosen program fails here.
+# ordering that alters a chosen program fails here.  No benchmark may
+# expand more search nodes than the archive records either, so a search
+# change that keeps every program but explores more fails too (each
+# benchmark's search is sequential, so its node count is deterministic).
 dune exec --no-build bin/stenso_cli.exe -- suite --cost-estimator flops \
   --jobs 4 --quiet --report "$scratch/suite_flops.json" > /dev/null
 python3 - "$scratch/suite_flops.json" BENCH_suite_flops.json <<'PY'
@@ -74,6 +77,12 @@ bad = [
     for r in old
     for f in ("optimized", "cost_after")
     if new.get(r["name"], {}).get(f) != r[f]
+]
+bad += [
+    f"{r['name']}: search.nodes {r['search']['nodes']} -> {n}"
+    for r in old
+    if (n := new.get(r["name"], {}).get("search", {}).get("nodes", 0))
+    > r["search"]["nodes"]
 ]
 if bad or len(new) != len(old):
     sys.exit("FAIL: flops suite differs from BENCH_suite_flops.json\n"
