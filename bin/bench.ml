@@ -28,8 +28,7 @@ type synthesis = {
 
 type ctx = {
   config : Stenso.Config.t;
-      (** the measured estimator with the chosen engine, exec options
-          and jobs *)
+      (** the measured estimator with the exec options and jobs *)
   full : bool;  (** paper budgets instead of short ones *)
   out : string option;
       (** artifact-parity output: like the paper artifact's `out/`

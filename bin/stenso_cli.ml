@@ -28,14 +28,9 @@ let open_store ~tel store_dir =
   in
   Stenso.Store.open_store ~tel ~dir ()
 
-let engine_of engine =
-  match Stenso.Config.engine_of_string engine with
-  | Ok e -> e
-  | Error msg -> die "%s" msg
-
 (* [Config.default] under the named estimator, with each given option
    applied over it. *)
-let config_of ?engine ?exec ?timeout ?jobs ?(no_bnb = false)
+let config_of ?exec ?timeout ?jobs ?(no_bnb = false)
     ?(no_simplification = false) ?(extended_ops = false) ?cost_cache
     ?(rules_depth = 0) estimator =
   let module C = Stenso.Config in
@@ -45,7 +40,6 @@ let config_of ?engine ?exec ?timeout ?jobs ?(no_bnb = false)
        (match C.estimator_of_string estimator with
        | Ok e -> e
        | Error msg -> die "%s" msg)
-  |> apply (fun e -> C.with_engine (engine_of e)) engine
   |> apply C.with_exec_options exec
   |> apply C.with_timeout timeout
   |> apply C.with_jobs jobs
@@ -76,17 +70,17 @@ let with_trace trace f =
 (* stenso optimize                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let optimize_run program_path synth_out estimator engine exec timeout jobs
-    no_bnb no_simplification extended_ops cost_cache rules_depth no_store
-    store_dir trace verbose =
+let optimize_run program_path synth_out estimator exec timeout jobs no_bnb
+    no_simplification extended_ops cost_cache rules_depth no_store store_dir
+    trace verbose =
   let env, prog =
     match program_path with
     | Some p -> load_program p
     | None -> die "--program is required"
   in
   let config =
-    config_of ~rules_depth ~engine ~exec ~timeout ~jobs ~no_bnb
-      ~no_simplification ~extended_ops ?cost_cache estimator
+    config_of ~rules_depth ~exec ~timeout ~jobs ~no_bnb ~no_simplification
+      ~extended_ops ?cost_cache estimator
   in
   let outcome =
     with_trace trace (fun tel ->
@@ -194,7 +188,7 @@ let tiers_run ~config ~benches ~store_dir ~quiet path =
       warm.elapsed baseline.elapsed
   end
 
-let suite_run list_only names jobs timeout estimator engine exec cost_cache
+let suite_run list_only names jobs timeout estimator exec cost_cache
     rules_depth use_store store_dir out report tiers_report quiet =
   if list_only then
     List.iter
@@ -209,8 +203,7 @@ let suite_run list_only names jobs timeout estimator engine exec cost_cache
   else begin
     let benches = select_benchmarks names in
     let config =
-      config_of ~rules_depth ~engine ~exec ~timeout ~jobs ?cost_cache
-        estimator
+      config_of ~rules_depth ~exec ~timeout ~jobs ?cost_cache estimator
     in
     match tiers_report with
     | Some path -> tiers_run ~config ~benches ~store_dir ~quiet path
@@ -316,41 +309,30 @@ let mine_run names depth jobs estimator cost_cache store_dir quiet =
 (* stenso run                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_run program_path engine exec seed trace verbose =
-  (* Execute a program on random seeded inputs through the selected
-     engine — a quick way to exercise the compiled path and inspect its
-     fusion/arena statistics on a concrete program. *)
+let run_run program_path exec seed trace verbose =
+  (* Execute a program on random seeded inputs through the VM — a quick
+     way to exercise the compiled path and inspect its fusion/arena
+     statistics on a concrete program. *)
   let env, prog = load_program program_path in
-  let engine = engine_of engine in
   let st = Random.State.make [| seed |] in
   let inputs = Dsl.Interp.random_inputs st env in
   let lookup n = List.assoc n inputs in
   let t0 = Unix.gettimeofday () in
   with_trace trace @@ fun tel ->
-  let result, stats =
-    match engine with
-    | `Interp -> (Stenso.Exec.eval `Interp ~env lookup prog, None)
-    | `Vm ->
-        let options = Stenso.Exec.Options.with_telemetry tel exec in
-        let compiled = Stenso.Exec.compile ~options ~env prog in
-        (Stenso.Exec.run compiled lookup, Some (Stenso.Exec.stats compiled))
-  in
+  let options = Stenso.Exec.Options.with_telemetry tel exec in
+  let compiled = Stenso.Exec.compile ~options ~env prog in
+  let result = Stenso.Exec.run compiled lookup in
   let elapsed = Unix.gettimeofday () -. t0 in
   if verbose then begin
-    Format.printf "# engine %s, seed %d, %.6fs@\n"
-      (Stenso.Config.engine_name engine)
-      seed elapsed;
-    match stats with
-    | None -> ()
-    | Some s ->
-        Format.printf
-          "# plan: %d IR nodes, %d steps, %d ops fused, %d consts folded,@\n\
-           # %d buffers reused, %d parallel strips, arena %d slots / %d \
-           bytes@\n\
-           # exec options: %s@\n"
-          s.ir_nodes s.steps s.ops_fused s.consts_folded s.buffers_reused
-          s.parallel_strips s.arena_slots s.arena_bytes
-          (Stenso.Exec.Options.fingerprint exec)
+    let s = Stenso.Exec.stats compiled in
+    Format.printf
+      "# engine vm, seed %d, %.6fs@\n\
+       # plan: %d IR nodes, %d steps, %d ops fused, %d consts folded,@\n\
+       # %d buffers reused, %d parallel strips, arena %d slots / %d bytes@\n\
+       # exec options: %s@\n"
+      seed elapsed s.ir_nodes s.steps s.ops_fused s.consts_folded
+      s.buffers_reused s.parallel_strips s.arena_slots s.arena_bytes
+      (Stenso.Exec.Options.fingerprint exec)
   end;
   Format.printf "%a@." Tensor.Ftensor.pp result
 
@@ -358,7 +340,7 @@ let run_run program_path engine exec seed trace verbose =
 (* stenso lift                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let lift_run file benches estimator engine exec timeout jobs cost_cache
+let lift_run file benches estimator exec timeout jobs cost_cache
     no_store store_dir samples seed synth_out report trace quiet =
   (* Lift scalar loop-nest kernels into the DSL and superoptimize the
      result: FILE is a kernel in the loop language, [--bench] names a
@@ -390,9 +372,7 @@ let lift_run file benches estimator engine exec timeout jobs cost_cache
   | Some _ when List.length sources > 1 ->
       die "--synth-out applies to a single kernel"
   | _ -> ());
-  let config =
-    config_of ~engine ~exec ~timeout ~jobs ?cost_cache estimator
-  in
+  let config = config_of ~exec ~timeout ~jobs ?cost_cache estimator in
   let t0 = Unix.gettimeofday () in
   let entries, failures =
     with_trace trace @@ fun tel ->
@@ -717,66 +697,25 @@ let timeout_arg =
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:"Synthesis time budget (per benchmark for $(b,suite)).")
 
-let engine_arg =
-  Arg.(
-    value & opt string "vm"
-    & info [ "engine" ] ~docv:"NAME"
-        ~doc:
-          "Execution engine for concrete runs (measured-model profiling \
-           and candidate validation): $(b,vm) (compiled, default) or \
-           $(b,interp) (tree-walking reference).")
-
-let exec_domains_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "exec-domains" ] ~docv:"N"
-        ~doc:
-          "Parallel lanes the compiled VM may fan a single step out over \
-           (long fused strips, reductions, tiled kernels).  Default: \
-           min 8 (recommended domain count).  Results are bitwise \
-           independent of N.")
-
-let exec_tile_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "exec-tile" ] ~docv:"N"
-        ~doc:
-          "Cache-block edge of the VM's matmul and transpose kernels \
-           (default 64, minimum 4).")
-
-let exec_no_fusion_arg =
-  Arg.(
-    value & flag
-    & info [ "exec-no-fusion" ]
-        ~doc:
-          "Disable elementwise fusion in the VM planner (every operation \
-           materializes; also disables reduction fusion).")
-
-let exec_no_reduction_fusion_arg =
-  Arg.(
-    value & flag
-    & info [ "exec-no-reduction-fusion" ]
-        ~doc:
-          "Keep elementwise fusion but do not inline producers into \
-           $(b,sum)/$(b,max) reduction loops.")
-
 (* One term shared by every command that can reach the compiled VM; it
-   folds the --exec-* flags over [Exec.Options.default], so the options
+   applies --exec-domains over [Exec.Options.default], so the options
    record stays the single configuration path. *)
 let exec_options_term =
-  let build domains tile no_fusion no_reduction_fusion =
+  let build domains =
     let open Stenso.Exec in
-    Options.default
-    |> (if domains > 0 then Options.with_domains domains else Fun.id)
-    |> (if tile > 0 then Options.with_tile tile else Fun.id)
-    |> (if no_fusion then Options.with_fusion false else Fun.id)
-    |>
-    if no_reduction_fusion then Options.with_reduction_fusion false
-    else Fun.id
+    if domains > 0 then Options.with_domains domains Options.default
+    else Options.default
   in
   Term.(
-    const build $ exec_domains_arg $ exec_tile_arg $ exec_no_fusion_arg
-    $ exec_no_reduction_fusion_arg)
+    const build
+    $ Arg.(
+        value & opt int 0
+        & info [ "exec-domains" ] ~docv:"N"
+            ~doc:
+              "Parallel lanes the compiled VM may fan a single step out \
+               over (long fused strips, reductions, tiled kernels).  \
+               Default: min 8 (recommended domain count).  Results are \
+               bitwise independent of N."))
 
 let jobs_arg =
   Arg.(
@@ -857,8 +796,7 @@ let optimize_term =
     const optimize_run $ program_arg
     $ path_arg [ "synth_out"; "synth-out" ]
         "Output file for the synthesized program (stdout if omitted)."
-    $ estimator_arg
-    $ engine_arg $ exec_options_term $ timeout_arg $ jobs_arg $ no_bnb_arg
+    $ estimator_arg $ exec_options_term $ timeout_arg $ jobs_arg $ no_bnb_arg
     $ no_simp_arg $ extended_ops_arg $ cost_cache_arg $ rules_depth_arg
     $ no_store_arg $ store_dir_arg $ trace_arg $ verbose_arg)
 
@@ -892,7 +830,7 @@ let suite_cmd =
           pool.")
     Term.(
       const suite_run $ list_arg $ benchmarks_arg $ jobs_arg $ timeout_arg
-      $ estimator_arg $ engine_arg $ exec_options_term $ cost_cache_arg
+      $ estimator_arg $ exec_options_term $ cost_cache_arg
       $ rules_depth_arg $ use_store_arg $ store_dir_arg
       $ path_arg [ "out" ] "Write the result table to FILE instead of stdout."
       $ report_arg
@@ -952,12 +890,12 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:
          "Execute one tensor program on random seeded inputs through the \
-          selected engine and print the result.  With $(b,--verbose) the \
-          compiled engine also reports its plan: steps, fused \
-          operations, folded constants, and arena reuse.  A malformed or \
-          ill-typed program exits 65 ($(b,EX_DATAERR)).")
+          compiled VM and print the result.  With $(b,--verbose) it also \
+          reports the plan: steps, fused operations, folded constants, \
+          and arena reuse.  A malformed or ill-typed program exits 65 \
+          ($(b,EX_DATAERR)).")
     Term.(
-      const run_run $ prog_pos_arg $ engine_arg $ exec_options_term
+      const run_run $ prog_pos_arg $ exec_options_term
       $ seed_arg $ trace_arg $ verbose_arg)
 
 let lift_cmd =
@@ -999,7 +937,7 @@ let lift_cmd =
           kernel lifts, 1 on a failed lift, 65 ($(b,EX_DATAERR)) on a \
           malformed kernel file.")
     Term.(
-      const lift_run $ file_arg $ bench_arg $ estimator_arg $ engine_arg
+      const lift_run $ file_arg $ bench_arg $ estimator_arg
       $ exec_options_term $ timeout_arg $ jobs_arg $ cost_cache_arg
       $ no_store_arg $ store_dir_arg $ samples_arg $ seed_arg
       $ path_arg [ "synth-out" ]
@@ -1287,7 +1225,7 @@ let bench_cmd =
             "Paper budgets: the 600 s Fig. 5 timeout and longer timing \
              windows and synthesis budgets.")
   in
-  let bench_run sections full out report engine exec jobs =
+  let bench_run sections full out report exec jobs =
     let writes_report name =
       List.exists (fun (n, writes, _) -> n = name && writes) Bench.sections
     in
@@ -1297,7 +1235,7 @@ let bench_cmd =
     | Some _, [ name ] when not (writes_report name) ->
         `Error (true, Printf.sprintf "section %s writes no --report" name)
     | _ ->
-        let config = config_of ~engine ~exec ~jobs:(max 1 jobs) "measured" in
+        let config = config_of ~exec ~jobs:(max 1 jobs) "measured" in
         `Ok (Bench.run ~config ~full ~out ~report sections)
   in
   Cmd.v
@@ -1320,7 +1258,7 @@ let bench_cmd =
              $(b,stenso.exec-bench/1) for $(b,vm), $(b,stenso.mlsuite/1) \
              for $(b,mlsuite), $(b,stenso.lift/1) for $(b,lift).  Any \
              other SECTION, or not exactly one, is a usage error."
-        $ engine_arg $ exec_options_term $ jobs_arg))
+        $ exec_options_term $ jobs_arg))
 
 let cmd =
   let doc = "STENSO: tensor-program superoptimization by symbolic synthesis" in

@@ -4,7 +4,6 @@ type t = {
   search : Search.config;
   estimator : estimator;
   cost_cache : string option;
-  engine : Texec.Engine.kind;
   exec : Texec.Engine.Options.t;
   rules_depth : int option;
 }
@@ -14,7 +13,6 @@ let default =
     search = Search.default_config;
     estimator = `Measured;
     cost_cache = None;
-    engine = `Vm;
     exec = Texec.Engine.Options.default;
     rules_depth = None;
   }
@@ -37,7 +35,6 @@ let with_estimator estimator t = { t with estimator }
 let with_rules_depth d t =
   { t with rules_depth = (if d > 0 then Some d else None) }
 let with_cost_cache file t = { t with cost_cache = Some file }
-let with_engine engine t = { t with engine }
 let with_exec_options exec t = { t with exec }
 let with_bnb use_bnb t = { t with search = { t.search with use_bnb } }
 
@@ -65,21 +62,14 @@ let rules_depth t = t.rules_depth
 let jobs t = t.search.Search.jobs
 let timeout t = t.search.Search.timeout
 let estimator t = t.estimator
-let engine t = t.engine
 let exec_options t = t.exec
-let engine_name = Texec.Engine.kind_name
-
-let engine_of_string s =
-  match Texec.Engine.kind_of_string s with
-  | Some k -> Ok k
-  | None -> Error (Printf.sprintf "unknown execution engine %S" s)
 
 let model ?tel t =
   match t.estimator with
   | `Flops -> Cost.Model.flops
   | `Roofline -> Cost.Model.roofline ()
   | `Measured ->
-      Cost.Model.measured ?tel ~engine:t.engine ~exec_options:t.exec
+      Cost.Model.measured ?tel ~exec_options:t.exec
         ?cache_file:t.cost_cache ()
 
 let estimator_of_string = function
@@ -99,23 +89,19 @@ let estimator_name = function
    but the measured estimator is already declared non-reproducible by
    its [est=measured] tag).  [timeout] and [node_budget] stay in: an
    expired budget changes the anytime answer, so outcomes are cached per
-   budget.  Of the exec options, fusion/reduction-fusion/tile stay in
-   (they change the kernels the measured estimator times, hence costs,
-   hence outcomes) while [domains] is excluded like [jobs]: VM results
-   are bitwise-independent of it by construction, and its default is
-   machine-derived.  [memo=true] and [inv[conc=1,split=64]] spell the
-   search's and solver's constants (memoization on, concrete operands of
-   depth at most 1, at most 64 split terms) so that outcome-store keys
-   keep their bytes. *)
+   budget.  The exec [domains] count is excluded like [jobs]: VM
+   results are bitwise-independent of it by construction, and its
+   default is machine-derived.  [eng=vm;exec[fus=true,red=true,tile=64]],
+   [memo=true] and [inv[conc=1,split=64]] spell the executor's, the
+   search's and the solver's constants (the VM with its fixed plan,
+   memoization on, concrete operands of depth at most 1, at most 64
+   split terms) so that outcome-store keys keep their bytes. *)
 let fingerprint t =
   let s = t.search in
   let stub = s.Search.stub_config in
-  let module O = Texec.Engine.Options in
   Printf.sprintf
-    "cfg:est=%s;eng=%s;exec[fus=%b,red=%b,tile=%d];bnb=%b;simp=%b;budget=%d;timeout=%.17g;depth=%d;memo=true;stub[d=%d,max=%d,ext=%b,full=%b];inv[conc=1,split=64]"
+    "cfg:est=%s;eng=vm;exec[fus=true,red=true,tile=64];bnb=%b;simp=%b;budget=%d;timeout=%.17g;depth=%d;memo=true;stub[d=%d,max=%d,ext=%b,full=%b];inv[conc=1,split=64]"
     (estimator_name t.estimator)
-    (engine_name t.engine)
-    (O.fusion t.exec) (O.reduction_fusion t.exec) (O.tile t.exec)
     s.Search.use_bnb s.Search.use_simplification s.Search.node_budget
     s.Search.timeout s.Search.max_depth stub.Stub.depth stub.Stub.max_stubs
     stub.Stub.extended_ops stub.Stub.full_binary

@@ -24,13 +24,9 @@ type t = {
   estimator : estimator;
   cost_cache : string option;
       (** persists the measured estimator's profiling table *)
-  engine : Texec.Engine.kind;
-      (** what executes programs concretely: the measured estimator's
-          timing runs and {!Superopt.validate_concrete}'s candidate
-          evaluations (default [`Vm]) *)
   exec : Texec.Engine.Options.t;
-      (** planner/VM knobs for every compiled execution reached through
-          this configuration — the measured estimator's timing runs and
+      (** VM settings for every compiled execution reached through this
+          configuration — the measured estimator's timing runs and
           concrete validation (default [Exec.Options.default]) *)
   rules_depth : int option;
       (** enables the tiered fast path of {!Superopt.optimize}: consult
@@ -58,7 +54,6 @@ val with_rules_depth : int -> t -> t
     database ({!Rules_db}); [d <= 0] disables it again. *)
 
 val with_cost_cache : string -> t -> t
-val with_engine : Texec.Engine.kind -> t -> t
 val with_exec_options : Texec.Engine.Options.t -> t -> t
 val with_bnb : bool -> t -> t
 val with_simplification : bool -> t -> t
@@ -73,7 +68,6 @@ val rules_depth : t -> int option
 val jobs : t -> int
 val timeout : t -> float
 val estimator : t -> estimator
-val engine : t -> Texec.Engine.kind
 val exec_options : t -> Texec.Engine.Options.t
 
 val model : ?tel:Obs.Telemetry.t -> t -> Cost.Model.t
@@ -87,10 +81,11 @@ val model : ?tel:Obs.Telemetry.t -> t -> Cost.Model.t
 val fingerprint : t -> string
 (** Canonical rendering of every field that determines a synthesis
     result: estimator id, pruning switches, budgets, depths, the
-    nested stub parameters, and the cost-relevant exec options
-    (fusion, reduction fusion, tile).  [jobs] and the exec [domains]
-    count are excluded (results are independent of them by
-    construction), as is the [cost_cache] path.
+    nested stub parameters, and the executor's constants ([eng=vm],
+    [exec[fus=true,red=true,tile=64]]), kept as literals so stored
+    keys keep their bytes.  [jobs] and the exec [domains] count are
+    excluded (results are independent of them by construction), as is
+    the [cost_cache] path.
     Together with the spec key, a {!Stub.fingerprint} and the cost-model
     id, this keys the persistent outcome store. *)
 
@@ -98,8 +93,3 @@ val estimator_of_string : string -> (estimator, string) result
 (** ["flops"], ["roofline"], or ["measured"]. *)
 
 val estimator_name : estimator -> string
-
-val engine_of_string : string -> (Texec.Engine.kind, string) result
-(** ["interp"] or ["vm"]. *)
-
-val engine_name : Texec.Engine.kind -> string

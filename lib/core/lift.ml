@@ -439,7 +439,6 @@ let lift ?(tel = Tel.null) ?(config = Config.default)
       let stubs = Stub.Values.to_list values in
       let analysis = analyze kernel in
       let sketches = propose kernel analysis in
-      let engine = Config.engine config in
       let exec_options = Config.exec_options config in
       let pruned = ref 0 in
       let certified = ref 0 in
@@ -462,7 +461,7 @@ let lift ?(tel = Tel.null) ?(config = Config.default)
           | cand_spec -> Spec.equal spec cand_spec
           | exception _ -> false)
           && Superopt.differential ~trials:8 ~max_draws:256 ~seed:0x11f7ed
-               ~engine ~exec_options ~env
+               ~exec_options ~env
                ~reference:(Loop_interp.run_tensors kernel)
                cand
         in

@@ -98,32 +98,48 @@ let rule_json r =
       ("gain", Json.Float r.gain);
     ]
 
-let to_json t =
-  let optima =
-    Hashtbl.fold
-      (fun digest (cost, text) acc ->
-        Json.List [ Json.Str digest; Json.Float cost; Json.Str text ] :: acc)
-      t.optima []
+(* The entry's JSON text, streamed into [buf]: feedback rewrites the
+   whole database after every verified search, and a tree of thousands
+   of optima would cost many times the bytes it renders. *)
+let render buf t =
+  let field i name =
+    if i > 0 then Buffer.add_char buf ',';
+    Json.to_buffer buf (Json.Str name);
+    Buffer.add_char buf ':'
+  in
+  let list emit xs =
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        Json.to_buffer buf (emit x))
+      xs;
+    Buffer.add_char buf ']'
   in
   (* Deterministic rendering: hash order is arbitrary. *)
   let optima =
-    List.sort
-      (fun a b ->
-        match (a, b) with
-        | Json.List (Json.Str x :: _), Json.List (Json.Str y :: _) ->
-            compare x y
-        | _ -> 0)
-      optima
+    Hashtbl.fold (fun digest b acc -> (digest, b) :: acc) t.optima []
+    |> List.sort (fun (x, _) (y, _) -> compare x y)
   in
-  Json.Obj
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (name, v) ->
+      field i name;
+      Json.to_buffer buf v)
     [
       ("version", Json.Str t.version);
       ("model", Json.Str t.model_id);
       ("depth", Json.Int t.depth);
       ("truncated", Json.Bool t.truncated);
-      ("rules", Json.List (List.map rule_json t.rules));
-      ("optima", Json.List optima);
-    ]
+    ];
+  field 4 "rules";
+  list rule_json t.rules;
+  field 5 "optima";
+  list
+    (fun (digest, (cost, text)) ->
+      Json.List [ Json.Str digest; Json.Float cost; Json.Str text ])
+    optima;
+  Buffer.add_char buf '}'
 
 let rule_of_json j =
   let str name = Option.bind (Json.member name j) Json.to_string_opt in
@@ -249,7 +265,7 @@ let find store ~key =
 let record store ~key t =
   let path = Store.entry_path store key in
   let before = stamp path in
-  Store.add store ~schema key (to_json t);
+  Store.write store ~schema key (fun buf -> render buf t);
   (* Cache the decode only when the write landed (a new file); after a
      failed write the file on disk, if any, is still the old entry, and
      the entry is served from disk only. *)

@@ -119,5 +119,4 @@ val record_feedback :
     cheaper than the recorded one).  Creates the entry when the
     environment was never mined — the organic-growth path. *)
 
-val to_json : t -> Json.t
 val of_json : Json.t -> t option

@@ -68,21 +68,23 @@ let config_of_json ~base j =
     | None -> Ok cfg
     | Some v -> (
         match conv v with
-        | Some x -> Ok (apply x cfg)
+        | Some x -> apply x cfg
         | None -> Error (Printf.sprintf "mistyped config field %S" name))
   in
+  let set f x cfg = Ok (f x cfg) in
   Ok base
   |> field "cost_estimator" Json.to_string_opt (fun s cfg ->
-         match Config.estimator_of_string s with
-         | Ok e -> Config.with_estimator e cfg
-         | Error _ -> cfg)
-  |> field "timeout" Json.to_float_opt Config.with_timeout
-  |> field "node_budget" Json.to_int_opt Config.with_node_budget
-  |> field "max_depth" Json.to_int_opt Config.with_max_depth
-  |> field "extended_ops" Json.to_bool_opt Config.with_extended_ops
-  |> field "use_bnb" Json.to_bool_opt Config.with_bnb
-  |> field "use_simplification" Json.to_bool_opt Config.with_simplification
-  |> field "rules_depth" Json.to_int_opt Config.with_rules_depth
+         Result.map
+           (fun e -> Config.with_estimator e cfg)
+           (Config.estimator_of_string s))
+  |> field "timeout" Json.to_float_opt (set Config.with_timeout)
+  |> field "node_budget" Json.to_int_opt (set Config.with_node_budget)
+  |> field "max_depth" Json.to_int_opt (set Config.with_max_depth)
+  |> field "extended_ops" Json.to_bool_opt (set Config.with_extended_ops)
+  |> field "use_bnb" Json.to_bool_opt (set Config.with_bnb)
+  |> field "use_simplification" Json.to_bool_opt
+       (set Config.with_simplification)
+  |> field "rules_depth" Json.to_int_opt (set Config.with_rules_depth)
 
 type request = { id : Json.t; source : string; config : Config.t }
 

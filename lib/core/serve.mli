@@ -16,11 +16,13 @@
     v}
 
     [id] is echoed verbatim (any JSON value; [null] when absent).
-    [config] is optional; recognized fields — [cost_estimator] (string),
-    [timeout] (seconds), [node_budget], [max_depth], [rules_depth]
-    (ints), [extended_ops], [use_bnb], [use_simplification] (bools) —
-    override the daemon's base configuration per request.  [tier] says
-    which serving tier answered (see {!Superopt.optimize}); [coalesced]
+    [config] is optional; recognized fields — [cost_estimator] (one of
+    ["flops"], ["roofline"], ["measured"]), [timeout] (seconds),
+    [node_budget], [max_depth], [rules_depth] (ints), [extended_ops],
+    [use_bnb], [use_simplification] (bools) — override the daemon's
+    base configuration per request; a mistyped field or an unknown
+    estimator name answers [ok:false].  [tier] says which serving tier
+    answered (see {!Superopt.optimize}); [coalesced]
     that this request piggybacked on an identical in-flight one;
     [refined] that the answer is final (tier-3-confirmed) — an
     unrefined answer may be silently upgraded in the store by background

@@ -213,19 +213,15 @@ let store_entry ~env (o : outcome) =
     refined = o.refined;
   }
 
-let differential ~trials ~max_draws ~seed ~engine ~exec_options ~env
-    ~reference cand =
+let differential ~trials ~max_draws ~seed ~exec_options ~env ~reference
+    cand =
   let st = Random.State.make [| seed |] in
-  (* The candidate goes through the selected engine, so VM-backed
-     validation doubles as a differential test of the compiled path.
-     Compile once, reuse across trials. *)
-  let eval_cand =
-    match (engine : Texec.Engine.kind) with
-    | `Interp -> fun inputs -> Dsl.Interp.eval_alist inputs cand
-    | `Vm ->
-        let compiled = Texec.Engine.compile ~options:exec_options ~env cand in
-        fun inputs ->
-          Texec.Engine.run compiled (fun n -> List.assoc n inputs)
+  (* The candidate runs on the VM, so validation doubles as a
+     differential test of the compiled path.  Compile once, reuse across
+     trials. *)
+  let compiled = Texec.Engine.compile ~options:exec_options ~env cand in
+  let eval_cand inputs =
+    Texec.Engine.run compiled (fun n -> List.assoc n inputs)
   in
   (* Rewrites hold on the engine's positive-value domain (see
      {!Symbolic.Expr}); a trial whose reference output is non-finite
@@ -253,9 +249,9 @@ let differential ~trials ~max_draws ~seed ~engine ~exec_options ~env
   done;
   !ok && !effective > 0
 
-let validate_concrete ?(trials = 16) ?(max_draws = 512) ?(engine = `Vm)
+let validate_concrete ?(trials = 16) ?(max_draws = 512)
     ?(exec_options = Texec.Engine.Options.default) ~env a b =
-  differential ~trials ~max_draws ~seed:0xbeef ~engine ~exec_options ~env
+  differential ~trials ~max_draws ~seed:0xbeef ~exec_options ~env
     ~reference:(fun inputs -> Dsl.Interp.eval_alist inputs a)
     b
 
@@ -370,8 +366,8 @@ let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
         ||
         match
           robust_equivalent ~env prog c
-          && validate_concrete ~engine:(Config.engine config)
-               ~exec_options:(Config.exec_options config) ~env prog c
+          && validate_concrete ~exec_options:(Config.exec_options config)
+               ~env prog c
         with
         | ok -> ok
         | exception _ -> false

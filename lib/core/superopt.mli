@@ -178,7 +178,6 @@ val robust_equivalent :
 val validate_concrete :
   ?trials:int ->
   ?max_draws:int ->
-  ?engine:Texec.Engine.kind ->
   ?exec_options:Texec.Engine.Options.t ->
   env:Dsl.Types.env ->
   Dsl.Ast.t ->
@@ -188,14 +187,13 @@ val validate_concrete :
     used by the test-suite alongside symbolic verification:
     {!differential} with the reference program (first argument) run on
     the tree-walking interpreter, [trials] 16 and [max_draws] 512 by
-    default, and the candidate on [engine] (default [`Vm]) under
-    [exec_options] (default [Exec.Options.default]). *)
+    default, and the candidate on the VM under [exec_options] (default
+    [Exec.Options.default]). *)
 
 val differential :
   trials:int ->
   max_draws:int ->
   seed:int ->
-  engine:Texec.Engine.kind ->
   exec_options:Texec.Engine.Options.t ->
   env:Dsl.Types.env ->
   reference:((string * Tensor.Ftensor.t) list -> Tensor.Ftensor.t) ->
@@ -203,10 +201,10 @@ val differential :
   bool
 (** [differential ... ~reference cand]: does [cand] agree with the
     [reference] evaluator on random inputs drawn for [env] from a
-    generator seeded with [seed]?  The candidate runs on [engine]
+    generator seeded with [seed]?  The candidate runs on the VM
     (compiled once under [exec_options] and reused across trials), so
-    VM-backed validation doubles as a differential test of the compiled
-    path.  Draws whose reference output is non-finite fall outside the
+    validation doubles as a differential test of the compiled path.
+    Draws whose reference output is non-finite fall outside the
     engine's positive-value domain and are redrawn rather than counted,
     until [trials] in-domain comparisons have run or [max_draws] (never
     below [trials]) draws are exhausted.  At least one comparison must

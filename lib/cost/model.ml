@@ -175,8 +175,7 @@ let time_windows ~min_time runner =
   in
   (w.(1), sqrt var)
 
-let time_op ~min_time ~(engine : Texec.Engine.kind) ~exec_options op
-    (args : Dsl.Types.vt list) =
+let time_op ~min_time ~exec_options op (args : Dsl.Types.vt list) =
   let st = Random.State.make [| 0x5e50; Hashtbl.hash (op_fingerprint op args) |] in
   let tensors =
     List.map
@@ -188,28 +187,21 @@ let time_op ~min_time ~(engine : Texec.Engine.kind) ~exec_options op
                 if Random.State.bool st then 1. else 0.))
       args
   in
-  let runner =
-    match engine with
-    | `Interp -> fun () -> ignore (Dsl.Interp.apply_op op tensors)
-    | `Vm ->
-        (* Compile the single-op program once per fingerprint; only the
-           run loop is timed, so the table measures steady-state kernel
-           time rather than planning overhead.  Pool worker domains are
-           likewise spawned lazily by the warm-up run [time_windows]
-           performs before its first window, so parallel kernels are
-           timed in steady state — Domain spawn is never inside a
-           window. *)
-        let name i = "x" ^ string_of_int i in
-        let env = List.mapi (fun i vt -> (name i, vt)) args in
-        let prog =
-          Dsl.Ast.App (op, List.mapi (fun i _ -> Dsl.Ast.Input (name i)) args)
-        in
-        let compiled = Texec.Engine.compile ~options:exec_options ~env prog in
-        let bound = List.map2 (fun (n, _) t -> (n, t)) env tensors in
-        let lookup n = List.assoc n bound in
-        fun () -> ignore (Texec.Engine.run compiled lookup)
+  (* Compile the single-op program once per fingerprint; only the run
+     loop is timed, so the table measures steady-state kernel time
+     rather than planning overhead.  Pool worker domains are likewise
+     spawned lazily by the warm-up run [time_windows] performs before
+     its first window, so parallel kernels are timed in steady state —
+     Domain spawn is never inside a window. *)
+  let name i = "x" ^ string_of_int i in
+  let env = List.mapi (fun i vt -> (name i, vt)) args in
+  let prog =
+    Dsl.Ast.App (op, List.mapi (fun i _ -> Dsl.Ast.Input (name i)) args)
   in
-  time_windows ~min_time runner
+  let compiled = Texec.Engine.compile ~options:exec_options ~env prog in
+  let bound = List.map2 (fun (n, _) t -> (n, t)) env tensors in
+  let lookup n = List.assoc n bound in
+  time_windows ~min_time (fun () -> ignore (Texec.Engine.run compiled lookup))
 
 (* Profile at the largest scale (halving from [scale]) whose predicted
    work stays affordable, then extrapolate linearly in work units.  Big
@@ -217,7 +209,7 @@ let time_op ~min_time ~(engine : Texec.Engine.kind) ~exec_options op
    their ranking while keeping the offline profiling phase fast. *)
 let profile_budget = 3_000_000.
 
-let profile_extrapolated ~min_time ~scale ~engine ~exec_options op args =
+let profile_extrapolated ~min_time ~scale ~exec_options op args =
   let rec usable s =
     if s <= 1 then 1
     else
@@ -228,7 +220,7 @@ let profile_extrapolated ~min_time ~scale ~engine ~exec_options op args =
   let s = usable scale in
   let args_s = List.map (scale_vt s) args in
   let op_s = scale_op s op in
-  let t, sd = time_op ~min_time ~engine ~exec_options op_s args_s in
+  let t, sd = time_op ~min_time ~exec_options op_s args_s in
   if s = scale then (t, sd)
   else
     let full =
@@ -239,8 +231,8 @@ let profile_extrapolated ~min_time ~scale ~engine ~exec_options op args =
 
 (* Persistent lookup-table support: the paper amortizes the one-time
    profiling phase by caching it (Section VII-E); entries are
-   "fingerprint<TAB>seconds<TAB>stddev" lines, keyed per engine
-   ("vm:..." / "interp:...").  Older two-column files load with a zero
+   "fingerprint<TAB>seconds<TAB>stddev" lines, keyed by the VM's
+   options ("vm[...]:...").  Older two-column files load with a zero
    noise estimate. *)
 let load_cache table file =
   match open_in file with
@@ -286,7 +278,7 @@ let save_cache file table =
   | () -> ()
   | exception (Sys_error _ | Unix.Unix_error _) -> ()
 
-let measured ?(tel = Obs.Telemetry.null) ?(engine : Texec.Engine.kind = `Vm)
+let measured ?(tel = Obs.Telemetry.null)
     ?(exec_options = Texec.Engine.Options.default) ?(scale = 12)
     ?(min_time = 1e-3) ?(overhead = 5e-7) ?cache_file () =
   let table : (string, float * float) Hashtbl.t = Hashtbl.create 256 in
@@ -300,6 +292,9 @@ let measured ?(tel = Obs.Telemetry.null) ?(engine : Texec.Engine.kind = `Vm)
   let cache_hits = Obs.Telemetry.counter tel "cost.cache_hits" in
   let cache_misses = Obs.Telemetry.counter tel "cost.cache_misses" in
   let profile_secs = Obs.Telemetry.acc tel "cost.profile_seconds" in
+  let key_prefix =
+    "vm[" ^ Texec.Engine.Options.fingerprint exec_options ^ "]:"
+  in
   let op_cost op args =
     (* Type-check at the original shapes, profile at representative
        (scaled) shapes.  [overhead] models the eager framework's per-op
@@ -308,16 +303,7 @@ let measured ?(tel = Obs.Telemetry.null) ?(engine : Texec.Engine.kind = `Vm)
     ignore (Dsl.Types.infer_op op args);
     let args' = List.map (scale_vt scale) args in
     let op' = scale_op scale op in
-    (* VM timings depend on the planner/VM knobs, so their table keys
-       carry the options fingerprint; the interpreter's do not. *)
-    let key =
-      (match engine with
-      | `Interp -> "interp"
-      | `Vm ->
-          "vm[" ^ Texec.Engine.Options.fingerprint exec_options ^ "]")
-      ^ ":"
-      ^ op_fingerprint op' args'
-    in
+    let key = key_prefix ^ op_fingerprint op' args' in
     let measured_time, _stddev =
       Mutex.protect lock (fun () ->
           match Hashtbl.find_opt table key with
@@ -329,8 +315,7 @@ let measured ?(tel = Obs.Telemetry.null) ?(engine : Texec.Engine.kind = `Vm)
               let t0 = Unix.gettimeofday () in
               let c, sd =
                 match
-                  profile_extrapolated ~min_time ~scale ~engine ~exec_options
-                    op args
+                  profile_extrapolated ~min_time ~scale ~exec_options op args
                 with
                 | r -> r
                 | exception (Dsl.Types.Type_error _ | Invalid_argument _) ->
@@ -364,10 +349,7 @@ let measured ?(tel = Obs.Telemetry.null) ?(engine : Texec.Engine.kind = `Vm)
     in
     measured_time +. overhead
   in
-  let name =
-    match engine with `Vm -> "measured" | `Interp -> "measured-interp"
-  in
-  { name; op_cost; iter_scale = scale }
+  { name = "measured"; op_cost; iter_scale = scale }
 
 let program_cost model (env : Dsl.Types.env) (prog : Dsl.Ast.t) =
   let rec go env (t : Dsl.Ast.t) : Dsl.Types.vt * float =

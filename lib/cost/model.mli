@@ -46,7 +46,6 @@ val roofline :
 
 val measured :
   ?tel:Obs.Telemetry.t ->
-  ?engine:Texec.Engine.kind ->
   ?exec_options:Texec.Engine.Options.t ->
   ?scale:int ->
   ?min_time:float ->
@@ -54,16 +53,13 @@ val measured :
   ?cache_file:string ->
   unit ->
   t
-(** Profiling-based model.  [engine] selects what executes the timed
-    operations: the compiled VM (default [`Vm], model name ["measured"])
-    compiles each single-op program once per fingerprint — under
-    [exec_options] (default [Options.default]), whose fingerprint is
-    part of the VM table keys since the knobs change kernel timings —
-    and times only its run loop, so the table reflects steady-state
+(** Profiling-based model (model name ["measured"]).  Each timed
+    operation runs on the compiled VM: its single-op program is
+    compiled once per fingerprint under [exec_options] (default
+    [Options.default]), whose fingerprint prefixes the table keys, and
+    only its run loop is timed, so the table reflects steady-state
     kernel time (pool worker domains are spawned by a warm-up run
-    before the first timing window, never inside one);
-    [`Interp] (model name ["measured-interp"]) times the tree-walking
-    interpreter.  Each measurement is the median of three timing windows
+    before the first timing window, never inside one).  Each measurement is the median of three timing windows
     ({!min_window} with [min_time], default 1e-3), and the sample standard deviation across
     windows is recorded per fingerprint in the cache and in the
     [cost.profile] telemetry event.  [scale] multiplies every tensor
@@ -73,7 +69,7 @@ val measured :
     modelling the eager framework's per-op dispatch cost — this is what
     makes replacing a Python-level loop by one broadcast operation
     profitable, as in the paper's Vectorization class.  Measurements are
-    memoized per (engine, exec options, operation, shapes) in an
+    memoized per (exec options, operation, shapes) in an
     internal table,
     mirroring the paper's one-time offline profiling phase; with
     [cache_file] the table persists across processes

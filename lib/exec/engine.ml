@@ -1,22 +1,11 @@
-(* Engine facade: the switchable execution backends, the options
-   record every knob travels through, and the telemetry wiring for
+(* Engine facade: compile and run through the VM, the options record
+   its settings travel through, and the telemetry wiring for
    fusion/arena/parallelism statistics. *)
 
 module Ast = Dsl.Ast
 module Types = Dsl.Types
 module Tel = Obs.Telemetry
 module Options = Opts
-
-type kind = [ `Interp | `Vm ]
-
-let kind_name = function `Interp -> "interp" | `Vm -> "vm"
-
-let kind_of_string = function
-  | "interp" -> Some `Interp
-  | "vm" -> Some `Vm
-  | _ -> None
-
-let all_kinds : kind list = [ `Interp; `Vm ]
 
 type compiled = Plan.t
 type stats = Plan.stats = {
@@ -31,7 +20,6 @@ type stats = Plan.stats = {
 }
 
 let stats (p : compiled) = p.Plan.stats
-let result_shape (p : compiled) = p.Plan.result_shape
 let options (p : compiled) = p.Plan.opts
 
 let compile ?(options = Options.default) ~(env : Types.env) (prog : Ast.t) :
@@ -62,8 +50,3 @@ let compile ?(options = Options.default) ~(env : Types.env) (prog : Ast.t) :
   p
 
 let run = Vm.run
-
-let eval ?options (kind : kind) ~(env : Types.env) lookup (prog : Ast.t) =
-  match kind with
-  | `Interp -> Dsl.Interp.eval lookup prog
-  | `Vm -> Vm.run (compile ?options ~env prog) lookup

@@ -14,26 +14,21 @@
     across a process-wide domain pool; lane partitioning is chosen so
     results are bitwise identical for every {!Options.domains} value.
 
-    Every planner and VM knob travels through one {!Options} record —
-    there are no loose optional arguments on {!compile} or {!eval}.
+    The VM is the one execution path: the measured cost model times it
+    and concrete validation runs candidates on it.  The tree-walking
+    {!Dsl.Interp} is the reference it is checked against — by
+    [Stenso.Superopt.differential], the differential fuzz suite and the
+    [stenso bench vm] comparison — not a backend to select.
 
-    Two engines share one interface: [`Interp] is the tree-walking
-    reference interpreter; [`Vm] is the compiled path.  The VM is the
-    default engine of the measured cost model and of concrete
-    validation; the differential fuzz suite ties the two together. *)
+    The VM's settings travel through one {!Options} record — there are
+    no loose optional arguments on {!compile}. *)
 
-(** Planner and VM knobs: fusion, reduction fusion, tile size, domain
-    lanes, telemetry sink.  Built with [Options.default |> Options.with_*]
-    in the same style as [Stenso.Config]. *)
+(** VM settings: domain lanes and the telemetry sink.  Built with
+    [Options.default |> Options.with_*] in the same style as
+    [Stenso.Config]. *)
 module Options : sig
   include module type of Opts with type t = Opts.t
 end
-
-type kind = [ `Interp | `Vm ]
-
-val kind_name : kind -> string
-val kind_of_string : string -> kind option
-val all_kinds : kind list
 
 type compiled
 (** A planned program with its preallocated arena and scratch.
@@ -71,17 +66,6 @@ val run : compiled -> (string -> Tensor.Ftensor.t) -> Tensor.Ftensor.t
     compilation environment. *)
 
 val stats : compiled -> stats
-val result_shape : compiled -> Tensor.Shape.t
 
 val options : compiled -> Options.t
 (** The options the program was planned under. *)
-
-val eval :
-  ?options:Options.t ->
-  kind ->
-  env:Dsl.Types.env ->
-  (string -> Tensor.Ftensor.t) ->
-  Dsl.Ast.t ->
-  Tensor.Ftensor.t
-(** One-shot evaluation through the selected engine.  [`Interp] ignores
-    [env] and [options]. *)

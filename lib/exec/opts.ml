@@ -1,38 +1,13 @@
-(* Execution options: every planner and VM knob, in one immutable
-   record built with [default |> with_*] — the same builder style as
-   [Stenso.Config].  This record is the only way the knobs are set;
-   neither the planner nor the VM takes ad-hoc optional arguments. *)
+(* Execution options: the VM's settings, in one immutable record built
+   with [default |> with_*] — the same builder style as
+   [Stenso.Config].  The planner always fuses and the VM's tile is a
+   constant, so the only setting is the lane count (plus the telemetry
+   sink, which changes no result). *)
 
-type t = {
-  fusion : bool;
-  reduction_fusion : bool;
-  tile : int;
-  domains : int;
-  tel : Obs.Telemetry.t;
-}
+type t = { domains : int; tel : Obs.Telemetry.t }
 
 let default =
-  {
-    fusion = true;
-    reduction_fusion = true;
-    tile = 64;
-    domains = min 8 (Pool.default_domains ());
-    tel = Obs.Telemetry.null;
-  }
-
-let with_fusion fusion t =
-  (* Reduction fusion inlines producers into reduction loops; with the
-     elementwise fuser off it is off too. *)
-  if fusion then { t with fusion } else { t with fusion; reduction_fusion = false }
-
-let with_reduction_fusion reduction_fusion t =
-  if reduction_fusion && not t.fusion then
-    invalid_arg "Exec.Options: reduction fusion requires fusion";
-  { t with reduction_fusion }
-
-let with_tile tile t =
-  if tile < 4 then invalid_arg "Exec.Options: tile must be >= 4";
-  { t with tile }
+  { domains = min 8 (Pool.default_domains ()); tel = Obs.Telemetry.null }
 
 let with_domains domains t =
   if domains < 1 then invalid_arg "Exec.Options: domains must be >= 1";
@@ -40,14 +15,12 @@ let with_domains domains t =
 
 let with_telemetry tel t = { t with tel }
 
-let fusion t = t.fusion
-let reduction_fusion t = t.reduction_fusion
-let tile t = t.tile
 let domains t = t.domains
 let telemetry t = t.tel
 
 (* Excludes the telemetry sink: two options values that plan and
-   execute identically fingerprint identically. *)
+   execute identically fingerprint identically.  [fus=true;red=true;
+   tile=64] spell the planner's constants so that measured cost-cache
+   keys and archived reports keep their bytes. *)
 let fingerprint t =
-  Printf.sprintf "fus=%b;red=%b;tile=%d;dom=%d" t.fusion t.reduction_fusion
-    t.tile t.domains
+  Printf.sprintf "fus=true;red=true;tile=64;dom=%d" t.domains

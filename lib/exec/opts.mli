@@ -1,18 +1,14 @@
 (** Execution options for the compiled engine (exported as
     [Stenso.Exec.Options]).
 
-    One immutable record carries every planner and VM knob, built in
-    the same [default |> with_*] style as [Stenso.Config].  It is the
-    single way these knobs are configured — {!Engine.compile} and
-    {!Engine.eval} take an options value, never loose optional
-    arguments. *)
+    One immutable record carries the VM's settings, built in the same
+    [default |> with_*] style as [Stenso.Config].  The planner always
+    fuses elementwise chains and reduction producers, and the
+    matmul/transpose tile is a constant (64), so the lane count is the
+    one setting that changes how a program runs — and never what it
+    computes. *)
 
 type t = {
-  fusion : bool;  (** fuse elementwise chains into strip loops *)
-  reduction_fusion : bool;
-      (** inline elementwise producers into their [sum]/[max] consumer
-          so [sum (f x)] runs single-pass; implies [fusion] *)
-  tile : int;  (** cache-block edge for matmul/transpose kernels *)
   domains : int;
       (** parallel lanes for long strips and tiled kernels; [1] runs
           everything in the calling domain.  Results are bitwise
@@ -21,17 +17,8 @@ type t = {
 }
 
 val default : t
-(** Fusion and reduction fusion on, [tile = 64], [domains] =
-    [min 8 (Domain.recommended_domain_count ())], null telemetry. *)
-
-val with_fusion : bool -> t -> t
-(** Disabling fusion also disables reduction fusion. *)
-
-val with_reduction_fusion : bool -> t -> t
-(** Raises [Invalid_argument] when enabling while [fusion] is off. *)
-
-val with_tile : int -> t -> t
-(** Raises [Invalid_argument] below 4. *)
+(** [domains] = [min 8 (Domain.recommended_domain_count ())], null
+    telemetry. *)
 
 val with_domains : int -> t -> t
 (** Clamped to the pool's capacity; raises [Invalid_argument] below
@@ -39,13 +26,12 @@ val with_domains : int -> t -> t
 
 val with_telemetry : Obs.Telemetry.t -> t -> t
 
-val fusion : t -> bool
-val reduction_fusion : t -> bool
-val tile : t -> int
 val domains : t -> int
 val telemetry : t -> Obs.Telemetry.t
 
 val fingerprint : t -> string
-(** Stable rendering of every knob that affects planning or execution
-    (the telemetry sink is excluded).  Used to key compiled-program and
-    measured-cost caches. *)
+(** ["fus=true;red=true;tile=64;dom=N"]: the lane count, with the
+    planner's constants spelled as literals so that existing measured
+    cost caches and archived exec-bench reports stay valid (the
+    telemetry sink is excluded).  Keys the measured cost model's
+    profiling table and is recorded in exec-bench reports. *)

@@ -9,10 +9,9 @@
      [sqrt(A*A + B*B) / C] never materialize.  A producer is inlined
      exactly when it is elementwise, has a single consumer, and that
      consumer is either an elementwise operation of the same output
-     shape or — with {!Opts.reduction_fusion} — a [Sum]/[Max]
-     reduction, whose loop then evaluates the producer body on the fly
-     ({!Reduce_fused}) so [sum (f x)] runs as a single pass with no
-     materialized intermediate.  Never across [Dot]/[Tensordot] or any
+     shape or a [Sum]/[Max] reduction, whose loop then evaluates the
+     producer body on the fly ({!Reduce_fused}) so [sum (f x)] runs as a
+     single pass with no materialized intermediate.  Never across [Dot]/[Tensordot] or any
      layout operation, whose inputs must exist as whole buffers;
    - {e superinstructions}: a peephole pass rewrites the postfix body so
      a binary opcode whose second operand is a literal ({!BinC}) or a
@@ -412,14 +411,13 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
   let alias_base = Array.make n_nodes (-1) in
   let alias_delta = Array.make n_nodes 0 in
   let inlineable id (op : Ast.op) =
-    opts.Opts.fusion && Ir.is_elementwise op && uses.(id) = 1
-    && consumer.(id) >= 0
+    Ir.is_elementwise op && uses.(id) = 1 && consumer.(id) >= 0
     &&
     let c = consumer.(id) in
     match nodes.(c).Ir.expr with
     | Ir.Op (cop, _) when Ir.is_elementwise cop ->
         Shape.equal (shape id) (shape c)
-    | Ir.Op ((Ast.Sum _ | Ast.Max _), _) -> opts.Opts.reduction_fusion
+    | Ir.Op ((Ast.Sum _ | Ast.Max _), _) -> true
     | _ -> false
   in
   for id = 0 to n_nodes - 1 do

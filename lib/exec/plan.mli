@@ -4,11 +4,11 @@
     The planner makes every decision that would otherwise cost time or
     allocation at run time: elementwise fusion into postfix strip
     bodies (including inlining producers into their [sum]/[max]
-    consumer when {!Opts.reduction_fusion} is on), a superinstruction
-    peephole ({!BinC}/{!BinL}), view aliasing, liveness-driven arena
-    slot reuse, precomputed gather maps, and a static lane count per
-    step ({!step_lanes}) with per-lane scratch preallocated so parallel
-    execution stays allocation-free.  Lane partitioning is chosen so
+    consumer), a superinstruction peephole ({!BinC}/{!BinL}), view
+    aliasing, liveness-driven arena slot reuse, precomputed gather
+    maps, and a static lane count per step ({!step_lanes}) with
+    per-lane scratch preallocated so parallel execution stays
+    allocation-free.  Lane partitioning is chosen so
     results are bitwise identical for every domain count.
 
     Private to [texec]: the library exports only {!Engine}.  The

@@ -26,6 +26,10 @@
 module Shape = Tensor.Shape
 module F = Tensor.Ftensor
 
+(* Cache-block edge of the matmul and transpose kernels: one 64 x 64
+   block of floats is 32 KB, about an L1 data cache. *)
+let tile = 64
+
 (* Partition [0, total) into at most [lanes] contiguous chunks.  With
    one lane the body runs inline — the sequential path is literally the
    parallel path on one lane, which is what makes lane-count
@@ -842,7 +846,6 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
          unroll amortizes the c[i,j] load/store over four
          multiply-adds.  Lanes take disjoint row ranges. *)
       let c = slots.(out) and ab = slots.(a) and bb = slots.(b) in
-      let tile = opts.Opts.tile in
       split lanes m (fun ~lane:_ ~lo ~hi ->
           for i = lo to hi - 1 do
             let cb = i * n in
@@ -950,7 +953,6 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
           done)
   | Plan.Transpose2 { out; src; sofs; rows; cols } ->
       let o = slots.(out) and s = slots.(src) in
-      let tile = opts.Opts.tile in
       split lanes rows (fun ~lane:_ ~lo ~hi ->
           let ii = ref lo in
           while !ii < hi do

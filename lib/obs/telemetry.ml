@@ -60,6 +60,8 @@ module Json = struct
           kvs;
         Buffer.add_char buf '}'
 
+  let to_buffer = emit
+
   let to_string j =
     let buf = Buffer.create 256 in
     emit buf j;

@@ -35,6 +35,10 @@ module Json : sig
     | Obj of (string * t) list
 
   val to_string : t -> string
+
+  val to_buffer : Buffer.t -> t -> unit
+  (** Append {!to_string}'s text to a buffer. *)
+
   val of_string : string -> (t, string) result
 
   (** {2 Accessors} — [None] on kind mismatch. *)

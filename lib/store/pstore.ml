@@ -169,28 +169,41 @@ let find t ~schema key =
                   remove_file path;
                   None)))
 
-let encode_entry ~schema ~key payload =
-  Json.to_string
-    (Json.Obj
-       [
-         ("schema", Json.Str schema);
-         ("key", Json.Str key);
-         ("payload", payload);
-       ])
-  ^ "\n"
+(* The entry file: [Json.to_string] of the envelope object, with the
+   payload's text appended by [payload] in place. *)
+let render_entry ~schema ~key payload =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "{\"schema\":";
+  Json.to_buffer buf (Json.Str schema);
+  Buffer.add_string buf ",\"key\":";
+  Json.to_buffer buf (Json.Str key);
+  Buffer.add_string buf ",\"payload\":";
+  payload buf;
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
+(* Caller holds the lock. *)
+let persist t ~schema key payload =
+  if t.persist then begin
+    match
+      write_atomic (entry_path t key) (render_entry ~schema ~key payload)
+    with
+    | () -> Tel.Counter.incr t.c_writes
+    | exception (Sys_error _ | Unix.Unix_error _) ->
+        (* Unwritable cache directory: degrade to memory-only rather
+           than failing synthesis. *)
+        t.persist <- false
+  end
 
 let add t ~schema key payload =
   Mutex.protect t.lock (fun () ->
-      let dg = digest key in
-      insert_mem t dg { key; schema; payload; tick = 0 };
-      if t.persist then begin
-        match write_atomic (entry_path t key) (encode_entry ~schema ~key payload) with
-        | () -> Tel.Counter.incr t.c_writes
-        | exception (Sys_error _ | Unix.Unix_error _) ->
-            (* Unwritable cache directory: degrade to memory-only rather
-               than failing synthesis. *)
-            t.persist <- false
-      end)
+      insert_mem t (digest key) { key; schema; payload; tick = 0 };
+      persist t ~schema key (fun buf -> Json.to_buffer buf payload))
+
+let write t ~schema key render =
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.remove t.mem (digest key);
+      persist t ~schema key render)
 
 let invalidate t key =
   Mutex.protect t.lock (fun () ->

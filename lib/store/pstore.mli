@@ -7,12 +7,12 @@
     or colliding entry is evicted from disk and reported as a miss,
     never an error.
 
-    Entries are schema-tagged: every [add] stamps the entry with the
-    caller's schema identifier and every [find] checks it, so a store
-    directory can be shared by several record kinds (and survive format
-    evolution) without cross-talk.  Hit/miss/evict/corruption counters
-    feed the {!Obs.Telemetry} sink given at {!open_store} and are also
-    readable directly via {!stats}.
+    Entries are schema-tagged: every [add] or [write] stamps the entry
+    with the caller's schema identifier and every [find] checks it, so a
+    store directory can be shared by several record kinds (and survive
+    format evolution) without cross-talk.  Hit/miss/evict/corruption
+    counters feed the {!Obs.Telemetry} sink given at {!open_store} and
+    are also readable directly via {!stats}.
 
     All operations are safe under concurrent use from multiple domains
     of one process (a mutex serializes the handle) and from multiple
@@ -41,7 +41,7 @@ type t
 val open_store :
   ?tel:Obs.Telemetry.t -> ?mem_capacity:int -> dir:string -> unit -> t
 (** A handle on the store rooted at [dir].  Nothing is created on disk
-    until the first {!add}.  [mem_capacity] (default 256) bounds the
+    until the first {!add} or {!write}.  [mem_capacity] (default 256) bounds the
     in-memory LRU front; entries evicted from memory remain on disk.
     [tel] receives the [store.*] counters. *)
 
@@ -63,6 +63,14 @@ val add : t -> schema:string -> string -> Json.t -> unit
     failure (e.g. unwritable directory) disables persistence for the
     handle but keeps the in-memory entry — the store degrades to a
     per-process cache rather than failing the caller. *)
+
+val write : t -> schema:string -> string -> (Buffer.t -> unit) -> unit
+(** Persist the payload that the function appends to the buffer as JSON
+    text, like {!add} but without a payload tree and without making the
+    entry resident (a resident copy of the key is dropped).  For layers
+    that keep their own decoded copy of a large entry and read its file
+    themselves: the tree, and its copy in the LRU front, would cost
+    many times the bytes written. *)
 
 val read_file : string -> string option
 (** The whole contents of a file, or [None] when it cannot be read. *)

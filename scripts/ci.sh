@@ -40,8 +40,11 @@ echo "suite-report smoke check passed"
 # Usage-error smoke check: each of these is a CLI usage error (exit 124,
 # not an uncaught exception, and no work done): a directory where a file
 # is expected, an unknown bench section (instead of silently running
-# nothing), and a bench --report naming two sections whose reports would
-# overwrite each other.
+# nothing), a bench --report naming two sections whose reports would
+# overwrite each other, and execution flags stenso does not have (the
+# VM with its fixed plan is the only execution path, so a script that
+# asks for another engine or plan must fail, not run the default).  The
+# run check names a real program so only the flag can fail it.
 usage_error() {
   rc=0
   dune exec --no-build bin/stenso_cli.exe -- "$@" 2> /dev/null > /dev/null \
@@ -55,6 +58,11 @@ usage_error report "$scratch"
 usage_error bench nosuchsection
 usage_error bench vm lift --report "$scratch/two_sections.json"
 usage_error bench fig5 --report "$scratch/no_report.json"
+usage_error optimize --engine vm
+usage_error suite --exec-tile 8
+printf 'input A : f32[2,2]\nreturn A + A\n' > "$scratch/run.tdsl"
+usage_error run "$scratch/run.tdsl" --exec-no-fusion
+usage_error suite --exec-no-reduction-fusion
 echo "usage-error smoke check passed"
 
 # Archive regression check: the full 33-benchmark flops suite must pick
@@ -134,35 +142,24 @@ if [ -S "$socket" ]; then
 fi
 echo "serve smoke check passed"
 
-# Execution-engine smoke check, two halves.  Under the deterministic
-# flops estimator the engine only drives concrete validation, so
-# vm-validated synthesis must reach byte-identical programs to
-# interp-validated synthesis (f1 name, f2 status, f4 program; the cost
-# column is timing-free here but excluded for symmetry).  Under the
-# measured estimator the engines time different code, so per-op cost
-# ratios — and with them the syntactic shape of cost-equivalent
-# winners (e.g. commuted multiply operands) — legitimately differ;
-# there we only require both engines to improve the same benchmarks.
-engine_smoke() {
+# Exec-domains determinism smoke check: VM results are bitwise
+# independent of the lane count, so a suite whose concrete validation
+# runs the VM on one lane must print byte-identical output to one that
+# runs it on four.  Under flops the exec options only drive that
+# validation.
+domains_smoke() {
   dune exec --no-build bin/stenso_cli.exe -- suite \
-    --benchmarks diag_dot,common_factor --cost-estimator "$2" \
-    --engine "$1" --quiet | cut -f"$3"
+    --benchmarks diag_dot,common_factor,sum_stack,synth_8 \
+    --cost-estimator flops --exec-domains "$1" --quiet
 }
-vm_out=$(engine_smoke vm flops 1,2,4)
-interp_out=$(engine_smoke interp flops 1,2,4)
-if [ "$vm_out" != "$interp_out" ]; then
-  echo "FAIL: vm-validated suite output differs from interp-validated" >&2
-  printf 'engine=vm:\n%s\nengine=interp:\n%s\n' "$vm_out" "$interp_out" >&2
+one_out=$(domains_smoke 1)
+four_out=$(domains_smoke 4)
+if [ "$one_out" != "$four_out" ]; then
+  echo "FAIL: suite output differs between --exec-domains 1 and 4" >&2
+  printf 'domains=1:\n%s\ndomains=4:\n%s\n' "$one_out" "$four_out" >&2
   exit 1
 fi
-vm_out=$(engine_smoke vm measured 1,2)
-interp_out=$(engine_smoke interp measured 1,2)
-if [ "$vm_out" != "$interp_out" ]; then
-  echo "FAIL: vm-timed suite improvements differ from interp-timed" >&2
-  printf 'engine=vm:\n%s\nengine=interp:\n%s\n' "$vm_out" "$interp_out" >&2
-  exit 1
-fi
-echo "vm-vs-interp suite smoke check passed"
+echo "exec-domains determinism smoke check passed"
 
 # Tiered-optimizer smoke check: mine the depth-2 rule database for one
 # environment, then optimize the matching program twice through the

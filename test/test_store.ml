@@ -76,6 +76,29 @@ let test_lru_eviction () =
   Alcotest.(check int) "reload is a disk hit" 1
     (Store.stats s).Store.disk_hits
 
+(* [write] lands the bytes [add] would, but keeps nothing resident: a
+   stale resident copy of the key is dropped, and the next [find] reads
+   the new file. *)
+let test_write_not_resident () =
+  let s = Store.open_store ~dir:(fresh_dir ()) () in
+  let payload = Json.Obj [ ("n", Json.Float 18.); ("s", Json.Str "a\"b") ] in
+  Store.add s ~schema "a" payload;
+  Store.write s ~schema "b" (fun buf -> Json.to_buffer buf payload);
+  Alcotest.(check (list string)) "written key not resident" [ "a" ]
+    (Store.lru_keys s);
+  let other = Store.open_store ~dir:(fresh_dir ()) () in
+  Store.add other ~schema "b" payload;
+  let bytes st = Store.read_file (Store.entry_path st "b") in
+  Alcotest.(check (option string)) "same bytes as add" (bytes other) (bytes s);
+  Store.write s ~schema "a" (fun buf -> Json.to_buffer buf (Json.Int 2));
+  Alcotest.(check (list string)) "stale resident copy dropped" []
+    (Store.lru_keys s);
+  (match Store.find s ~schema "a" with
+  | Some (Json.Int 2) -> ()
+  | _ -> Alcotest.fail "find did not read the written entry");
+  Alcotest.(check int) "two writes and one add counted" 3
+    (Store.stats s).Store.writes
+
 let write_raw path contents =
   let oc = open_out_bin path in
   output_string oc contents;
@@ -236,6 +259,16 @@ let test_handle_line () =
   Alcotest.(check (option bool)) "unparseable program is ok:false"
     (Some false)
     (bool_field bad_program "ok");
+  let bad_estimator =
+    Serve.handle_line h
+      {|{"id": 9, "program": "input A : f32[2,2]\nreturn A + A", "config": {"cost_estimator": "flps"}}|}
+  in
+  Alcotest.(check (option bool)) "unknown cost estimator is ok:false"
+    (Some false)
+    (bool_field bad_estimator "ok");
+  Alcotest.(check (option string)) "estimator error names the value"
+    (Some {|unknown cost estimator "flps"|})
+    (Option.bind (response_field bad_estimator "error") Json.to_string_opt);
   let req =
     {|{"id": 1, "program": "input A : f32[2,2]\ninput B : f32[2,2]\nreturn np.exp(np.log(A + B))"}|}
   in
@@ -327,16 +360,21 @@ let test_measured_cost_cache_round_trip () =
   Alcotest.(check bool) "cache file written" true (Sys.file_exists cache_file);
   (* Every line is a well-formed fingerprint<TAB>seconds<TAB>stddev
      record — the atomic whole-table rewrite never leaves partial
-     lines. *)
+     lines — keyed under the VM options' pinned fingerprint, so cache
+     files written by earlier versions keep serving. *)
   let ic = open_in cache_file in
   (try
      while true do
        let line = input_line ic in
        match String.split_on_char '\t' line with
-       | [ _key; secs; sd ]
+       | [ key; secs; sd ]
          when Option.is_some (float_of_string_opt secs)
               && Option.is_some (float_of_string_opt sd) ->
-           ()
+           if
+             not
+               (String.starts_with ~prefix:"vm[fus=true;red=true;tile=64;dom="
+                  key)
+           then Alcotest.failf "unpinned cache key %S" key
        | _ -> Alcotest.failf "malformed cache line %S" line
      done
    with End_of_file -> close_in ic);
@@ -376,6 +414,8 @@ let suite =
     Alcotest.test_case "round-trip through memory and disk" `Quick
       test_round_trip;
     Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
+    Alcotest.test_case "write persists without residency" `Quick
+      test_write_not_resident;
     Alcotest.test_case "truncated entry rejected and evicted" `Quick
       test_corrupt_truncated;
     Alcotest.test_case "wrong schema version rejected" `Quick

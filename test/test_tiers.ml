@@ -112,20 +112,44 @@ let test_db_roundtrip_and_corruption () =
   in
   let store = Store.open_store ~dir () in
   Rules_db.record store ~key db;
+  (* The entry is streamed, not built as a tree: its file must still be
+     exactly what [Json.to_string] prints for it, optima in digest
+     order, so copies of one database stay byte-identical. *)
+  let path = Store.entry_path store key in
+  let contents = Option.get (Store.read_file path) in
+  (match Obs.Telemetry.Json.of_string contents with
+  | Ok doc ->
+      Alcotest.(check string) "file is canonical JSON" contents
+        (Obs.Telemetry.Json.to_string doc ^ "\n")
+  | Error e -> Alcotest.failf "entry does not parse: %s" e);
+  let digests =
+    match Store.decode_entry ~schema:Rules_db.schema ~key contents with
+    | Ok payload ->
+        Obs.Telemetry.Json.(
+          Option.bind (member "optima" payload) to_list_opt
+          |> Option.get
+          |> List.map (function
+               | List (Str d :: _) -> d
+               | _ -> Alcotest.fail "malformed optimum"))
+    | Error e -> Alcotest.failf "envelope: %s" e
+  in
+  Alcotest.(check (list string)) "optima in digest order"
+    (List.sort compare digests) digests;
   (* a fresh handle decodes the entry from disk *)
   let store' = Store.open_store ~dir () in
   (match Rules_db.find store' ~key with
   | Some db' ->
       Alcotest.(check int) "rules survive the round-trip"
         (List.length db.rules) (List.length db'.rules);
-      Alcotest.(check int) "optima survive the round-trip"
-        (Hashtbl.length db.optima)
-        (Hashtbl.length db'.optima);
+      Alcotest.(check bool) "optima survive the round-trip" true
+        (Hashtbl.fold
+           (fun d b ok -> ok && Hashtbl.find_opt db'.optima d = Some b)
+           db.optima
+           (Hashtbl.length db.optima = Hashtbl.length db'.optima));
       Alcotest.(check int) "depth preserved" db.depth db'.depth
   | None -> Alcotest.fail "recorded entry not found");
   (* corrupt the on-disk payload: a fresh handle must treat it as a
      miss (and delete it), never raise *)
-  let path = Store.entry_path store key in
   let oc = open_out path in
   output_string oc "{ definitely not a rules payload";
   close_out oc;
