@@ -346,15 +346,22 @@ let rules _ results =
 let ablations ctx =
   header "Ablations: sketch depth, cost model, simplification pruning";
   let measured = Lazy.force ctx.model in
-  let base = Stenso.Search.default_config in
+  let base = Stenso.Config.default in
+  let search = Stenso.Config.search_config base in
   let variants =
     [
       ("default (d=2, simp+bnb)", base, measured);
       ( "depth d=1",
-        { base with stub_config = { base.stub_config with depth = 1 } },
+        {
+          base with
+          search =
+            { search with stub_config = { search.stub_config with depth = 1 } };
+        },
         measured );
       ( "no simplification prune",
-        { base with use_simplification = false; timeout = 20. },
+        base
+        |> Stenso.Config.with_simplification false
+        |> Stenso.Config.with_timeout 20.,
         measured );
       ("flops cost model", base, Cost.Model.flops);
     ]
@@ -369,7 +376,7 @@ let ablations ctx =
         (fun (label, config, model) ->
           let t0 = Unix.gettimeofday () in
           let o =
-            Stenso.Superopt.superoptimize ~config ~model ~env:b.env b.program
+            Stenso.Superopt.optimize ~config ~model ~env:b.env b.program
           in
           Printf.printf "%-16s %-22s %9b %8d %7.2fs\n" b.name label
             o.improved o.search.stats.nodes (Unix.gettimeofday () -. t0))
@@ -407,7 +414,7 @@ let egraph _ results =
      keeping the gains finite for transpose-only programs. *)
   (* Work at performance shapes so data movement and contractions, not
      dispatch overhead, decide extraction. *)
-  let model = Cost.Model.roofline () in
+  let model = Cost.Model.roofline in
   List.iter
     (fun { bench = b; opt_perf; _ } ->
       let src = match b.source with `Github -> "github" | `Synthetic -> "synth" in
@@ -441,19 +448,13 @@ let masking ctx =
     "Extension suite: masking benchmarks (where/less/triu/tril)\n\
      — beyond the paper's tables; exercises the density term of the\n\
      simplification metric";
-  let config =
-    {
-      Stenso.Search.default_config with
-      stub_config =
-        { Stenso.Search.default_config.stub_config with extended_ops = true };
-    }
-  in
+  let config = Stenso.Config.(default |> with_extended_ops true) in
   Printf.printf "%-16s %-34s %8s\n" "Benchmark" "synthesized" "NumPy";
   Printf.printf "%s\n" subline;
   List.iter
     (fun (b : B.t) ->
       let o =
-        Stenso.Superopt.superoptimize ~config ~model:(Lazy.force ctx.model)
+        Stenso.Superopt.optimize ~config ~model:(Lazy.force ctx.model)
           ~env:b.env b.program
       in
       let opt_perf =
@@ -493,7 +494,7 @@ let scaling ctx =
       List.iter
         (fun (env, prog) ->
           let t0 = Unix.gettimeofday () in
-          let o = Stenso.Superopt.superoptimize ~model ~env prog in
+          let o = Stenso.Superopt.optimize ~model ~env prog in
           times := !times +. (Unix.gettimeofday () -. t0);
           nodes := !nodes + o.search.stats.nodes;
           libs := !libs + o.search.stats.library_size;

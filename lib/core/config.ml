@@ -67,7 +67,7 @@ let exec_options t = t.exec
 let model ?tel t =
   match t.estimator with
   | `Flops -> Cost.Model.flops
-  | `Roofline -> Cost.Model.roofline ()
+  | `Roofline -> Cost.Model.roofline
   | `Measured ->
       Cost.Model.measured ?tel ~exec_options:t.exec
         ?cache_file:t.cost_cache ()

@@ -25,10 +25,10 @@
     Concrete operands are the depth-0 and depth-1 stubs of
     {!Stub.index}.
 
-    Every decomposition {!decompositions} returns is exact: recombining
+    A candidate ({!candidates}) that {!recombines} is exact: recombining
     the parts under the operation yields a tensor symbolically equal to
-    [Φ].  The search instead calls {!candidates} with its pruning budget
-    and checks {!recombines} itself, only on the candidates it keeps. *)
+    [Φ].  The search calls {!candidates} with its pruning budget and
+    checks {!recombines} only on the candidates it keeps. *)
 
 type part = P_hole of Spec.t | P_conc of Stub.t
 
@@ -58,7 +58,8 @@ val candidates :
     filter's verdicts on what is built are exactly its verdicts on the
     full list.  The identities [mul(??,1)] and [div(??,1)], whose hole is
     the spec itself, are skipped this way unless the spec has a nonzero
-    element free of symbols or singular.  Without a budget every
+    element free of symbols or one that may cancel a symbol
+    ({!Symbolic.Expr.may_cancel}).  Without a budget every
     candidate is built.  [power(??,1)] is never proposed.  Concrete
     operands come from {!Stub.index}.
 
@@ -71,18 +72,6 @@ val recombines : Spec.t -> decomposition -> bool
     {e structurally}?  Additive, summing and contraction sketches are
     exact by construction; the others are re-executed symbolically. *)
 
-val decompositions :
-  ?tel:Obs.Telemetry.t ->
-  Stub.library ->
-  Spec.t ->
-  decomposition list
-(** All sketch decompositions of the spec, each with exact hole specs:
-    {!candidates} without a budget, filtered by {!recombines}.  The list
-    is unpruned (the eager path; the search itself calls {!candidates}
-    and {!recombines} only on what its filters keep).  [tel] counts
-    [invert.proposed] and [invert.solved] (candidates whose
-    recombination reproduces the spec). *)
-
 val hole_bound : multiplicative:bool -> Spec.t -> Stub.t -> float
 (** [hole_bound ~multiplicative spec c]: the variable-set lower bound on
     the {!Spec.complexity} of the hole of an elementwise sketch of [spec]
@@ -90,8 +79,9 @@ val hole_bound : multiplicative:bool -> Spec.t -> Stub.t -> float
     for the additive sketches ([add], [sub]) or the multiplicative ones
     ([mul], [div]).  Per element [i], [D_i = vars(spec_i) Δ vars(c_i)]
     must survive in the hole; a multiplicative sketch does not count an
-    element where either operand is zero or holds a [0^q] atom
-    ({!Symbolic.Expr.singular}).  The bound is
+    element where either operand is zero or may cancel a symbol it shows
+    (a [0^q] atom or a sum under a negative power,
+    {!Symbolic.Expr.may_cancel}).  The bound is
     [(Σ|D_i| / n) · (#{i : D_i ≠ ∅} / n)], computed with the float
     expression of {!Spec.complexity}, so it never exceeds the complexity
     of a hole the solver builds. *)

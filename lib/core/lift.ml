@@ -419,13 +419,8 @@ let lift ?(tel = Tel.null) ?(config = Config.default)
       let model = Config.model ~tel config in
       let consts = Loop_ast.literals kernel in
       let sconfig = default_stub_config in
-      let lib, _cached =
-        match stub_cache with
-        | Some cache ->
-            Stub.Cache.enumerate cache ~config:sconfig ~tel ~model ~consts
-              env
-        | None ->
-            (Stub.enumerate ~config:sconfig ~tel ~model ~consts env, false)
+      let lib =
+        Stub.resolve ?cache:stub_cache ~config:sconfig ~tel ~model ~consts env
       in
       (* The value table's cache key fingerprints the sampled inputs
          (bit-exact) alongside the library, so lifts against different

@@ -57,16 +57,9 @@ val error_message : error -> string
 val error_stats : error -> stats
 (** The counters of a failed lift: all zero for [Unsupported]. *)
 
-val default_stub_config : Stub.config
 (** {!Stub.default_config} with [full_binary] on: lifted programs are
     matched whole against the library rather than recursively
     decomposed, so the atom-operand redundancy cut does not apply. *)
-
-val symbolic_spec : Loop_ast.kernel -> Dsl.Types.env -> Spec.t
-(** The kernel's exact symbolic specification: the loop interpreter run
-    over {!Symbolic.Expr} scalars on symbolic inputs (loop bounds are
-    constants, so every iteration executes concretely).  Raises
-    {!Loop_interp.Eval_error} on semantic errors. *)
 
 val lift :
   ?tel:Obs.Telemetry.t ->

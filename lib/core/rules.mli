@@ -29,10 +29,6 @@ val closed : t -> bool
     cheapest implementation of [multiply(B, 0)]'s value need not
     mention [B]). *)
 
-val specialize : t -> (string * Dsl.Ast.t) list -> Dsl.Ast.t * Dsl.Ast.t
-(** Instantiate the metavariables; unbound metavariables are left as
-    inputs. *)
-
 val matches : t -> Dsl.Ast.t -> (string * Dsl.Ast.t) list option
 (** Syntactic pattern match of the rule's left-hand side against a
     program: metavariables bind arbitrary subterms (consistently). *)

@@ -62,9 +62,6 @@ type t = {
           implementation of that symbolic value *)
 }
 
-val max_rules : int
-(** Per-entry rule cap (lowest-gain rules are dropped beyond it). *)
-
 val spec_digest : string -> string
 (** Digest of a canonical spec rendering ({!Spec.key}) — the
     optima-table key. *)
@@ -78,7 +75,7 @@ val entry :
   unit ->
   t
 (** Assemble a fresh entry: rules are deduplicated (by rendered
-    lhs/rhs), sorted by decreasing gain and capped at {!max_rules};
+    lhs/rhs), sorted by decreasing gain and capped at 1024 rules;
     optima keep the cheapest binding per digest.  [truncated] (default
     [false]) stamps the entry as mined from a capped enumeration. *)
 
@@ -118,5 +115,3 @@ val record_feedback :
     present) and the (digest, cost, program) optimum (kept only if
     cheaper than the recorded one).  Creates the entry when the
     environment was never mined — the organic-growth path. *)
-
-val of_json : Json.t -> t option

@@ -178,8 +178,8 @@ let decomp_op_cost st (d : Invert.decomposition) =
    SOLVE runs under PRUNE's budget: the solver skips the elementwise
    holes the simplification test would reject before building them, and
    recombination runs only on what the filter keeps.  The verdicts are
-   the ones the filter would give on the full recombined list
-   ({!Invert.decompositions}).  Without simplification there is no
+   the ones the filter would give on every candidate, built and
+   recombined.  Without simplification there is no
    budget: every candidate is built. *)
 let viable_decomps st ~visited spec =
   let spec_cx = Spec.complexity spec in
@@ -437,29 +437,24 @@ let search_root ~jobs st spec =
       !timed_out )
   end
 
-let run ?(tel = Tel.null) ?(config = default_config) ?library ?observe ~model
-    ~env ~spec ~initial_bound ~consts () =
+let run ?(tel = Tel.null) ?(config = default_config) ?stub_cache ?observe
+    ~model ~env ~spec ~initial_bound ~consts () =
   let started = Unix.gettimeofday () in
+  (* The timeout counts from here with and without a cache, so it covers
+     the library build as [stats.elapsed] does. *)
+  let lib =
+    let stub_config =
+      {
+        config.stub_config with
+        Stub.deadline = Some (started +. config.timeout);
+      }
+    in
+    Tel.span tel "phase.stub_enum" (fun () ->
+        Stub.resolve ?cache:stub_cache ~config:stub_config ~tel ~model ~consts
+          env)
+  in
   let keyc = Spec.fresh_counters () in
   Spec.with_counters keyc @@ fun () ->
-  let lib =
-    match library with
-    | Some lib ->
-        (* Pre-enumerated (shared) library: no enumeration phase. *)
-        if Tel.enabled tel then
-          Tel.event tel "stub.shared"
-            [ ("library_size", Tel.Int (Stub.size lib)) ];
-        lib
-    | None ->
-        let stub_config =
-          {
-            config.stub_config with
-            Stub.deadline = Some (started +. config.timeout);
-          }
-        in
-        Tel.span tel "phase.stub_enum" (fun () ->
-            Stub.enumerate ~config:stub_config ~tel ~model ~consts env)
-  in
   let st =
     {
       cfg = config;

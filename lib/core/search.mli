@@ -14,8 +14,8 @@
       elementwise holes a variable-set bound proves too complex without
       building them, and only candidates the filter keeps are checked
       by recombination, so every node explores exactly the
-      decompositions the filter keeps from the full
-      {!Invert.decompositions} list;
+      decompositions the filter keeps from every candidate, built and
+      recombined;
     - {e branch and bound} ([use_bnb]): a path whose accumulated cost
       reaches the best complete program's cost is abandoned.
 
@@ -102,7 +102,7 @@ type observer =
 val run :
   ?tel:Obs.Telemetry.t ->
   ?config:config ->
-  ?library:Stub.library ->
+  ?stub_cache:Stub.Cache.cache ->
   ?observe:observer ->
   model:Cost.Model.t ->
   env:Dsl.Types.env ->
@@ -113,13 +113,17 @@ val run :
   result
 (** Synthesize a program equivalent to [spec] with estimated cost below
     [initial_bound].  [consts] seeds the grammar's constant terminals
-    (the constants of the original program).  [library], when given,
-    must be an enumeration for the same [env]/[consts]/model (e.g. from
-    {!Stub.Cache}); the enumeration phase is then skipped — the suite
-    driver and serve daemon share one library per input environment this
-    way.  [tel] (default {!Telemetry.null}, which costs nothing)
-    receives phase spans, the prune/memo counter breakdown, and the
-    bound trajectory; its [spec.key_*] counters are attributed to this
-    run alone even when other searches run concurrently.  [observe]
-    sees every expanded node (tests use it to compare the search's
-    filter with the eager {!Invert.decompositions}). *)
+    (the constants of the original program).  The stub library comes
+    from {!Stub.resolve}: [stub_cache]'s library for this call's
+    [env]/[consts]/model fingerprint when a cache is given (the suite
+    driver and serve daemon share one library per input environment
+    this way), a fresh enumeration otherwise.  Either way [timeout] and
+    [stats.elapsed] count from the start of this call, library build
+    included, and the build is the [phase.stub_enum] span, a sibling of
+    [phase.search].  [tel] (default {!Telemetry.null}, which costs
+    nothing) receives phase spans, the prune/memo counter breakdown, and
+    the bound trajectory; its [spec.key_*] counters are attributed to
+    this run's search alone even when other searches run concurrently.
+    [observe] sees every expanded node (tests use it to compare the
+    search's filter with {!Invert.candidates} filtered by
+    {!Invert.recombines}). *)

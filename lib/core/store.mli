@@ -50,6 +50,10 @@ type outcome_entry = {
           builds decode as unrefined *)
 }
 
+val stats_json : Search.stats -> Obs.Telemetry.Json.t
+(** The one JSON encoding of {!Search.stats}: the [search] object of
+    store entries and of suite reports. *)
+
 val find_outcome : t -> key:string -> outcome_entry option
 (** Decode the stored outcome for this key.  An entry whose envelope is
     readable but whose payload no longer decodes is invalidated (deleted

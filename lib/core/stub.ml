@@ -403,6 +403,14 @@ module Cache = struct
             raise e)
 end
 
+let resolve ?cache ?config ?(tel = Obs.Telemetry.null) ~model ~consts env =
+  match cache with
+  | None -> enumerate ?config ~tel ~model ~consts env
+  | Some cache ->
+      let lib, hit = Cache.enumerate cache ?config ~tel ~model ~consts env in
+      if hit then Obs.Telemetry.incr tel "stub.cache_hits";
+      lib
+
 let lookup_exact lib spec =
   Option.map (fun e -> e.stub) (Spec.Tbl.find_opt lib.by_sem spec)
 

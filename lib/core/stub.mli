@@ -97,6 +97,20 @@ module Cache : sig
       block until it is ready instead of re-enumerating. *)
 end
 
+val resolve :
+  ?cache:Cache.cache ->
+  ?config:config ->
+  ?tel:Obs.Telemetry.t ->
+  model:Cost.Model.t ->
+  consts:float list ->
+  Dsl.Types.env ->
+  library
+(** The library for this call's own fingerprint: [cache]'s (built on
+    first request, see {!Cache.enumerate}), or a fresh {!enumerate}
+    without one.  A hit increments [tel]'s [stub.cache_hits] counter.
+    The synthesis search and the lifting front-end obtain their
+    libraries here. *)
+
 val stubs : library -> t list
 val atoms : library -> t list
 val size : library -> int

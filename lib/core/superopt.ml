@@ -58,94 +58,25 @@ let robust_equivalent ~env a b =
   || (not (Types.well_typed env' a && Types.well_typed env' b))
   || Dsl.Sexec.equivalent env' a b
 
-let superoptimize ?(tel = Obs.Telemetry.null) ?(config = Search.default_config)
-    ?stub_cache ?spec ?bound ~model ~env prog =
-  let original_cost = Cost.Model.program_cost model env prog in
-  let initial_bound =
-    match bound with Some b -> Float.min b original_cost | None -> original_cost
+(* The one outcome constructor, for every tier: [best] is a verified
+   program cheaper than the original with its cost, [None] keeps the
+   original (trivially verified). *)
+let make_outcome ~tier ~refined ~original_cost ~stats prog best =
+  let optimized, optimized_cost =
+    match best with Some b -> b | None -> (prog, original_cost)
   in
-  let spec =
-    match spec with
-    | Some s -> s
-    | None ->
-        Obs.Telemetry.span tel "phase.symbolic_exec" (fun () ->
-            Dsl.Sexec.exec_env env prog)
-  in
-  let consts = consts_of prog in
-  let library =
-    match stub_cache with
-    | None -> None
-    | Some cache ->
-        (* Mirror the deadline Search.run sets on its own enumeration
-           (search.ml): without it the cached path enumerates unbounded
-           and the search timeout only starts counting afterwards.  The
-           deadline is not part of the cache key, and a truncated
-           library is never published, so sharing is unaffected. *)
-        let stub_config =
-          {
-            config.Search.stub_config with
-            Stub.deadline =
-              Some (Unix.gettimeofday () +. config.Search.timeout);
-          }
-        in
-        let lib, shared =
-          Obs.Telemetry.span tel "phase.stub_enum" (fun () ->
-              Stub.Cache.enumerate cache ~config:stub_config ~tel ~model
-                ~consts env)
-        in
-        if shared && Obs.Telemetry.enabled tel then
-          Obs.Telemetry.incr tel "stub.cache_hits";
-        Some lib
-  in
-  let search =
-    Search.run ~tel ~config ?library ~model ~env ~spec ~initial_bound
-      ~consts ()
-  in
-  (* Re-estimate the synthesized program as a whole: search-time cost
-     accumulation prices holes at collapsed shapes, which is the right
-     search heuristic but can drift from the assembled program. *)
-  let final_cost prog = Cost.Model.program_cost model env prog in
-  let search =
-    match search.program with
-    | Some candidate -> { search with cost = final_cost candidate }
-    | None -> search
-  in
-  (* The returned program is the original, so the outcome is trivially
-     verified. *)
-  let keep_original =
-    {
-      original = prog;
-      optimized = prog;
-      improved = false;
-      original_cost;
-      optimized_cost = original_cost;
-      search;
-      verified = true;
-      tier = 3;
-      refined = true;
-    }
-  in
-  match search.program with
-  | Some candidate when search.cost < original_cost ->
-      (* Correctness by construction, re-checked end-to-end — at the
-         synthesis shapes and at perturbed shapes. *)
-      if robust_equivalent ~env prog candidate then
-        {
-          keep_original with
-          optimized = candidate;
-          improved = true;
-          optimized_cost = search.cost;
-        }
-      else begin
-        (* The candidate failed re-verification (for example a rewrite
-           that only held at a shape coincidence of the synthesis
-           sizes): fall back to the original program rather than emit
-           wrong code. *)
-        Logs.warn (fun m ->
-            m "stenso: rejected unverifiable candidate %a" Ast.pp candidate);
-        keep_original
-      end
-  | _ -> keep_original
+  {
+    original = prog;
+    optimized;
+    improved = Option.is_some best;
+    original_cost;
+    optimized_cost;
+    search =
+      { Search.program = Option.map fst best; cost = optimized_cost; stats };
+    verified = true;
+    tier;
+    refined;
+  }
 
 type key = { spec_key : string; store_key : string }
 
@@ -183,22 +114,9 @@ let outcome_of_entry ~env prog (e : Store.outcome_entry) : outcome option =
       else if not (Dsl.Types.well_typed env optimized) then None
       else
         Some
-          {
-            original = prog;
-            optimized;
-            improved = e.improved;
-            original_cost = e.original_cost;
-            optimized_cost = e.optimized_cost;
-            search =
-              {
-                Search.program = (if e.improved then Some optimized else None);
-                cost = e.optimized_cost;
-                stats = e.stats;
-              };
-            verified = true;
-            tier = 1;
-            refined = e.refined;
-          }
+          (make_outcome ~tier:1 ~refined:e.refined
+             ~original_cost:e.original_cost ~stats:e.stats prog
+             (if e.improved then Some (optimized, e.optimized_cost) else None))
 
 (* The outcome-store entry for a verified outcome. *)
 let store_entry ~env (o : outcome) =
@@ -427,33 +345,95 @@ let tier3_feedback ~model ~env ~spec_key ~depth ~store (outcome : outcome) =
     ~prog:(Ast.to_string outcome.optimized)
     ()
 
+let symbolic_spec ~tel ?spec ~env prog =
+  match spec with
+  | Some s -> s
+  | None ->
+      Obs.Telemetry.span tel "phase.symbolic_exec" (fun () ->
+          Dsl.Sexec.exec_env env prog)
+
 (* The request's spec and key.  Callers that already built them (serving
    keys each request for single-flight before optimizing it) pass them
    in, so no request spec is keyed twice. *)
 let spec_and_key ~tel ~config ~model ?spec ?key:k ~env prog =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None ->
-        Obs.Telemetry.span tel "phase.symbolic_exec" (fun () ->
-            Dsl.Sexec.exec_env env prog)
-  in
+  let spec = symbolic_spec ~tel ?spec ~env prog in
   (spec, match k with Some k -> k | None -> key ~config ~model ~env ~spec prog)
+
+(* Tier 3, the full branch-and-bound search: Algorithm 1 proper.  [t2],
+   a verified tier-2 candidate cheaper than the original, tightens the
+   initial bound and is the answer when the search cannot beat it.  With
+   a [store] (and the request's keys) the result is fed back into the
+   rule database and recorded. *)
+let tier3 ~tel ~config ?stub_cache ?store ?t2 ~model ~env ~spec
+    ~original_cost prog =
+  let initial_bound =
+    match t2 with Some t -> t.t2_cost | None -> original_cost
+  in
+  let search =
+    Search.run ~tel ~config:(Config.search_config config) ?stub_cache ~model
+      ~env ~spec ~initial_bound ~consts:(consts_of prog) ()
+  in
+  let found =
+    match search.program with
+    | None -> None
+    | Some candidate ->
+        (* Re-estimate the synthesized program as a whole: search-time
+           cost accumulation prices holes at collapsed shapes, which is
+           the right search heuristic but can drift from the assembled
+           program. *)
+        let cost = Cost.Model.program_cost model env candidate in
+        if cost >= original_cost then None
+          (* Correctness by construction, re-checked end-to-end — at the
+             synthesis shapes and at perturbed shapes. *)
+        else if robust_equivalent ~env prog candidate then
+          Some (candidate, cost)
+        else begin
+          (* The candidate failed re-verification (for example a rewrite
+             that only held at a shape coincidence of the synthesis
+             sizes): fall back rather than emit wrong code. *)
+          Logs.warn (fun m ->
+              m "stenso: rejected unverifiable candidate %a" Ast.pp candidate);
+          None
+        end
+  in
+  let best =
+    match (t2, found) with
+    | Some t, Some (_, c) when c <= t.t2_cost -> found
+    | Some t, _ ->
+        (* The search could not beat the tier-2 candidate (it pruned
+           against its cost); the candidate is already verified, so it
+           is the answer. *)
+        Some (t.t2_prog, t.t2_cost)
+    | None, _ -> found
+  in
+  let outcome =
+    make_outcome ~tier:3 ~refined:true ~original_cost ~stats:search.stats prog
+      best
+  in
+  (match store with
+  | None -> ()
+  | Some (store, k) ->
+      (match Config.rules_depth config with
+      | Some depth ->
+          tier3_feedback ~model ~env ~spec_key:k.spec_key ~depth ~store
+            outcome
+      | None -> ());
+      Store.record_outcome store ~key:k.store_key (store_entry ~env outcome));
+  outcome
 
 let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
     ?stub_cache ?model ?spec ?key ~env prog =
   let model =
     match model with Some m -> m | None -> Config.model ~tel config
   in
-  let search_config = Config.search_config config in
   match store with
   | None ->
-      superoptimize ~tel ~config:search_config ?stub_cache ?spec ~model ~env
-        prog
+      let original_cost = Cost.Model.program_cost model env prog in
+      let spec = symbolic_spec ~tel ?spec ~env prog in
+      tier3 ~tel ~config ?stub_cache ~model ~env ~spec ~original_cost prog
   | Some store -> (
-      let spec, { spec_key; store_key = key } =
-        spec_and_key ~tel ~config ~model ?spec ?key ~env prog
-      in
+      let spec, k = spec_and_key ~tel ~config ~model ?spec ?key ~env prog in
+      let key = k.store_key in
       (* [source] names the tier-2 candidate that answered, or that
          bounded the tier-3 search. *)
       let serve_event ?(db_truncated = false) ?source tier =
@@ -467,13 +447,6 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
                (Option.map
                   (fun s -> ("source", Obs.Telemetry.Str (source_name s)))
                   source))
-      in
-      let record (outcome : outcome) =
-        (* Record-after-answer.  Unverified candidates never reach the
-           outcome (both tiers fall back to the original program), so
-           every recorded entry is correct by construction. *)
-        if outcome.verified then
-          Store.record_outcome store ~key (store_entry ~env outcome)
       in
       let cached =
         match Store.find_outcome store ~key with
@@ -504,85 +477,43 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
             match Config.rules_depth config with
             | None -> (false, None)
             | Some depth ->
-                tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth
-                  ~store prog
+                tier2_attempt ~tel ~config ~model ~env ~spec_key:k.spec_key
+                  ~depth ~store prog
           in
           match t2 with
           | Some t2 when t2.t2_certified && t2.t2_cost <= original_cost ->
               (* Tier 2: the mined database answered, provably as well
                  as the search could against its recorded optimum, and
-                 the answer re-verified — serve it without searching. *)
-              let improved = t2.t2_cost < original_cost in
+                 the answer re-verified — serve it without searching.  A
+                 certified tier-2 answer is optimal within the mined
+                 space, but the full search explores deeper: background
+                 refinement may still upgrade it. *)
               let outcome =
-                {
-                  original = prog;
-                  optimized = (if improved then t2.t2_prog else prog);
-                  improved;
-                  original_cost;
-                  optimized_cost =
-                    (if improved then t2.t2_cost else original_cost);
-                  search =
-                    {
-                      Search.program =
-                        (if improved then Some t2.t2_prog else None);
-                      cost = (if improved then t2.t2_cost else original_cost);
-                      stats = empty_stats t2.t2_elapsed;
-                    };
-                  verified = true;
-                  tier = 2;
-                  (* A certified tier-2 answer is optimal within the
-                     mined space, but the full search explores deeper:
-                     background refinement may still upgrade it. *)
-                  refined = false;
-                }
+                make_outcome ~tier:2 ~refined:false ~original_cost
+                  ~stats:(empty_stats t2.t2_elapsed) prog
+                  (if t2.t2_cost < original_cost then
+                     Some (t2.t2_prog, t2.t2_cost)
+                   else None)
               in
               serve_event ~db_truncated ~source:t2.t2_source 2;
-              record outcome;
+              (* Record-after-answer: unverified candidates never reach
+                 an outcome, so every recorded entry is correct by
+                 construction. *)
+              Store.record_outcome store ~key (store_entry ~env outcome);
               outcome
           | _ ->
-              (* Tier 3: full branch-and-bound, with the tier-2
-                 candidate (when one verified and beats the original)
-                 tightening the initial bound, and the result fed back
-                 into the database. *)
               let t2 =
                 match t2 with
                 | Some t when t.t2_cost < original_cost -> t2
                 | _ -> None
               in
-              let bound = Option.map (fun t -> t.t2_cost) t2 in
               let outcome =
-                superoptimize ~tel ~config:search_config ?stub_cache ~spec
-                  ?bound ~model ~env prog
-              in
-              let outcome =
-                match t2 with
-                | Some t2 when t2.t2_cost < outcome.optimized_cost ->
-                    (* The search could not beat the tier-2 candidate
-                       (it pruned against its cost); the candidate is
-                       already verified, so it is the answer. *)
-                    {
-                      outcome with
-                      optimized = t2.t2_prog;
-                      improved = true;
-                      optimized_cost = t2.t2_cost;
-                      search =
-                        {
-                          outcome.search with
-                          program = Some t2.t2_prog;
-                          cost = t2.t2_cost;
-                        };
-                    }
-                | _ -> outcome
+                tier3 ~tel ~config ?stub_cache ~store:(store, k) ?t2 ~model
+                  ~env ~spec ~original_cost prog
               in
               serve_event ~db_truncated
                 ?source:(Option.map (fun t -> t.t2_source) t2)
                 3;
-              (match Config.rules_depth config with
-              | Some depth when outcome.verified ->
-                  tier3_feedback ~model ~env ~spec_key ~depth ~store
-                    outcome
-              | _ -> ());
-              record outcome;
               outcome))
 
 (* Background refinement: run the full tier-3 search for a request that
@@ -597,25 +528,17 @@ let refine ?(tel = Obs.Telemetry.null) ?(config = Config.default) ~store
   let model =
     match model with Some m -> m | None -> Config.model ~tel config
   in
-  let spec, { spec_key; store_key = key } =
-    spec_and_key ~tel ~config ~model ?spec ?key ~env prog
-  in
+  let spec, k = spec_and_key ~tel ~config ~model ?spec ?key ~env prog in
+  let original_cost = Cost.Model.program_cost model env prog in
   let outcome =
-    superoptimize ~tel ~config:(Config.search_config config) ?stub_cache
-      ~spec ~model ~env prog
+    tier3 ~tel ~config ?stub_cache ~store:(store, k) ~model ~env ~spec
+      ~original_cost prog
   in
-  if outcome.verified then begin
-    (match Config.rules_depth config with
-    | Some depth ->
-        tier3_feedback ~model ~env ~spec_key ~depth ~store outcome
-    | None -> ());
-    Store.record_outcome store ~key (store_entry ~env outcome);
-    Obs.Telemetry.incr tel "tier.refined";
-    Obs.Telemetry.event tel "tier.refine"
-      [
-        ("key", Obs.Telemetry.Str (Store.digest key));
-        ("improved", Obs.Telemetry.Bool outcome.improved);
-        ("cost_after", Obs.Telemetry.Float outcome.optimized_cost);
-      ]
-  end;
+  Obs.Telemetry.incr tel "tier.refined";
+  Obs.Telemetry.event tel "tier.refine"
+    [
+      ("key", Obs.Telemetry.Str (Store.digest k.store_key));
+      ("improved", Obs.Telemetry.Bool outcome.improved);
+      ("cost_after", Obs.Telemetry.Float outcome.optimized_cost);
+    ];
   outcome

@@ -30,13 +30,7 @@ type t = {
 
 val flops : t
 
-val roofline :
-  ?flops_per_sec:float ->
-  ?mem_bw:float ->
-  ?dispatch:float ->
-  ?loop_scale:int ->
-  unit ->
-  t
+val roofline : t
 (** Deterministic analytic estimator: per-op dispatch overhead plus a
     roofline of weighted arithmetic (transcendentals and [power] cost
     many machine ops per element) against memory traffic.  Sits between
@@ -92,13 +86,6 @@ val flop_count : Dsl.Ast.op -> Dsl.Types.vt list -> float
 val bytes_moved : Dsl.Ast.op -> Dsl.Types.vt list -> float
 (** Memory traffic in bytes (reads + writes, 8-byte elements) — used by
     the roofline timing model of the framework simulators. *)
-
-val flop_count_out : out:float -> Dsl.Ast.op -> Dsl.Types.vt list -> float
-(** {!flop_count} with the output element count supplied explicitly, for
-    argument lists that do not type-check as given (the measured model's
-    fallback proxy at scaled shapes). *)
-
-val bytes_moved_out : out:float -> Dsl.Ast.op -> Dsl.Types.vt list -> float
 
 val program_cost : t -> Dsl.Types.env -> Dsl.Ast.t -> float
 (** Total cost of a program: the sum over all operation nodes, with

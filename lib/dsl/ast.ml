@@ -86,11 +86,6 @@ let rec size t =
   | Input _ | Const _ -> 1
   | _ -> List.fold_left (fun acc c -> acc + size c) 1 (children t)
 
-let rec num_ops t =
-  match t with
-  | Input _ | Const _ -> 0
-  | _ -> List.fold_left (fun acc c -> acc + num_ops c) 1 (children t)
-
 module Sset = Set.Make (String)
 
 let inputs t =
@@ -104,15 +99,6 @@ let inputs t =
         go (Sset.add var bound) body acc
   in
   Sset.elements (go Sset.empty t Sset.empty)
-
-let rec subst_input name replacement t =
-  match t with
-  | Input n when n = name -> replacement
-  | Input _ | Const _ -> t
-  | App (op, args) -> App (op, List.map (subst_input name replacement) args)
-  | For_stack fs when fs.var = name -> t (* shadowed *)
-  | For_stack fs ->
-      For_stack { fs with body = subst_input name replacement fs.body }
 
 let subst_inputs bindings t =
   let rec go bindings t =

@@ -59,23 +59,17 @@ val compare : t -> t -> int
 val size : t -> int
 (** Number of AST nodes. *)
 
-val num_ops : t -> int
-(** Number of operation nodes (excludes inputs and constants). *)
-
 val inputs : t -> string list
 (** Sorted distinct free input names (comprehension variables are
     bound and excluded). *)
-
-val subst_input : string -> t -> t -> t
-(** [subst_input name replacement t] replaces [Input name] nodes. *)
 
 val subst_inputs : (string * t) list -> t -> t
 (** Simultaneous substitution: every [Input name] bound in the list is
     replaced in one traversal, so replacements are never re-substituted
     — [subst_inputs [("X", Input "Y"); ("Y", Input "Q")]] maps [X] to
     [Y] and [Y] to [Q], where the sequential folds would corrupt [X]'s
-    replacement into [Q].  Comprehension variables shadow as in
-    {!subst_input}. *)
+    replacement into [Q].  A comprehension variable shadows a binding of
+    the same name inside its body. *)
 
 val children : t -> t list
 val map_children : (t -> t) -> t -> t

@@ -33,11 +33,8 @@ type param = { pname : string; dims : int list; io : io }
 
 type kernel = { kname : string; params : param list; body : stmt list }
 
-val binop_name : binop -> string
 val intrinsic_name : intrinsic -> string
 val intrinsic_arity : intrinsic -> int
-
-val in_params : kernel -> param list
 
 val out_param : kernel -> param
 (** The unique [out] parameter (the parser guarantees exactly one). *)

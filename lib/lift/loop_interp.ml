@@ -184,13 +184,11 @@ end
 
 module F = Make (Float_domain)
 
-let run_floats = F.run
-
 let run_tensors (k : Loop_ast.kernel)
     (inputs : (string * Tensor.Ftensor.t) list) : Tensor.Ftensor.t =
   let flat =
     List.map (fun (n, t) -> (n, Tensor.Ftensor.to_array t)) inputs
   in
-  let out = run_floats k flat in
+  let out = F.run k flat in
   let dims = Array.of_list (Loop_ast.out_param k).dims in
   Tensor.Ftensor.of_array dims out

@@ -37,10 +37,8 @@ module Make (D : DOMAIN) : sig
       before the body runs.  Inputs are copied, never mutated. *)
 end
 
-val run_floats : Loop_ast.kernel -> (string * float array) list -> float array
-
 val run_tensors :
   Loop_ast.kernel -> (string * Tensor.Ftensor.t) list -> Tensor.Ftensor.t
-(** Tensor-typed wrapper over {!run_floats}: inputs as float tensors
+(** The kernel run over floats: inputs as float tensors
     matching {!Loop_ast.dsl_env}, result shaped like the [out]
     parameter. *)

@@ -162,16 +162,3 @@ let percentile sorted p =
   else
     let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
-
-let latency_summary samples =
-  let lats = Array.map fst samples in
-  Array.sort compare lats;
-  let n = Array.length lats in
-  let mean =
-    if n = 0 then 0.
-    else Array.fold_left ( +. ) 0. lats /. float_of_int n
-  in
-  ( mean,
-    percentile lats 50.,
-    percentile lats 95.,
-    percentile lats 99. )

@@ -171,9 +171,6 @@ let submit_background t job =
         true
       end)
 
-let background_pending t =
-  Mutex.protect t.qlock (fun () -> Queue.length t.background + t.bg_active)
-
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)

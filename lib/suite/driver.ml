@@ -66,25 +66,10 @@ module Json = Stenso.Telemetry.Json
 
 let bench_json (r : bench_result) : Json.t =
   let o = r.outcome in
-  let s = o.search.stats in
   let speedup =
     if o.optimized_cost > 0. then o.original_cost /. o.optimized_cost else 1.
   in
   let ast_str a = Format.asprintf "%a" Dsl.Ast.pp a in
-  let search_stats =
-    Json.Obj
-      [
-        ("nodes", Json.Int s.nodes);
-        ("decomps", Json.Int s.decomps);
-        ("pruned_simp", Json.Int s.pruned_simp);
-        ("pruned_bnb", Json.Int s.pruned_bnb);
-        ("memo_hits", Json.Int s.memo_hits);
-        ("memo_misses", Json.Int s.memo_misses);
-        ("elapsed", Json.Float s.elapsed);
-        ("timed_out", Json.Bool s.timed_out);
-        ("library_size", Json.Int s.library_size);
-      ]
-  in
   let trajectory =
     Json.List
       (List.map
@@ -109,7 +94,7 @@ let bench_json (r : bench_result) : Json.t =
       ("synthesis_time", Json.Float r.elapsed);
       ("original", Json.Str (ast_str o.original));
       ("optimized", Json.Str (ast_str o.optimized));
-      ("search", search_stats);
+      ("search", Stenso.Store.stats_json o.search.stats);
       ("bound_trajectory", trajectory);
     ]
 

@@ -100,9 +100,11 @@ echo "flops-suite archive check passed"
 
 # Serve smoke check: a daemon against a fresh store directory must
 # answer the same request twice, the second time from the store
-# (cache_hit:true), and shut down cleanly on SIGTERM.  The daemon runs
-# from the built binary directly so the signal reaches it, not a dune
-# wrapper.
+# (cache_hit:true), and shut down cleanly on SIGTERM.  Its answer must be
+# the program `stenso optimize --no-store` writes for the same request:
+# the daemon's cached and stored path against the CLI's uncached one.
+# The daemon runs from the built binary directly so the signal reaches
+# it, not a dune wrapper.
 stenso=_build/default/bin/stenso_cli.exe
 socket="$scratch/stenso.sock"
 printf 'input A : f32[2,2]\ninput B : f32[2,2]\nreturn np.exp(np.log(A + B))\n' \
@@ -133,6 +135,20 @@ case "$second" in
   *) echo "FAIL: second serve request was not a cache hit: $second" >&2
      exit 1 ;;
 esac
+"$stenso" optimize --program "$scratch/prog.tdsl" --no-store \
+  --cost-estimator flops --timeout 60 --synth-out "$scratch/prog.opt.tdsl" \
+  > /dev/null
+for answer in "$first" "$second"; do
+  if ! printf '%s' "$answer" | python3 -c '
+import json, sys
+sys.exit(json.load(sys.stdin)["optimized"] != open(sys.argv[1]).read())
+' "$scratch/prog.opt.tdsl"; then
+    echo "FAIL: serve answered differently from optimize --no-store:" >&2
+    echo "$answer" >&2
+    cat "$scratch/prog.opt.tdsl" >&2
+    exit 1
+  fi
+done
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 serve_pid=""

@@ -75,7 +75,7 @@ let test_measured_fallback_scaled_proxy () =
   Alcotest.(check (float 1e-12)) "proxy priced at scaled shapes" 7.488e-7 c
 
 let test_roofline_model () =
-  let m = Cost.Model.roofline () in
+  let m = Cost.Model.roofline in
   let a = Types.float_t [| 64; 64 |] in
   let t_mul = m.op_cost Ast.Mul [ a; a ] in
   let t_pow = m.op_cost Ast.Pow_op [ a; a ] in
@@ -91,7 +91,7 @@ let test_roofline_model () =
   (* it also drives the search to the paper's rewrites *)
   let env = [ ("A", Types.float_t [| 3; 3 |]) ] in
   let o =
-    Stenso.Superopt.superoptimize ~model:m ~env
+    Stenso.Superopt.optimize ~model:m ~env
       (Parser.expression "np.power(A, 2)")
   in
   Alcotest.(check bool) "roofline finds pow->mul" true o.improved

@@ -4,11 +4,12 @@
 open Dsl
 open Stenso
 
-let config =
-  {
-    Search.default_config with
-    stub_config = { Search.default_config.stub_config with extended_ops = true };
-  }
+let config = Config.(default |> with_extended_ops true)
+let stub_config = (Config.search_config config).stub_config
+
+(* The eager solver: every candidate built, kept when it recombines. *)
+let decompositions lib spec =
+  List.filter (Invert.recombines spec) (Invert.candidates lib spec)
 
 let model = Cost.Model.flops
 
@@ -21,7 +22,7 @@ let outcomes =
     (List.map
        (fun (b : Suite.Benchmarks.t) ->
          ( b,
-           Superopt.superoptimize ~config ~model:(Lazy.force measured)
+           Superopt.optimize ~config ~model:(Lazy.force measured)
              ~env:b.env b.program ))
        Suite.Benchmarks.masking)
 
@@ -49,10 +50,10 @@ let test_masked_completion () =
   (* the hole-less masked decomposition: triu of a dense library value *)
   let env = [ ("A", Types.float_t [| 3; 3 |]); ("B", Types.float_t [| 3; 3 |]) ] in
   let lib =
-    Stub.enumerate ~config:config.stub_config ~model ~consts:[ 1. ] env
+    Stub.enumerate ~config:stub_config ~model ~consts:[ 1. ] env
   in
   let spec = Sexec.exec_env env (Parser.expression "np.triu(A + B)") in
-  let ds = Invert.decompositions lib spec in
+  let ds = decompositions lib spec in
   Alcotest.(check bool) "triu completion over add(A,B)" true
     (List.exists
        (fun (d : Invert.decomposition) ->
@@ -71,10 +72,10 @@ let test_where_split () =
       ("B", Types.float_t [| 2; 2 |]) ]
   in
   let lib =
-    Stub.enumerate ~config:config.stub_config ~model ~consts:[ 1. ] env
+    Stub.enumerate ~config:stub_config ~model ~consts:[ 1. ] env
   in
   let spec = Sexec.exec_env env (Parser.expression "np.where(m, A, B)") in
-  let ds = Invert.decompositions lib spec in
+  let ds = decompositions lib spec in
   Alcotest.(check bool) "where split offered" true
     (List.exists
        (fun (d : Invert.decomposition) ->
@@ -84,7 +85,7 @@ let test_where_split () =
 let test_extended_library_has_masks () =
   let env = [ ("A", Types.float_t [| 3; 3 |]) ] in
   let lib =
-    Stub.enumerate ~config:config.stub_config ~model ~consts:[ 1. ] env
+    Stub.enumerate ~config:stub_config ~model ~consts:[ 1. ] env
   in
   match
     Stub.lookup_exact lib (Sexec.exec_env env (Parser.expression "np.triu(A)"))

@@ -161,7 +161,7 @@ let test_cost_never_above_bound () =
   (* Algorithm 1: returned cost is below the original's estimate. *)
   List.iter
     (fun (b : Suite.Benchmarks.t) ->
-      let o = Superopt.superoptimize ~model ~env:b.env b.program in
+      let o = Superopt.optimize ~model ~env:b.env b.program in
       if o.improved then begin
         if not (o.optimized_cost < o.original_cost) then
           Alcotest.failf "%s: 'improved' but cost did not drop" b.name
@@ -175,7 +175,8 @@ let test_cost_never_above_bound () =
    solver skips elementwise holes the filter would reject and recombines
    only what the filter keeps.  At every expanded node, the viable list
    must be exactly that of the eager formulation: every candidate built
-   and recombined ({!Invert.decompositions}), then filtered.  The node
+   and recombined ({!Invert.candidates} kept by {!Invert.recombines}), then
+   filtered.  The node
    and memo counts are pinned to those of the eager engine. *)
 let eager_viable lib ~visited spec =
   let spec_cx = Spec.complexity spec in
@@ -205,7 +206,7 @@ let eager_viable lib ~visited spec =
             match model.Cost.Model.op_cost d.op arg_ts with
             | c -> Some (d, c +. Invert.conc_cost d)
             | exception Types.Type_error _ -> None)
-      (Invert.decompositions lib spec)
+      (List.filter (Invert.recombines spec) (Invert.candidates lib spec))
   in
   List.stable_sort (fun (_, c1) (_, c2) -> compare c1 c2) viable
 
@@ -217,8 +218,10 @@ let test_budgeted_equals_eager () =
     (fun (name, (nodes, hits, misses)) ->
       let b = Suite.Benchmarks.find name in
       let consts = Superopt.consts_of b.program in
-      let library =
-        Stub.enumerate ~config:config.stub_config ~model ~consts b.env
+      let stub_cache = Stub.Cache.create () in
+      let library, _ =
+        Stub.Cache.enumerate stub_cache ~config:config.stub_config ~model
+          ~consts b.env
       in
       let expanded = ref 0 in
       let observe ~visited spec viable =
@@ -229,7 +232,7 @@ let test_budgeted_equals_eager () =
             name !expanded (List.length viable) (List.length eager)
       in
       let r =
-        Search.run ~config ~library ~observe ~model ~env:b.env
+        Search.run ~config ~stub_cache ~observe ~model ~env:b.env
           ~spec:(Sexec.exec_env b.env b.program)
           ~initial_bound:(Cost.Model.program_cost model b.env b.program)
           ~consts ()

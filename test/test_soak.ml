@@ -12,7 +12,7 @@ let soak ~count cfg =
   List.iteri
     (fun i (env, prog) ->
       let label = Printf.sprintf "program %d (%s)" i (Ast.to_string prog) in
-      match Superopt.superoptimize ~model ~env prog with
+      match Superopt.optimize ~model ~env prog with
       | exception e ->
           Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
       | o ->

@@ -72,7 +72,7 @@ let test_ml_tier () =
     (List.length B.ml >= 8);
   (* roofline, not flops: it weighs transcendentals (pow/exp/sqrt), so
      it sees the strength reductions the plain FLOP count is blind to *)
-  let model = Cost.Model.roofline () in
+  let model = Cost.Model.roofline in
   List.iter
     (fun (b : B.t) ->
       (* the pair must be provably equivalent — at the synthesis shapes

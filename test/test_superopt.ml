@@ -10,7 +10,7 @@ let outcomes =
   lazy
     (List.map
        (fun (b : Suite.Benchmarks.t) ->
-         (b, Superopt.superoptimize ~model ~env:b.env b.program))
+         (b, Superopt.optimize ~model ~env:b.env b.program))
        Suite.Benchmarks.all)
 
 let test_all_verified () =
@@ -97,6 +97,73 @@ let test_consts_of () =
   Alcotest.(check (list (float 0.))) "constants plus unit" [ -1.; 1.; 3. ]
     (Superopt.consts_of p)
 
+let flops_config = Config.(default |> with_estimator `Flops)
+
+(* The search timeout and [search.stats.elapsed] cover the library build
+   whether it is enumerated fresh or through a cold cache.  diag_dot's
+   library takes longer to build than its search runs, so an elapsed time
+   that left the build out would fall below the [phase.stub_enum] span. *)
+let test_elapsed_covers_library_build () =
+  let b = Suite.Benchmarks.find "diag_dot" in
+  List.iter
+    (fun (label, stub_cache) ->
+      let tel = Telemetry.create () in
+      let o =
+        Superopt.optimize ~tel ~config:flops_config ?stub_cache ~model
+          ~env:b.env b.program
+      in
+      let enum =
+        List.fold_left
+          (fun acc (e : Telemetry.event) ->
+            match List.assoc_opt "dur" e.fields with
+            | Some (Telemetry.Float d)
+              when e.kind = "span" && e.name = "phase.stub_enum" ->
+                acc +. d
+            | _ -> acc)
+          0. (Telemetry.events tel)
+      in
+      Alcotest.(check bool) (label ^ ": library built") true (enum > 0.);
+      if o.search.stats.elapsed < enum then
+        Alcotest.failf "%s: elapsed %gs is below the library build's %gs"
+          label o.search.stats.elapsed enum)
+    [ ("no cache", None); ("cold cache", Some (Stub.Cache.create ())) ]
+
+(* Every way of reaching the search gives the same answer: no cache, a
+   cold and a warm stub cache, a store, and the same store again (served
+   by tier 1 from the entry the previous run recorded). *)
+let test_same_answer_every_path () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "stenso-test-paths-%d" (Unix.getpid ()))
+  in
+  let store = Store.open_store ~dir () in
+  let cache = Stub.Cache.create () in
+  List.iter
+    (fun name ->
+      let b = Suite.Benchmarks.find name in
+      let run ?stub_cache ?store () =
+        Superopt.optimize ~config:flops_config ?stub_cache ?store ~model
+          ~env:b.env b.program
+      in
+      let answer (o : Superopt.outcome) =
+        ( Ast.to_string o.optimized,
+          o.optimized_cost,
+          (o.search.stats.nodes, o.search.stats.library_size) )
+      in
+      let expected = answer (run ()) in
+      let check label tier (o : Superopt.outcome) =
+        Alcotest.(check int) (name ^ ": " ^ label ^ " tier") tier o.tier;
+        Alcotest.(check (triple string (float 0.) (pair int int)))
+          (name ^ ": " ^ label)
+          expected (answer o)
+      in
+      check "cold cache" 3 (run ~stub_cache:cache ());
+      check "warm cache" 3 (run ~stub_cache:cache ());
+      check "store" 3 (run ~stub_cache:cache ~store ());
+      check "store again" 1 (run ~stub_cache:cache ~store ()))
+    [ "diag_dot"; "log_exp_1"; "common_factor" ]
+
 let suite =
   [
     Alcotest.test_case "all outputs verified" `Slow test_all_verified;
@@ -108,4 +175,8 @@ let suite =
     Alcotest.test_case "validate_concrete redraws out-of-domain trials"
       `Quick test_validate_redraws_out_of_domain;
     Alcotest.test_case "constant extraction" `Quick test_consts_of;
+    Alcotest.test_case "elapsed covers a cold cache's library build" `Quick
+      test_elapsed_covers_library_build;
+    Alcotest.test_case "same answer on every path to the search" `Quick
+      test_same_answer_every_path;
   ]
