@@ -275,8 +275,9 @@ let unary_candidates spec =
   (* Squaring expands sums, after which the normal form cannot always
      recognize the square root again; only offer the sketch when the
      round trip is structurally exact. *)
-  let squared = St.map (fun e -> Expr.pow e (Expr.int 2)) spec in
-  if St.equal (St.sqrt squared) spec then push Ast.Sqrt squared;
+  (match St.map (fun e -> Expr.pow e (Expr.int 2)) spec with
+  | squared -> if St.equal (St.sqrt squared) spec then push Ast.Sqrt squared
+  | exception Q.Overflow -> ());
   push Ast.Exp (St.log spec);
   push Ast.Log (St.exp spec);
   if Shape.rank (St.shape spec) >= 2 then

@@ -109,6 +109,57 @@ let parse_request ~base doc =
 (* Handler                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The front table: a request's exact front key — model id, config
+   fingerprint and canonical program text — to its store key, so a
+   repeated request finds its store entry without symbolic execution.
+   The front key determines the store key: the text holds the
+   environment and the exact constants, the fingerprint every search
+   and stub setting, and the model id the cost notion.  Entries are
+   added once a miss has built the store key, and the oldest are evicted
+   once the keys held would pass [max_bytes]. *)
+module Front = struct
+  type t = {
+    lock : Mutex.t;
+    keys : (string, string) Hashtbl.t;
+    order : string Queue.t;  (* front keys, oldest first *)
+    mutable bytes : int;
+    max_bytes : int;
+  }
+
+  let create max_bytes =
+    {
+      lock = Mutex.create ();
+      keys = Hashtbl.create 64;
+      order = Queue.create ();
+      bytes = 0;
+      max_bytes;
+    }
+
+  let size front store_key = String.length front + String.length store_key
+
+  let find t front =
+    Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.keys front)
+
+  let add t front store_key =
+    let n = size front store_key in
+    if n <= t.max_bytes then
+      Mutex.protect t.lock (fun () ->
+          if not (Hashtbl.mem t.keys front) then begin
+            while t.bytes + n > t.max_bytes do
+              let old = Queue.pop t.order in
+              t.bytes <- t.bytes - size old (Hashtbl.find t.keys old);
+              Hashtbl.remove t.keys old
+            done;
+            Hashtbl.add t.keys front store_key;
+            Queue.push front t.order;
+            t.bytes <- t.bytes + n
+          end)
+
+  let bytes t = Mutex.protect t.lock (fun () -> t.bytes)
+end
+
+let front_bytes = 64 lsl 20
+
 type handler = {
   tel : Tel.t;
   store : Store.t option;
@@ -126,6 +177,7 @@ type handler = {
      hot spec enqueues one refinement, not one per request. *)
   refining : (string, unit) Hashtbl.t;
   refine_lock : Mutex.t;
+  front : Front.t;
 }
 
 let handler ?(tel = Tel.null) ?store ~base () =
@@ -141,9 +193,8 @@ let handler ?(tel = Tel.null) ?store ~base () =
     flight = Tnet.Single_flight.create ();
     refining = Hashtbl.create 16;
     refine_lock = Mutex.create ();
+    front = Front.create front_bytes;
   }
-
-let coalesced_total h = Tnet.Single_flight.coalesced h.flight
 
 let model_for h config =
   let name = Config.estimator_name (Config.estimator config) in
@@ -158,9 +209,10 @@ let model_for h config =
 (* Queue a tier-3 refinement for an unrefined answer on the caller's
    background executor.  At most one refinement per store key is ever
    outstanding; a full background queue just drops the attempt (a later
-   request for the same spec will retry). *)
-let maybe_refine h ~background ~(key : Superopt.key) ~config ~model ~env ~spec
-    prog =
+   request for the same spec will retry).  The job executes the program
+   itself, so an unrefined hit costs no symbolic execution. *)
+let maybe_refine h ~background ~(key : Superopt.key) ~config ~model ~env prog
+    =
   match (h.store, background) with
   | Some store, Some submit ->
       let claimed =
@@ -180,7 +232,7 @@ let maybe_refine h ~background ~(key : Superopt.key) ~config ~model ~env ~spec
           Fun.protect ~finally:release (fun () ->
               ignore
                 (Superopt.refine ~tel:h.tel ~config ~store
-                   ~stub_cache:h.stub_cache ~model ~spec ~key ~env prog))
+                   ~stub_cache:h.stub_cache ~model ~key ~env prog))
         in
         if submit job then Tel.incr h.tel "serve.refine_enqueued"
         else begin
@@ -206,17 +258,32 @@ let handle_doc ?background h doc =
             in
             outcome_json ~id ~env ~coalesced:false outcome
         | Some store ->
-            let spec = Dsl.Sexec.exec_env env prog in
-            let key = Superopt.key ~config ~model ~env ~spec prog in
+            let front =
+              String.concat "\x00"
+                [
+                  model.Cost.Model.name;
+                  Config.fingerprint config;
+                  Dsl.Parser.unparse env prog;
+                ]
+            in
+            let spec, key =
+              match Front.find h.front front with
+              | Some store_key ->
+                  (None, { Superopt.spec_key = None; store_key })
+              | None ->
+                  let spec = Dsl.Sexec.exec_env env prog in
+                  let key = Superopt.key ~config ~model ~env ~spec prog in
+                  Front.add h.front front key.store_key;
+                  (Some spec, key)
+            in
             let outcome, coalesced =
               Tnet.Single_flight.run h.flight key.store_key (fun () ->
                   Superopt.optimize ~tel:h.tel ~config ~store
-                    ~stub_cache:h.stub_cache ~model ~spec ~key ~env prog)
+                    ~stub_cache:h.stub_cache ~model ?spec ~key ~env prog)
             in
             if coalesced then Tel.incr h.tel "serve.coalesced";
             if not outcome.refined then
-              maybe_refine h ~background ~key ~config ~model ~env ~spec
-                prog;
+              maybe_refine h ~background ~key ~config ~model ~env prog;
             outcome_json ~id ~env ~coalesced outcome
       with
       | resp -> resp

@@ -47,18 +47,31 @@ val handler :
   unit ->
   handler
 (** A request handler sharing one stub-library cache, one cost model per
-    estimator, and one single-flight table across all requests it
-    serves.  [base] supplies the defaults requests may override; its
-    [jobs] is forced to 1 — the daemon's parallelism is its worker pool,
-    not per-request domains. *)
+    estimator, one single-flight table and one {!Front} table (bounded
+    at 64 MiB of keys) across all requests it serves.  [base] supplies
+    the defaults requests may override; its [jobs] is forced to 1 — the
+    daemon's parallelism is its worker pool, not per-request domains. *)
 
 val handle_line :
   ?background:((unit -> unit) -> bool) -> handler -> string -> string
 (** Process one NDJSON request line into one response line (no trailing
     newline).  Never raises: every failure is an [ok:false] response.
 
-    With a [store], each request's spec is keyed once ({!Superopt.key})
-    and the key is handed on to {!Superopt.optimize}; identical
+    With a [store], a request's store key comes from the handler's
+    {e front table} when an earlier request had the same front key:
+    the model id, the request's {!Config.fingerprint} and the program's
+    canonical text ({!Dsl.Parser.unparse}, exact in its constants).
+    These determine the store key, so a repeated request — reformatted
+    or not — reaches its store entry without symbolic execution.
+    Otherwise the request's spec is keyed once ({!Superopt.key}) and the
+    store key is added to the table.  The table lives in memory only:
+    nothing goes to disk, and after a restart the first request per
+    program keys its spec once again.  It holds store keys, never
+    outcomes — every request still reads the store, so background
+    refinement and the invalidation of stale entries act on the next
+    request — and it evicts its oldest entries once the keys it holds
+    would pass its bound.  The key is handed on to
+    {!Superopt.optimize}; identical
     in-flight requests (same [store_key]) coalesce onto one synthesis —
     waiters get the leader's outcome with [coalesced:true] and bump the
     [serve.coalesced] counter.  [background], when given, receives
@@ -68,9 +81,25 @@ val handle_line :
     (queue full).  Omitting it — as tests exercising only the request
     path do — disables background refinement. *)
 
-val coalesced_total : handler -> int
-(** Requests served by piggybacking on another in-flight request since
-    the handler was created. *)
+(** The handler's front table, from front keys to store keys (exposed
+    for tests).  Safe to share across domains. *)
+module Front : sig
+  type t
+
+  val create : int -> t
+  (** An empty table holding at most this many bytes of keys. *)
+
+  val find : t -> string -> string option
+
+  val add : t -> string -> string -> unit
+  (** [add t front store_key] holds the pair unless [front] is already
+      held, evicting the oldest pairs while the keys held (front plus
+      store key bytes) would pass the bound; a pair larger than the
+      bound alone is not held. *)
+
+  val bytes : t -> int
+  (** Bytes of front and store keys held. *)
+end
 
 val busy_line : string
 (** The load-shedding response. *)

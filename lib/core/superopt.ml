@@ -78,7 +78,7 @@ let make_outcome ~tier ~refined ~original_cost ~stats prog best =
     refined;
   }
 
-type key = { spec_key : string; store_key : string }
+type key = { spec_key : string option; store_key : string }
 
 (* The full store key for one request: what will be synthesized (the
    spec), from what material (stub fingerprint: env, consts, grammar),
@@ -89,7 +89,7 @@ let key ~config ~model ~env ~spec prog =
   let search = Config.search_config config in
   let spec_key = Spec.key spec in
   {
-    spec_key;
+    spec_key = Some spec_key;
     store_key =
       Store.outcome_key ~spec_key
         ~stub_fp:
@@ -102,21 +102,35 @@ let key ~config ~model ~env ~spec prog =
 let store_key ~config ~model ~env ~spec prog =
   (key ~config ~model ~env ~spec prog).store_key
 
+let spec_key_of k spec =
+  match k.spec_key with Some s -> s | None -> Spec.key spec
+
 (* Reconstitute an outcome from a store entry.  The entry's program text
    must still parse, type-check and match this request's environment —
    anything else means the entry is stale or corrupt and is invalidated
-   so the search runs instead. *)
-let outcome_of_entry ~env prog (e : Store.outcome_entry) : outcome option =
+   so the search runs instead.  The key holds the spec, not the program:
+   an entry written for another program with the same spec keeps its
+   answer but is priced against this request's own program, which is
+   served when it is no dearer. *)
+let outcome_of_entry ~model ~env prog (e : Store.outcome_entry) :
+    outcome option =
   match Dsl.Parser.program e.optimized with
   | exception _ -> None
   | entry_env, optimized ->
       if entry_env <> env then None
       else if not (Dsl.Types.well_typed env optimized) then None
       else
+        let original_cost, improved =
+          if String.equal e.original (Dsl.Parser.unparse env prog) then
+            (e.original_cost, e.improved)
+          else
+            let c = Cost.Model.program_cost model env prog in
+            (c, e.optimized_cost < c)
+        in
         Some
-          (make_outcome ~tier:1 ~refined:e.refined
-             ~original_cost:e.original_cost ~stats:e.stats prog
-             (if e.improved then Some (optimized, e.optimized_cost) else None))
+          (make_outcome ~tier:1 ~refined:e.refined ~original_cost
+             ~stats:e.stats prog
+             (if improved then Some (optimized, e.optimized_cost) else None))
 
 (* The outcome-store entry for a verified outcome. *)
 let store_entry ~env (o : outcome) =
@@ -352,18 +366,22 @@ let symbolic_spec ~tel ?spec ~env prog =
       Obs.Telemetry.span tel "phase.symbolic_exec" (fun () ->
           Dsl.Sexec.exec_env env prog)
 
-(* The request's spec and key.  Callers that already built them (serving
-   keys each request for single-flight before optimizing it) pass them
-   in, so no request spec is keyed twice. *)
+(* The request's spec, built on first use, and its key.  Callers that
+   already keyed the request (serving keys each request for single-flight
+   before optimizing it) pass the key in, so no request spec is keyed
+   twice and a store hit executes nothing. *)
 let spec_and_key ~tel ~config ~model ?spec ?key:k ~env prog =
-  let spec = symbolic_spec ~tel ?spec ~env prog in
-  (spec, match k with Some k -> k | None -> key ~config ~model ~env ~spec prog)
+  let spec = lazy (symbolic_spec ~tel ?spec ~env prog) in
+  ( spec,
+    match k with
+    | Some k -> k
+    | None -> key ~config ~model ~env ~spec:(Lazy.force spec) prog )
 
 (* Tier 3, the full branch-and-bound search: Algorithm 1 proper.  [t2],
    a verified tier-2 candidate cheaper than the original, tightens the
    initial bound and is the answer when the search cannot beat it.  With
-   a [store] (and the request's keys) the result is fed back into the
-   rule database and recorded. *)
+   a [store] (and the request's spec and store keys) the result is fed
+   back into the rule database and recorded. *)
 let tier3 ~tel ~config ?stub_cache ?store ?t2 ~model ~env ~spec
     ~original_cost prog =
   let initial_bound =
@@ -412,13 +430,12 @@ let tier3 ~tel ~config ?stub_cache ?store ?t2 ~model ~env ~spec
   in
   (match store with
   | None -> ()
-  | Some (store, k) ->
+  | Some (store, spec_key, store_key) ->
       (match Config.rules_depth config with
       | Some depth ->
-          tier3_feedback ~model ~env ~spec_key:k.spec_key ~depth ~store
-            outcome
+          tier3_feedback ~model ~env ~spec_key ~depth ~store outcome
       | None -> ());
-      Store.record_outcome store ~key:k.store_key (store_entry ~env outcome));
+      Store.record_outcome store ~key:store_key (store_entry ~env outcome));
   outcome
 
 let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
@@ -434,14 +451,22 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
   | Some store -> (
       let spec, k = spec_and_key ~tel ~config ~model ?spec ?key ~env prog in
       let key = k.store_key in
+      (* Events name the key by its digest, a hash of the whole key (which
+         can run to hundreds of kilobytes): taken once, and only for a
+         sink that records. *)
+      let digest = lazy (Store.digest key) in
+      let key_event name fields =
+        if Obs.Telemetry.enabled tel then
+          Obs.Telemetry.event tel name
+            (("key", Obs.Telemetry.Str (Lazy.force digest)) :: fields)
+      in
       (* [source] names the tier-2 candidate that answered, or that
          bounded the tier-3 search. *)
       let serve_event ?(db_truncated = false) ?source tier =
         Obs.Telemetry.incr tel "tier.hit";
         Obs.Telemetry.incr tel (Printf.sprintf "tier%d.hits" tier);
-        Obs.Telemetry.event tel "tier.serve"
+        key_event "tier.serve"
           (("tier", Obs.Telemetry.Int tier)
-          :: ("key", Obs.Telemetry.Str (Store.digest key))
           :: ("db_truncated", Obs.Telemetry.Bool db_truncated)
           :: Option.to_list
                (Option.map
@@ -452,7 +477,7 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
         match Store.find_outcome store ~key with
         | None -> None
         | Some entry -> (
-            match outcome_of_entry ~env prog entry with
+            match outcome_of_entry ~model ~env prog entry with
             | Some o -> Some o
             | None ->
                 Store.invalidate store key;
@@ -461,24 +486,24 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
       match cached with
       | Some outcome ->
           (* Tier 1, check-before-search: served without entering
-             [Search]. *)
+             [Search], and with a caller's key without symbolic
+             execution. *)
           Obs.Telemetry.incr tel "store.hits";
-          Obs.Telemetry.event tel "store.serve"
-            [
-              ("key", Obs.Telemetry.Str (Store.digest key));
-              ("improved", Obs.Telemetry.Bool outcome.improved);
-            ];
+          key_event "store.serve"
+            [ ("improved", Obs.Telemetry.Bool outcome.improved) ];
           serve_event 1;
           outcome
       | None -> (
           Obs.Telemetry.incr tel "store.misses";
+          let spec = Lazy.force spec in
+          let spec_key = spec_key_of k spec in
           let original_cost = Cost.Model.program_cost model env prog in
           let db_truncated, t2 =
             match Config.rules_depth config with
             | None -> (false, None)
             | Some depth ->
-                tier2_attempt ~tel ~config ~model ~env ~spec_key:k.spec_key
-                  ~depth ~store prog
+                tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth
+                  ~store prog
           in
           match t2 with
           | Some t2 when t2.t2_certified && t2.t2_cost <= original_cost ->
@@ -508,8 +533,8 @@ let optimize ?(tel = Obs.Telemetry.null) ?(config = Config.default) ?store
                 | _ -> None
               in
               let outcome =
-                tier3 ~tel ~config ?stub_cache ~store:(store, k) ?t2 ~model
-                  ~env ~spec ~original_cost prog
+                tier3 ~tel ~config ?stub_cache ~store:(store, spec_key, key)
+                  ?t2 ~model ~env ~spec ~original_cost prog
               in
               serve_event ~db_truncated
                 ?source:(Option.map (fun t -> t.t2_source) t2)
@@ -529,10 +554,12 @@ let refine ?(tel = Obs.Telemetry.null) ?(config = Config.default) ~store
     match model with Some m -> m | None -> Config.model ~tel config
   in
   let spec, k = spec_and_key ~tel ~config ~model ?spec ?key ~env prog in
+  let spec = Lazy.force spec in
   let original_cost = Cost.Model.program_cost model env prog in
   let outcome =
-    tier3 ~tel ~config ?stub_cache ~store:(store, k) ~model ~env ~spec
-      ~original_cost prog
+    tier3 ~tel ~config ?stub_cache
+      ~store:(store, spec_key_of k spec, k.store_key)
+      ~model ~env ~spec ~original_cost prog
   in
   Obs.Telemetry.incr tel "tier.refined";
   Obs.Telemetry.event tel "tier.refine"

@@ -40,7 +40,10 @@ val consts_of : Dsl.Ast.t -> float list
     the always-available unit constant. *)
 
 type key = {
-  spec_key : string;  (** {!Spec.key} of the request's spec *)
+  spec_key : string option;
+      (** {!Spec.key} of the request's spec; [None] when the caller kept
+          only the store key (a serving front table), in which case a
+          store miss builds it from the spec *)
   store_key : string;
       (** {!Store.outcome_key} over the spec key, stub fingerprint,
           config fingerprint and model id *)
@@ -53,10 +56,11 @@ val key :
   spec:Spec.t ->
   Dsl.Ast.t ->
   key
-(** Key one request, building its spec key once.  [store_key] is
-    exactly the key {!optimize} consults, exposed so serving layers can
-    deduplicate identical in-flight requests on it; hand the whole
-    record to {!optimize} so it does not key the spec again. *)
+(** Key one request, building its spec key once ([spec_key] is
+    [Some]).  [store_key] is exactly the key {!optimize} consults,
+    exposed so serving layers can deduplicate identical in-flight
+    requests on it; hand the whole record to {!optimize} so it does not
+    key the spec again. *)
 
 val store_key :
   config:Config.t ->
@@ -100,6 +104,10 @@ val optimize :
        first — a hit reconstitutes the outcome (with [outcome.tier] 1,
        [store.hits] bumped, and [store.serve]
        / [tier.serve] events in the trace) without entering {!Search}.
+       The key names the spec, not the program: when the entry was
+       written for another program of the same spec, the request's own
+       program is priced, [improved] follows from the two costs, and the
+       request's program is served when it is no dearer.
        A stale or undecodable entry is invalidated.}
     {- {b Tier 2 — mined rules} (only when the configuration sets
        {!Config.with_rules_depth} and the store holds a {!Rules_db}
@@ -134,8 +142,13 @@ val optimize :
     [spec], when the caller already symbolically executed the program
     (for example to compute the {!key}), skips the redundant execution;
     [key], when the caller already keyed the request with the same
-    [config], [model] and [spec], skips rebuilding the spec key (it is
-    only used with [store]). *)
+    [config], [model] and program, skips rebuilding the spec key (it is
+    only used with [store]).  With [key] and without [spec], the spec is
+    built on a store miss only: a tier-1 hit then does no symbolic
+    execution and builds no spec key.  Without [key], the request is
+    executed and keyed before the lookup.  The key's digest in the
+    [store.serve] / [tier.serve] events is taken once, and only when
+    [tel] is {!Telemetry.enabled}. *)
 
 val refine :
   ?tel:Obs.Telemetry.t ->

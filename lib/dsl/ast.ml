@@ -127,13 +127,27 @@ let pp_reduce ppf { axis; keepdims } =
   pp_axis ppf axis;
   if keepdims then Format.fprintf ppf ", keepdims=True"
 
+(* The shortest of the integer form, [%g], [%.15g], [%.16g] and [%.17g]
+   that reads back to the same bits, so the canonical rendering keeps
+   every finite constant exactly ([-0.] included) and stays byte-identical
+   wherever the older integer-or-[%g] rendering was already exact. *)
+let const_literal f =
+  let bits = Int64.bits_of_float in
+  let exact s = Int64.equal (bits (float_of_string s)) (bits f) in
+  let forms : (float -> string, unit, string) format list =
+    if Float.is_integer f && Float.abs f < 1e9 then
+      [ "%.0f"; "%g"; "%.15g"; "%.16g"; "%.17g" ]
+    else [ "%g"; "%.15g"; "%.16g"; "%.17g" ]
+  in
+  List.to_seq forms
+  |> Seq.map (fun fmt -> Printf.sprintf fmt f)
+  |> Seq.find exact
+  |> Option.value ~default:(Printf.sprintf "%g" f)
+
 let rec pp ppf t =
   match t with
   | Input name -> Format.pp_print_string ppf name
-  | Const f ->
-      if Float.is_integer f && Float.abs f < 1e9 then
-        Format.fprintf ppf "%d" (int_of_float f)
-      else Format.fprintf ppf "%g" f
+  | Const f -> Format.pp_print_string ppf (const_literal f)
   | App (op, args) -> pp_app ppf op args
   | For_stack { var; iter; body } ->
       Format.fprintf ppf "np.stack([%a for %s in %s])" pp body var iter

@@ -75,6 +75,8 @@ val children : t -> t list
 val map_children : (t -> t) -> t -> t
 
 val pp : Format.formatter -> t -> unit
-(** NumPy-flavoured rendering, e.g. [np.dot(np.multiply(A, C), B)]. *)
+(** NumPy-flavoured rendering, e.g. [np.dot(np.multiply(A, C), B)].
+    Constants print exactly: the shortest of the integer form, [%g],
+    [%.15g], [%.16g] and [%.17g] that reads back to the same float. *)
 
 val to_string : t -> string

@@ -25,7 +25,10 @@ val expression : string -> Ast.t
 val unparse : Types.env -> Ast.t -> string
 (** Render a program back to the surface syntax accepted by {!program}
     ([input] declarations in environment order, then [return]); the
-    round trip [program (unparse env e)] reproduces [(env, e)].  This is
-    the canonical program rendering: the CLI's output files and the
-    persistent store's cached entries both use it, so "byte-identical
-    program" is well defined across them. *)
+    round trip [program (unparse env e)] reproduces [(env, e)], constants
+    to the bit: each prints as the shortest of its integer form, [%g],
+    [%.15g], [%.16g] and [%.17g] that reads back exactly ({!Ast.pp}).
+    This is the canonical program rendering: the CLI's output files, the
+    persistent store's cached entries and the serve daemon's front keys
+    all use it, so "byte-identical program" is well defined across them
+    and two programs with the same text are the same program. *)

@@ -26,9 +26,9 @@ module Json = struct
     if not (Float.is_finite f) then Buffer.add_string buf "null"
     else begin
       (* Shortest representation that round-trips. *)
-      let s = Printf.sprintf "%.17g" f in
-      let s' = Printf.sprintf "%g" f in
-      Buffer.add_string buf (if float_of_string s' = f then s' else s)
+      let s = Printf.sprintf "%g" f in
+      Buffer.add_string buf
+        (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
     end
 
   let rec emit buf = function

@@ -53,7 +53,8 @@ type t = {
   root : string;
   mem_capacity : int;
   lock : Mutex.t;
-  mem : (string, mem_entry) Hashtbl.t; (* digest -> entry *)
+  mem : (string, mem_entry) Hashtbl.t;
+      (* key -> entry: a resident hit hashes the key, never digests it *)
   mutable clock : int;
   mutable persist : bool; (* cleared after the first write failure *)
   (* counters: both plain (for [stats]) and telemetry-registered *)
@@ -95,25 +96,27 @@ let touch t e =
   e.tick <- t.clock
 
 (* Caller holds the lock. *)
-let insert_mem t dg entry =
-  (if not (Hashtbl.mem t.mem dg) && Hashtbl.length t.mem >= t.mem_capacity
+let insert_mem t entry =
+  (if
+     (not (Hashtbl.mem t.mem entry.key))
+     && Hashtbl.length t.mem >= t.mem_capacity
    then
      (* Evict the least recently used resident entry (linear scan; the
         front is small by construction). *)
      let victim =
        Hashtbl.fold
-         (fun d e acc ->
+         (fun k e acc ->
            match acc with
            | Some (_, tick) when tick <= e.tick -> acc
-           | _ -> Some (d, e.tick))
+           | _ -> Some (k, e.tick))
          t.mem None
      in
      match victim with
-     | Some (d, _) ->
-         Hashtbl.remove t.mem d;
+     | Some (k, _) ->
+         Hashtbl.remove t.mem k;
          Tel.Counter.incr t.c_evictions
      | None -> ());
-  Hashtbl.replace t.mem dg entry;
+  Hashtbl.replace t.mem entry.key entry;
   touch t entry
 
 let read_file path =
@@ -146,9 +149,8 @@ let decode_entry ~schema ~key contents =
 
 let find t ~schema key =
   Mutex.protect t.lock (fun () ->
-      let dg = digest key in
-      match Hashtbl.find_opt t.mem dg with
-      | Some e when String.equal e.key key && String.equal e.schema schema ->
+      match Hashtbl.find_opt t.mem key with
+      | Some e when String.equal e.schema schema ->
           Tel.Counter.incr t.c_mem_hits;
           touch t e;
           Some e.payload
@@ -162,7 +164,7 @@ let find t ~schema key =
               match decode_entry ~schema ~key contents with
               | Ok payload ->
                   Tel.Counter.incr t.c_disk_hits;
-                  insert_mem t dg { key; schema; payload; tick = 0 };
+                  insert_mem t { key; schema; payload; tick = 0 };
                   Some payload
               | Error _ ->
                   Tel.Counter.incr t.c_corrupt;
@@ -197,17 +199,17 @@ let persist t ~schema key payload =
 
 let add t ~schema key payload =
   Mutex.protect t.lock (fun () ->
-      insert_mem t (digest key) { key; schema; payload; tick = 0 };
+      insert_mem t { key; schema; payload; tick = 0 };
       persist t ~schema key (fun buf -> Json.to_buffer buf payload))
 
 let write t ~schema key render =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.remove t.mem (digest key);
+      Hashtbl.remove t.mem key;
       persist t ~schema key render)
 
 let invalidate t key =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.remove t.mem (digest key);
+      Hashtbl.remove t.mem key;
       Tel.Counter.incr t.c_corrupt;
       remove_file (entry_path t key))
 

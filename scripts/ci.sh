@@ -103,6 +103,9 @@ echo "flops-suite archive check passed"
 # (cache_hit:true), and shut down cleanly on SIGTERM.  Its answer must be
 # the program `stenso optimize --no-store` writes for the same request:
 # the daemon's cached and stored path against the CLI's uncached one.
+# The same program reformatted is a store hit with the same answer, and
+# `A + B`, which shares the program's spec and so its store entry, is
+# priced as itself: no improvement, equal costs.
 # The daemon runs from the built binary directly so the signal reaches
 # it, not a dune wrapper.
 stenso=_build/default/bin/stenso_cli.exe
@@ -126,6 +129,14 @@ first=$("$stenso" request \
   --socket "$socket" --program "$scratch/prog.tdsl" --id ci-1)
 second=$("$stenso" request \
   --socket "$socket" --program "$scratch/prog.tdsl" --id ci-2)
+printf '# reformatted\ninput A : f32[2, 2]\ninput B : f32[2, 2]\nreturn np.exp(np.log(np.add(A, B)))\n' \
+  > "$scratch/prog_fmt.tdsl"
+third=$("$stenso" request \
+  --socket "$socket" --program "$scratch/prog_fmt.tdsl" --id ci-3)
+printf 'input A : f32[2,2]\ninput B : f32[2,2]\nreturn A + B\n' \
+  > "$scratch/plain.tdsl"
+plain=$("$stenso" request \
+  --socket "$socket" --program "$scratch/plain.tdsl" --id ci-4)
 case "$first" in
   *'"ok":true'*) ;;
   *) echo "FAIL: first serve request did not succeed: $first" >&2; exit 1 ;;
@@ -135,10 +146,24 @@ case "$second" in
   *) echo "FAIL: second serve request was not a cache hit: $second" >&2
      exit 1 ;;
 esac
+case "$third" in
+  *'"cache_hit":true'*) ;;
+  *) echo "FAIL: reformatted serve request was not a cache hit: $third" >&2
+     exit 1 ;;
+esac
+if ! printf '%s' "$plain" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(not (r["ok"] and r["improved"] is False
+              and r["cost_before"] == r["cost_after"]))
+'; then
+  echo "FAIL: A + B was not priced as itself: $plain" >&2
+  exit 1
+fi
 "$stenso" optimize --program "$scratch/prog.tdsl" --no-store \
   --cost-estimator flops --timeout 60 --synth-out "$scratch/prog.opt.tdsl" \
   > /dev/null
-for answer in "$first" "$second"; do
+for answer in "$first" "$second" "$third"; do
   if ! printf '%s' "$answer" | python3 -c '
 import json, sys
 sys.exit(json.load(sys.stdin)["optimized"] != open(sys.argv[1]).read())

@@ -201,8 +201,7 @@ let test_serve_response_fields () =
   Alcotest.(check bool) "tier-3 answers are final" true
     (field "refined" Json.to_bool_opt r);
   Alcotest.(check string) "schema" Serve.schema
-    (field "schema" Json.to_string_opt r);
-  Alcotest.(check int) "no coalescing recorded" 0 (Serve.coalesced_total h)
+    (field "schema" Json.to_string_opt r)
 
 (* The ISSUE 8 satellite: BENCH_tiers reported [n_cost_mismatches: 1] —
    sum_diag_dot's tier-2 answer (cost 27) is beaten by the published
@@ -213,7 +212,7 @@ let test_serve_response_fields () =
    serving answer: reply tier-2 immediately, enqueue a background
    tier-3 refinement, and serve the upgraded store entry — the
    published optimum, [refined:true] — on the next request, with no
-   client action in between. *)
+   client action in between, through the handler's front table. *)
 let test_background_refinement () =
   let b = bench "sum_diag_dot" in
   let store = Store.open_store ~dir:(fresh_dir ()) () in
@@ -245,7 +244,14 @@ let test_background_refinement () =
   Alcotest.(check int) "refinement deduplicated" 1 (Queue.length jobs);
   (* run the refinement exactly as a spare daemon worker would *)
   (Queue.pop jobs) ();
-  let r2 = parse_response (Serve.handle_line ~background h line) in
+  (* served through the handler's front table: no spec is keyed *)
+  let keys = Spec.fresh_counters () in
+  let r2 =
+    parse_response
+      (Spec.with_counters keys (fun () -> Serve.handle_line ~background h line))
+  in
+  Alcotest.(check int) "front hit keys no spec" 0
+    (fst (Spec.counters_stats keys));
   Alcotest.(check bool) "second ok" true (field "ok" Json.to_bool_opt r2);
   Alcotest.(check int) "served from the store" 1 (field "tier" Json.to_int_opt r2);
   Alcotest.(check bool) "now refined" true (field "refined" Json.to_bool_opt r2);

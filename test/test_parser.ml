@@ -125,8 +125,64 @@ let test_roundtrip () =
         Alcotest.failf "%s: reparse of %S differs" b.name printed)
     Suite.Benchmarks.all
 
+(* The canonical rendering keeps every finite constant to the bit, and
+   keeps the bytes of the older integer-or-[%g] rendering where that was
+   already exact. *)
+let test_exact_constants () =
+  let render c = Ast.to_string (Ast.App (Mul, [ Input "A"; Const c ])) in
+  List.iter
+    (fun (c, text) ->
+      Alcotest.(check string) text ("np.multiply(A, " ^ text ^ ")") (render c))
+    [
+      (2., "2"); (0.5, "0.5"); (-3., "-3"); (1e-05, "1e-05"); (1e9, "1e+09");
+      (0.1234567, "0.1234567"); (1.00000001, "1.00000001"); (0.1, "0.1");
+      (-0., "-0"); (1. /. 3., "0.3333333333333333");
+      (1234567890.5, "1234567890.5");
+    ];
+  let env = [ ("A", Types.float_t [| 2; 2 |]) ] in
+  let prog = Ast.App (Mul, [ Input "A"; Const 0.1234567 ]) in
+  Alcotest.(check bool) "program round trip" true
+    (Parser.program (Parser.unparse env prog) = (env, prog))
+
+let rec const_bits (t : Ast.t) =
+  match t with
+  | Const f -> [ Int64.bits_of_float f ]
+  | _ -> List.concat_map const_bits (Ast.children t)
+
+let finite_float =
+  let open QCheck2.Gen in
+  oneof
+    [
+      (* any finite bit pattern: subnormals, huge and tiny magnitudes *)
+      map Int64.float_of_bits int64;
+      (* decimal-looking values, the common case in source programs *)
+      map2 (fun m e -> float_of_int m /. (10. ** float_of_int e))
+        (int_range (-1_000_000_000) 1_000_000_000) (int_range 0 12);
+      oneofl [ 0.; -0.; 1.; -1.; 0.1; 1e-05; 1e9 ];
+    ]
+  |> QCheck2.Gen.map (fun f -> if Float.is_finite f then f else 0.5)
+
+let prop_unparse_round_trips =
+  QCheck2.Test.make ~name:"unparse round-trips finite constants" ~count:500
+    ~print:(fun (a, b) -> Printf.sprintf "%h, %h" a b)
+    QCheck2.Gen.(pair finite_float finite_float)
+    (fun (a, b) ->
+      let env = [ ("A", Types.float_t [| 2; 3 |]) ] in
+      let prog =
+        Ast.App
+          ( Add,
+            [
+              Ast.App (Mul, [ Input "A"; Const a ]);
+              Ast.App (Full [| 2; 3 |], [ Const b ]);
+            ] )
+      in
+      let env', prog' = Parser.program (Parser.unparse env prog) in
+      env' = env && Ast.equal prog' prog && const_bits prog' = const_bits prog)
+
 let suite =
   [
+    Alcotest.test_case "exact constants" `Quick test_exact_constants;
+    QCheck_alcotest.to_alcotest prop_unparse_round_trips;
     Alcotest.test_case "operators" `Quick test_operators;
     Alcotest.test_case "numpy calls" `Quick test_calls;
     Alcotest.test_case "stack forms" `Quick test_stack_forms;

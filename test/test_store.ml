@@ -292,20 +292,186 @@ let test_handle_line () =
     (Some Version.current)
     (Option.bind (response_field second "version") Json.to_string_opt)
 
-(* A warm request keys its spec exactly once: serving builds the key for
-   single-flight and hands it on to the optimizer's store lookup. *)
-let test_warm_request_keys_once () =
+(* A warm request keys no spec: the handler's front table maps the
+   request's canonical text to its store key, and the optimizer's store
+   hit executes nothing.  A reformatted program has the same canonical
+   text. *)
+let test_warm_request_keys_no_spec () =
   let store = Store.open_store ~dir:(fresh_dir ()) () in
-  let h = Serve.handler ~store ~base:config () in
+  let tel = Telemetry.create () in
+  let h = Serve.handler ~tel ~store ~base:config () in
+  let executions () =
+    List.length
+      (List.filter
+         (fun (e : Telemetry.event) -> e.name = "phase.symbolic_exec")
+         (Telemetry.events tel))
+  in
   let req =
     {|{"id": 1, "program": "input A : f32[2,2]\nreturn np.sqrt(A * A)"}|}
   in
-  ignore (Serve.handle_line h req);
+  let reformatted =
+    {|{"id": 1, "program": "# the same program\ninput A : f32[2, 2]\nreturn np.sqrt(np.multiply(A, A))\n"}|}
+  in
+  let cold = Serve.handle_line h req in
+  let executed = executions () in
+  List.iter
+    (fun (what, line) ->
+      let c = Spec.fresh_counters () in
+      let warm = Spec.with_counters c (fun () -> Serve.handle_line h line) in
+      Alcotest.(check (option bool)) (what ^ " served from the store")
+        (Some true) (bool_field warm "cache_hit");
+      Alcotest.(check (option string)) (what ^ " answers like the first")
+        (Option.map Json.to_string (response_field cold "optimized"))
+        (Option.map Json.to_string (response_field warm "optimized"));
+      Alcotest.(check int) (what ^ ": no spec key built") 0
+        (fst (Spec.counters_stats c));
+      Alcotest.(check int) (what ^ ": no symbolic execution") executed
+        (executions ()))
+    [ ("repeat", req); ("reformatted", reformatted) ]
+
+(* The front key holds the request's whole configuration fingerprint:
+   the same text under another per-request configuration keys its own
+   spec and reaches its own store entry. *)
+let test_front_key_separates_configs () =
+  let store = Store.open_store ~dir:(fresh_dir ()) () in
+  let h = Serve.handler ~store ~base:config () in
+  let line cfg =
+    Printf.sprintf
+      {|{"id": 1, "program": "input A : f32[2,2]\nreturn np.sqrt(A * A)", "config": {%s}}|}
+      cfg
+  in
+  let serve cfg =
+    let c = Spec.fresh_counters () in
+    let r = Spec.with_counters c (fun () -> Serve.handle_line h (line cfg)) in
+    (bool_field r "cache_hit", fst (Spec.counters_stats c) > 0)
+  in
+  ignore (serve "");
+  Alcotest.(check (pair (option bool) bool)) "base repeat: front hit"
+    (Some true, false) (serve "");
+  List.iter
+    (fun cfg ->
+      Alcotest.(check (pair (option bool) bool)) (cfg ^ ": own entry")
+        (Some false, true) (serve cfg);
+      Alcotest.(check (pair (option bool) bool)) (cfg ^ " repeat: front hit")
+        (Some true, false) (serve cfg))
+    [ {|"node_budget": 777|}; {|"extended_ops": true|} ]
+
+(* Each of the 42 benchmark programs (the paper's 33 and the 9 ML
+   kernels) answers byte-identically through a warm front table and
+   through a fresh handler that keys every spec. *)
+let test_front_table_answers_like_fresh () =
+  let store = Store.open_store ~dir:(fresh_dir ()) () in
+  let lines =
+    List.mapi
+      (fun i (b : Suite.Benchmarks.t) ->
+        Json.to_string
+          (Json.Obj
+             [
+               ("id", Json.Int i);
+               ("program", Json.Str (Dsl.Parser.unparse b.env b.program));
+             ]))
+      (Suite.Benchmarks.all @ Suite.Benchmarks.ml)
+  in
+  let warm = Serve.handler ~store ~base:config () in
+  List.iter (fun l -> ignore (Serve.handle_line warm l)) lines;
   let c = Spec.fresh_counters () in
-  let warm = Spec.with_counters c (fun () -> Serve.handle_line h req) in
+  let through_front =
+    Spec.with_counters c (fun () -> List.map (Serve.handle_line warm) lines)
+  in
+  Alcotest.(check int) "no spec keyed through the front table" 0
+    (fst (Spec.counters_stats c));
+  let fresh = Serve.handler ~store ~base:config () in
+  List.iter2
+    (fun a b ->
+      Alcotest.(check (option bool)) "a store hit" (Some true)
+        (bool_field a "cache_hit");
+      Alcotest.(check string) "same response" b a)
+    through_front
+    (List.map (Serve.handle_line fresh) lines)
+
+(* Past its bound the table evicts its oldest pairs and never holds one
+   larger than the bound; whatever it still answers is what was added. *)
+let test_front_table_bounded () =
+  let bound = 1000 in
+  let t = Serve.Front.create bound in
+  let store_key i =
+    String.make (20 + (i * 7 mod 90)) (Char.chr (65 + (i mod 26)))
+  in
+  let front i = Printf.sprintf "front-%d" i in
+  for i = 0 to 199 do
+    Serve.Front.add t (front i) (store_key i);
+    Alcotest.(check bool) "within the bound" true
+      (Serve.Front.bytes t <= bound);
+    Alcotest.(check (option string)) "newest held" (Some (store_key i))
+      (Serve.Front.find t (front i));
+    for j = 0 to i do
+      match Serve.Front.find t (front j) with
+      | None -> ()
+      | Some k ->
+          Alcotest.(check string) "an answer never changes" (store_key j) k
+    done
+  done;
+  Alcotest.(check (option string)) "oldest evicted" None
+    (Serve.Front.find t (front 0));
+  Serve.Front.add t "huge" (String.make bound 'x');
+  Alcotest.(check (option string)) "larger than the bound: not held" None
+    (Serve.Front.find t "huge");
+  Alcotest.(check (option string)) "and evicts nothing" (Some (store_key 199))
+    (Serve.Front.find t (front 199))
+
+(* A tier-1 hit reports the request's own cost: [A + B] shares its spec
+   (and store key) with [exp(log(A + B))], whose entry says cost 12 ->
+   4, but nothing about [A + B] itself improves. *)
+let test_hit_prices_own_program () =
+  let store = Store.open_store ~dir:(fresh_dir ()) () in
+  let h = Serve.handler ~store ~base:config () in
+  let line body =
+    Printf.sprintf
+      {|{"id": 1, "program": "input A : f32[2,2]\ninput B : f32[2,2]\nreturn %s"}|}
+      body
+  in
+  let float_field r name =
+    Option.bind (response_field r name) Json.to_float_opt
+  in
+  let first = Serve.handle_line h (line "np.exp(np.log(A + B))") in
+  Alcotest.(check (option (float 0.))) "first cost" (Some 12.)
+    (float_field first "cost_before");
+  Alcotest.(check (option bool)) "first improved" (Some true)
+    (bool_field first "improved");
+  let r = Serve.handle_line h (line "A + B") in
+  Alcotest.(check (option bool)) "served from the store" (Some true)
+    (bool_field r "cache_hit");
+  Alcotest.(check (option (float 0.))) "own cost before" (Some 4.)
+    (float_field r "cost_before");
+  Alcotest.(check (option (float 0.))) "own cost after" (Some 4.)
+    (float_field r "cost_after");
+  Alcotest.(check (option bool)) "not improved" (Some false)
+    (bool_field r "improved");
+  Alcotest.(check (option string)) "its own program"
+    (Some "input A : f32[2, 2]\ninput B : f32[2, 2]\nreturn np.add(A, B)\n")
+    (Option.bind (response_field r "optimized") Json.to_string_opt)
+
+(* A constant the older [%g] rendering rounded ([0.123457]) reaches the
+   store entry and the response exactly. *)
+let test_exact_constant_served () =
+  let store = Store.open_store ~dir:(fresh_dir ()) () in
+  let h = Serve.handler ~store ~base:config () in
+  let req =
+    {|{"id": 1, "program": "input A : f32[2,2]\nreturn np.exp(np.log(A * 0.1234567))"}|}
+  in
+  let optimized r =
+    Option.bind (response_field r "optimized") Json.to_string_opt
+  in
+  let expected =
+    Some "input A : f32[2, 2]\nreturn np.multiply(A, 0.1234567)\n"
+  in
+  let cold = Serve.handle_line h req in
+  Alcotest.(check (option string)) "cold answer" expected (optimized cold);
+  let fresh = Serve.handler ~store ~base:config () in
+  let warm = Serve.handle_line fresh req in
   Alcotest.(check (option bool)) "served from the store" (Some true)
     (bool_field warm "cache_hit");
-  Alcotest.(check int) "one spec key built" 1 (fst (Spec.counters_stats c))
+  Alcotest.(check (option string)) "stored answer" expected (optimized warm)
 
 let test_busy_line () =
   Alcotest.(check (option bool)) "busy is ok:false" (Some false)
@@ -428,8 +594,18 @@ let suite =
       test_optimize_invalidates_corrupt_entry;
     Alcotest.test_case "serve protocol handles good and bad lines" `Quick
       test_handle_line;
-    Alcotest.test_case "warm request keys its spec once" `Quick
-      test_warm_request_keys_once;
+    Alcotest.test_case "warm request keys no spec" `Quick
+      test_warm_request_keys_no_spec;
+    Alcotest.test_case "front key separates configs" `Quick
+      test_front_key_separates_configs;
+    Alcotest.test_case "front table answers like a fresh handler" `Quick
+      test_front_table_answers_like_fresh;
+    Alcotest.test_case "front table stays within its bound" `Quick
+      test_front_table_bounded;
+    Alcotest.test_case "tier-1 hit prices its own program" `Quick
+      test_hit_prices_own_program;
+    Alcotest.test_case "exact constant served from the store" `Quick
+      test_exact_constant_served;
     Alcotest.test_case "busy response is well-formed" `Quick test_busy_line;
     Alcotest.test_case "spec key counters attribute per sink" `Quick
       test_spec_counters_per_sink;
