@@ -9,7 +9,17 @@
     Enumeration is type-directed (ill-shaped candidates are discarded,
     as in the paper) and semantically deduplicated: among stubs with
     identical symbolic values only the cheapest survives, so e.g.
-    [transpose(transpose(A))] is subsumed by [A]. *)
+    [transpose(transpose(A))] is subsumed by [A].
+
+    Each distinct candidate — an operation applied to operand stubs —
+    is evaluated at most once per enumeration.  Without an [on_dup]
+    observer, the swapped-operand twin of an [add], [multiply] or
+    [maximum] candidate is skipped when the cost model prices both
+    operand orders equally: it has the same value and cost as the
+    candidate listed first, so it cannot change the library.  The
+    library is the one the exhaustive order (every pair in every order,
+    repeats included) builds.  The values it keeps share their equal
+    products and powers. *)
 
 type t = {
   prog : Dsl.Ast.t;
@@ -63,7 +73,11 @@ val enumerate :
     of the same symbolic value — the raw material of rule mining, where
     each (duplicate, representative) pair is a rewrite proven
     equivalent by construction.  Equal-cost duplicates are not
-    reported. *)
+    reported.  With an observer attached, swapped-operand twins are
+    evaluated, and each repeat the exhaustive order makes re-registers
+    its first evaluation at the repeat's position, so the observer sees
+    exactly the exhaustive order's report sequence, repeated reports
+    included. *)
 
 val fingerprint : config -> consts:float list -> Dsl.Types.env -> string
 (** Canonical identity of an enumeration: the config fields that shape
@@ -116,8 +130,9 @@ val atoms : library -> t list
 val size : library -> int
 
 val attempts : library -> int
-(** Candidate programs examined during enumeration, before semantic
-    deduplication. *)
+(** Distinct candidate programs evaluated during enumeration, before
+    semantic deduplication: repeats are not counted, and skipped
+    swapped-operand twins (see above) are not attempted. *)
 
 val env : library -> Dsl.Types.env
 val truncated : library -> bool

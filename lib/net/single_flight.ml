@@ -14,16 +14,28 @@ type 'a cell = {
   mutable state : 'a state;
 }
 
+(* Flights are keyed by the key's hash, computed once per flight, paired
+   with the key itself to tell colliding keys apart.  A store key can run
+   to hundreds of kilobytes, and the generic table would hash it again
+   on lookup, insertion and removal; removal finds the key physically
+   equal, so only a colliding or coalescing flight compares bytes. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal (h, k) (h', k') = h = h' && String.equal k k'
+  let hash (h, _) = h
+end)
+
 type 'a t = {
   lock : Mutex.t;
-  cells : (string, 'a cell) Hashtbl.t;
+  cells : 'a cell Tbl.t;
   coalesced : Obs.Telemetry.Counter.t;  (* total waiters served *)
 }
 
 let create () =
   {
     lock = Mutex.create ();
-    cells = Hashtbl.create 64;
+    cells = Tbl.create 64;
     coalesced = Obs.Telemetry.Counter.make ();
   }
 
@@ -32,9 +44,10 @@ let coalesced t = Obs.Telemetry.Counter.get t.coalesced
 (* [run t key f] returns [(result, was_coalesced)].  Exceptions from
    the leader's [f] propagate to the leader and every waiter. *)
 let run t key f =
+  let key = (Hashtbl.hash key, key) in
   let role =
     Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.cells key with
+        match Tbl.find_opt t.cells key with
         | Some cell -> `Wait cell
         | None ->
             let cell =
@@ -44,7 +57,7 @@ let run t key f =
                 state = Running;
               }
             in
-            Hashtbl.add t.cells key cell;
+            Tbl.add t.cells key cell;
             `Lead cell)
   in
   match role with
@@ -52,7 +65,7 @@ let run t key f =
       let outcome = try Done (f ()) with e -> Failed e in
       (* Unpublish before waking waiters: a request arriving after this
          point must start a fresh flight, not observe a stale cell. *)
-      Mutex.protect t.lock (fun () -> Hashtbl.remove t.cells key);
+      Mutex.protect t.lock (fun () -> Tbl.remove t.cells key);
       Mutex.protect cell.mutex (fun () ->
           cell.state <- outcome;
           Condition.broadcast cell.cond);

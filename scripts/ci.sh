@@ -72,6 +72,9 @@ echo "usage-error smoke check passed"
 # expand more search nodes than the archive records either, so a search
 # change that keeps every program but explores more fails too (each
 # benchmark's search is sequential, so its node count is deterministic).
+# Each benchmark's stub library must keep the archived size: an
+# enumeration shortcut that drops or adds a stub fails here even when the
+# chosen program survives.
 dune exec --no-build bin/stenso_cli.exe -- suite --cost-estimator flops \
   --jobs 4 --quiet --report "$scratch/suite_flops.json" > /dev/null
 python3 - "$scratch/suite_flops.json" BENCH_suite_flops.json <<'PY'
@@ -91,6 +94,12 @@ bad += [
     for r in old
     if (n := new.get(r["name"], {}).get("search", {}).get("nodes", 0))
     > r["search"]["nodes"]
+]
+bad += [
+    f"{r['name']}: search.library_size {r['search']['library_size']} -> {n}"
+    for r in old
+    if (n := new.get(r["name"], {}).get("search", {}).get("library_size"))
+    != r["search"]["library_size"]
 ]
 if bad or len(new) != len(old):
     sys.exit("FAIL: flops suite differs from BENCH_suite_flops.json\n"
