@@ -560,10 +560,82 @@ let exec_micro =
     ( "transpose", "input A : f32[512,512]\nreturn A.T", false );
   ]
 
+(* The two ceilings a VM kernel is held against, both measured in this
+   process.  Memory: a STREAM triad a.(i) <- b.(i) + 3 c.(i) over three
+   arrays holding [bytes] between them (24 bytes an element), so the
+   ceiling is that of the cache level the kernel's data lives in.
+   Compute: twelve independent x <- x * m + d chains, unrolled, all in
+   registers — enough chains that issue, not latency, bounds them: the
+   peak of the scalar float loops the VM runs (2 flops per chain step). *)
+let triad_gbps ctx bytes =
+  let n = max 512 (int_of_float (bytes /. 24.)) in
+  let a = Array.make n 0. and b = Array.make n 1. and c = Array.make n 2. in
+  let t =
+    time ctx (fun () ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set a i
+            (Array.unsafe_get b i +. (3. *. Array.unsafe_get c i))
+        done)
+  in
+  24. *. float_of_int n /. t /. 1e9
+
+let madd_sink = ref 0.
+
+let madd_gflops ctx =
+  let steps = 1 lsl 16 in
+  let t =
+    time ctx (fun () ->
+        let m = 0.999999 and d = 1e-7 in
+        let x0 = ref 1. and x1 = ref 2. and x2 = ref 3. and x3 = ref 4.
+        and x4 = ref 5. and x5 = ref 6. and x6 = ref 7. and x7 = ref 8.
+        and x8 = ref 9. and x9 = ref 10. and x10 = ref 11. and x11 = ref 12. in
+        for _ = 1 to steps do
+          x0 := (!x0 *. m) +. d;
+          x1 := (!x1 *. m) +. d;
+          x2 := (!x2 *. m) +. d;
+          x3 := (!x3 *. m) +. d;
+          x4 := (!x4 *. m) +. d;
+          x5 := (!x5 *. m) +. d;
+          x6 := (!x6 *. m) +. d;
+          x7 := (!x7 *. m) +. d;
+          x8 := (!x8 *. m) +. d;
+          x9 := (!x9 *. m) +. d;
+          x10 := (!x10 *. m) +. d;
+          x11 := (!x11 *. m) +. d
+        done;
+        madd_sink :=
+          !x0 +. !x1 +. !x2 +. !x3 +. !x4 +. !x5 +. !x6 +. !x7 +. !x8 +. !x9
+          +. !x10 +. !x11)
+  in
+  24. *. float_of_int steps /. t /. 1e9
+
+let bytes_model =
+  {
+    Cost.Model.name = "bytes";
+    op_cost = Cost.Model.bytes_moved;
+    iter_scale = 1;
+  }
+
+(* Bytes of a program's inputs and result: the data a run must touch. *)
+let working_set env prog =
+  let bytes (vt : Dsl.Types.vt) =
+    8. *. float_of_int (Tensor.Shape.numel vt.shape)
+  in
+  List.fold_left
+    (fun acc (_, vt) -> acc +. bytes vt)
+    (bytes (Dsl.Types.infer env prog))
+    env
+
 (* The interp-vs-VM measurement over typed entries, shared by the [vm]
    and [mlsuite] sections: prints one table row per entry as it is
-   measured, writes the rows to [csv] and returns the stenso.exec-bench/1
-   document. *)
+   measured, then each kernel's rates against the ceilings, writes the
+   rows to [csv] and returns the stenso.exec-bench/1 document.  Rates
+   use the bytes model (which charges every operation's reads and
+   writes, fused or not) and the flops model.  A kernel's working set
+   over the triad rate and its flops over the multiply-add peak are the
+   two times the hardware needs at least; the larger names the bounding
+   ceiling, and its share of the measured time is the kernel's fraction
+   of that ceiling. *)
 let exec_point ctx ~csv entries =
   let module J = Stenso.Telemetry.Json in
   let options = Stenso.Config.exec_options ctx.config in
@@ -594,17 +666,46 @@ let exec_point ctx ~csv entries =
         if expects_fused && s.ops_fused = 0 then
           Printf.printf
             "  WARNING: %s is reduction-rooted but nothing was fused\n" name;
-        (name, ti, tv, speedup, s, expects_fused))
+        let bytes = Cost.Model.program_cost bytes_model env prog
+        and flops = Cost.Model.program_cost Cost.Model.flops env prog in
+        ((name, ti, tv, speedup, s, expects_fused),
+         (bytes, flops, working_set env prog)))
       entries
   in
-  let g = geomean (List.map (fun (_, _, _, s, _, _) -> s) rows) in
+  let g = geomean (List.map (fun ((_, _, _, s, _, _), _) -> s) rows) in
   Printf.printf "%s\n%-14s %34.2fx geomean\n" subline "" g;
+  let peak = madd_gflops ctx in
+  Printf.printf
+    "\nrates against ceilings (scalar multiply-add peak %.2f GFLOP/s)\n\
+     %-14s %9s %9s %9s %8s %9s\n%s\n"
+    peak "Benchmark" "GB/s" "GFLOP/s" "triad" "bound" "fraction" subline;
+  let rows =
+    List.map
+      (fun (((name, _, tv, speedup, _, _) as row), (bytes, flops, ws)) ->
+        let triad = triad_gbps ctx ws in
+        let t_mem = ws /. (triad *. 1e9) and t_fp = flops /. (peak *. 1e9) in
+        let bound = if t_mem >= t_fp then "memory" else "compute" in
+        let ceil =
+          ( bytes /. tv /. 1e9,
+            flops /. tv /. 1e9,
+            triad,
+            bound,
+            Float.max t_mem t_fp /. tv )
+        in
+        let gbps, gflops, _, _, fraction = ceil in
+        Printf.printf "%-14s %9.2f %9.2f %9.2f %8s %8.1f%%  (%.2fx interp)\n"
+          name gbps gflops triad bound (100. *. fraction) speedup;
+        (row, ceil))
+      rows
+  in
   emit_csv ctx csv
-    [ "benchmark"; "interp_seconds"; "vm_seconds"; "speedup" ]
+    [ "benchmark"; "interp_seconds"; "vm_seconds"; "speedup"; "gbps";
+      "gflops"; "ceiling_fraction" ]
     (List.map
-       (fun (name, ti, tv, s, _, _) ->
+       (fun ((name, ti, tv, s, _, _), (gbps, gflops, _, _, fraction)) ->
          [ name; Printf.sprintf "%.9g" ti; Printf.sprintf "%.9g" tv;
-           Printf.sprintf "%.4f" s ])
+           Printf.sprintf "%.4f" s; Printf.sprintf "%.4f" gbps;
+           Printf.sprintf "%.4f" gflops; Printf.sprintf "%.4f" fraction ])
        rows);
   J.Obj
     [
@@ -613,10 +714,12 @@ let exec_point ctx ~csv entries =
       ("options", J.Str (Stenso.Exec.Options.fingerprint options));
       ("n_benchmarks", J.Int (List.length rows));
       ("geomean_speedup", J.Float g);
+      ("peak_gflops", J.Float peak);
       ( "results",
         J.List
           (List.map
-             (fun (name, ti, tv, s, (st : Stenso.Exec.stats), expects_fused) ->
+             (fun ( (name, ti, tv, s, (st : Stenso.Exec.stats), expects_fused),
+                    (gbps, gflops, triad, bound, fraction) ) ->
                J.Obj
                  [
                    ("name", J.Str name);
@@ -629,6 +732,11 @@ let exec_point ctx ~csv entries =
                    ("buffers_reused", J.Int st.buffers_reused);
                    ("arena_bytes", J.Int st.arena_bytes);
                    ("expects_fused_reduction", J.Bool expects_fused);
+                   ("gbps", J.Float gbps);
+                   ("gflops", J.Float gflops);
+                   ("triad_gbps", J.Float triad);
+                   ("bound", J.Str bound);
+                   ("ceiling_fraction", J.Float fraction);
                  ])
              rows) );
     ]

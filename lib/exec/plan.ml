@@ -83,12 +83,11 @@ type access =
 
 type operand = { src : int; ofs : int; acc : access }
 
-type bin_kind = BAdd | BSub | BMul | BDiv
-
 type step =
-  | Bin of { kind : bin_kind; out : int; a : operand; b : operand; n : int }
-    (* specialized binary arithmetic over dense/scalar operands, the
-       hottest case: one pass, no scratch strips *)
+  | Bin of { kind : sbin; out : int; a : operand; b : operand; n : int }
+    (* specialized binary arithmetic (add, subtract, multiply, divide)
+       over dense/scalar operands, the hottest case: one pass, no
+       scratch strips *)
   | Ew of {
       out : int;
       n : int;
@@ -131,6 +130,8 @@ type step =
       m : int;
       k : int;
       n : int;
+      pack : float array array;
+        (* scratch: lane -> one k x 4 panel of b, packed row by row *)
     }  (* out[m,n] = a[m,k] . b[k,n], all row-major *)
   | Transpose2 of {
       out : int;
@@ -207,7 +208,7 @@ let lanes_for ~domains work =
 (* Lanes a step runs on (1 = sequential).  Shared by the planner (to
    size per-lane scratch and count [parallel_strips]) and the VM (to
    partition ranges): both must agree, and the per-lane scratch of
-   [Ew]/[Reduce_fused] is authoritative for them. *)
+   [Ew]/[Reduce_fused]/[Matmul] is authoritative for them. *)
 let step_lanes (opts : Opts.t) (s : step) =
   let domains = opts.Opts.domains in
   match s with
@@ -222,7 +223,7 @@ let step_lanes (opts : Opts.t) (s : step) =
         min (lanes_for ~domains (r.mid * r.inner)) r.inner
       else min (lanes_for ~domains (r.outer * r.mid * r.inner)) r.outer
   | Reduce_fused rf -> Array.length rf.strips
-  | Matmul mm -> min (lanes_for ~domains (mm.m * mm.k * mm.n)) mm.m
+  | Matmul mm -> Array.length mm.pack
   | Transpose2 tp -> min (lanes_for ~domains (tp.rows * tp.cols)) tp.rows
   | Copy c -> lanes_for ~domains c.n
   | Stack_part _ | Mask _ | Trace_of _ | Fill _ -> 1
@@ -597,9 +598,25 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
               leaves := operand_for ~out_shape nid :: !leaves;
               push (Load i))
     and apply op args =
+      (* [c OP e] with a literal [c] and a commutative OP walks as
+         [e OP c], which the peephole turns into one [BinC] pass instead
+         of a filled strip and a [Bin2].  The bits are the same: IEEE
+         add and multiply commute, and so does [fmax] while at most one
+         operand is NaN, which a non-NaN literal guarantees. *)
+      let args =
+        match (op, args) with
+        | (Ast.Add | Ast.Mul | Ast.Maximum), [| c; e |]
+          when literal c && not (literal e) ->
+            [| e; c |]
+        | _ -> args
+      in
       Array.iter walk args;
       incr n_ops;
       push (sop_of_op op)
+    and literal nid =
+      match kind.(nid) with
+      | KConst c -> F.numel c = 1 && not (Float.is_nan (F.to_scalar c))
+      | _ -> false
     in
     (if as_value then walk root
      else
@@ -623,10 +640,7 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
       when dense_or_cell leaves.(a)
            && dense_or_cell leaves.(b)
            && (leaves.(a).acc = Dense || leaves.(b).acc = Dense) ->
-        let kind =
-          match k with SAdd -> BAdd | SSub -> BSub | SMul -> BMul | _ -> BDiv
-        in
-        emit (Bin { kind; out; a = leaves.(a); b = leaves.(b); n })
+        emit (Bin { kind = k; out; a = leaves.(a); b = leaves.(b); n })
     | _ ->
         let lanes = lanes_for ~domains:opts.Opts.domains n in
         let strips = lane_strips ~lanes ~depth:(body_depth code) ~len:n in
@@ -666,6 +680,9 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
     in
     let sa, aofs = materialize a c.a_perm in
     let sb, bofs = materialize b c.b_perm in
+    let lanes =
+      max 1 (min (lanes_for ~domains:opts.Opts.domains (c.m * c.k * c.n)) c.m)
+    in
     emit
       (Matmul
          {
@@ -677,6 +694,7 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
            m = c.m;
            k = c.k;
            n = c.n;
+           pack = Array.init lanes (fun _ -> Array.make (4 * c.k) 0.);
          })
   in
   for id = 0 to n_nodes - 1 do
@@ -893,6 +911,7 @@ let copy p =
   let step = function
     | Ew e -> Ew { e with strips = strips e.strips }
     | Reduce r -> Reduce { r with partials = Array.copy r.partials }
+    | Matmul mm -> Matmul { mm with pack = Array.map Array.copy mm.pack }
     | Reduce_fused rf ->
         Reduce_fused
           {

@@ -41,12 +41,12 @@ type access =
   | Gather of int array  (** precomputed output index -> source index *)
 
 type operand = { src : int; ofs : int; acc : access }
-type bin_kind = BAdd | BSub | BMul | BDiv
 
 type step =
-  | Bin of { kind : bin_kind; out : int; a : operand; b : operand; n : int }
-      (** specialized binary arithmetic over dense/scalar operands: at
-          least one operand is [Dense], neither is [Gather] *)
+  | Bin of { kind : sbin; out : int; a : operand; b : operand; n : int }
+      (** specialized binary arithmetic ([SAdd], [SSub], [SMul], [SDiv])
+          over dense/scalar operands: at least one operand is [Dense],
+          neither is [Gather] *)
   | Ew of {
       out : int;
       n : int;
@@ -87,6 +87,8 @@ type step =
       m : int;
       k : int;
       n : int;
+      pack : float array array;
+          (** scratch: lane -> one k x 4 panel of b, packed row by row *)
     }  (** out[m,n] = a[m,k] . b[k,n], all row-major *)
   | Transpose2 of {
       out : int;
@@ -148,7 +150,8 @@ val red_block : int
 val step_lanes : Opts.t -> step -> int
 (** Lanes a step runs on (1 = sequential).  The planner sizes per-lane
     scratch with it and the VM partitions ranges with it; for
-    [Ew]/[Reduce_fused] the preallocated scratch is authoritative. *)
+    [Ew]/[Reduce_fused]/[Matmul] the preallocated scratch is
+    authoritative. *)
 
 val compile : opts:Opts.t -> Ir.t -> t
 

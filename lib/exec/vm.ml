@@ -13,21 +13,30 @@
    the lane count — combined in ascending block order by the leader.
 
    Accumulation orders otherwise match the reference interpreter
-   (ascending reduction index; the tiled matmul walks k-blocks and k
-   within each block in ascending order, so every c[i,j] sees exactly
-   the ascending-k order of the naive i-k-j multiply), so VM results
-   coincide with [Dsl.Interp.eval] up to the usual float tolerance
-   rather than drift from reassociation.  The one deliberate exception:
-   full [sum] reductions use block-partial accumulation with 4
-   interleaved accumulators per block, whose grouping differs from the
-   interpreter's single left-to-right chain by ordinary rounding
-   noise. *)
+   (ascending reduction index; the packed matmul accumulates every
+   c[i,j] from 0. over ascending k, the order of the naive i-k-j
+   multiply), so VM results coincide with [Dsl.Interp.eval] up to the
+   usual float tolerance rather than drift from reassociation.  Two
+   deliberate exceptions differ from the interpreter by ordinary
+   rounding: full [sum] reductions use block-partial accumulation with
+   4 interleaved accumulators per block, and a literal exponent of 2 or
+   3 multiplies ([x *. x], [x *. x *. x]) where the interpreter calls
+   [Float.pow] (special values agree, except that a NaN with its sign
+   bit set keeps it when cubed).
+
+   Hot loops avoid per-element traps: each strip loop is instantiated
+   once per opcode (no dispatch inside it) and unrolled by four, [less]
+   and the [Where3] select compile without a branch (a compare into
+   0/1, a 0/1 index into the strip stack), short row maxima select an
+   index with no branch ([row_max]), rows that fit a strip reduce in
+   local accumulators, and loop bounds use an int-typed [min] rather
+   than the polymorphic compare. *)
 
 module Shape = Tensor.Shape
 module F = Tensor.Ftensor
 
-(* Cache-block edge of the matmul and transpose kernels: one 64 x 64
-   block of floats is 32 KB, about an L1 data cache. *)
+(* Cache-block edge of the transpose kernel: one 64 x 64 block of
+   floats is 32 KB, about an L1 data cache. *)
 let tile = 64
 
 (* Partition [0, total) into at most [lanes] contiguous chunks.  With
@@ -53,258 +62,205 @@ let[@inline] fmax (x : float) (y : float) =
   else if x = 0. && 1. /. x = Float.neg_infinity then y (* max(-0, y) *)
   else x
 
+(* [Stdlib.min] is polymorphic: without flambda each call goes through
+   [caml_lessequal], and the row drains make one per row. *)
+let[@inline] min (a : int) b = if a <= b then a else b
+
+(* 1. or 0. with no branch: the comparison compiles to [cmpltsd], which
+   random data would otherwise mispredict half the time.  NaN compares
+   false, as in [if a < b then 1. else 0.]. *)
+let[@inline] less (a : float) b = Float.of_int (Bool.to_int (a < b))
+
 (* ------------------------------------------------------------------ *)
 (* Strip machine                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* x.(i) <- x.(i) OP y.(i) *)
-let strip_bin2 k (x : float array) (y : float array) len =
+(* One element of opcode [k].  [e] is 2 or 3 for a literal exponent of
+   2 or 3, which multiplies instead of calling [Float.pow] (about 16 ns
+   an element), and 0 otherwise.  The loops below inline it with
+   constant [k] and [e], so the match folds away: each instance runs
+   one operation with no dispatch. *)
+let[@inline] op k e (a : float) b =
   match (k : Plan.sbin) with
-  | Plan.SAdd ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i +. Array.unsafe_get y i)
-      done
-  | Plan.SSub ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i -. Array.unsafe_get y i)
-      done
-  | Plan.SMul ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i *. Array.unsafe_get y i)
-      done
-  | Plan.SDiv ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i /. Array.unsafe_get y i)
-      done
+  | Plan.SAdd -> a +. b
+  | Plan.SSub -> a -. b
+  | Plan.SMul -> a *. b
+  | Plan.SDiv -> a /. b
   | Plan.SPow ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Float.pow (Array.unsafe_get x i) (Array.unsafe_get y i))
-      done
-  | Plan.SMax ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (fmax (Array.unsafe_get x i) (Array.unsafe_get y i))
-      done
-  | Plan.SLess ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (if Array.unsafe_get x i < Array.unsafe_get y i then 1. else 0.)
-      done
+      if e = 2 then a *. a else if e = 3 then a *. a *. a else Float.pow a b
+  | Plan.SMax -> fmax a b
+  | Plan.SLess -> less a b
 
-(* x.(i) <- x.(i) OP v *)
-let strip_bin_const k (x : float array) v len =
+(* The loops are unrolled by four: a plain loop's tagged index
+   arithmetic costs more than the operation (2-3x on an L1-resident
+   strip).  Every element gets the same operation wherever the unroll
+   boundary falls, so strip and lane boundaries do not show in the
+   bits.  [d] may be [s] (in place). *)
+
+(* d.(db + i) <- s.(sb + i) OP v for i < len *)
+let[@inline] const_loop k e (d : float array) db (s : float array) sb v len =
+  let q = len land lnot 3 in
+  let j = ref 0 in
+  while !j < q do
+    let di = db + !j and si = sb + !j in
+    Array.unsafe_set d di (op k e (Array.unsafe_get s si) v);
+    Array.unsafe_set d (di + 1) (op k e (Array.unsafe_get s (si + 1)) v);
+    Array.unsafe_set d (di + 2) (op k e (Array.unsafe_get s (si + 2)) v);
+    Array.unsafe_set d (di + 3) (op k e (Array.unsafe_get s (si + 3)) v);
+    j := !j + 4
+  done;
+  for i = q to len - 1 do
+    Array.unsafe_set d (db + i) (op k e (Array.unsafe_get s (sb + i)) v)
+  done
+
+(* d.(db + i) <- v OP s.(sb + i) for i < len *)
+let[@inline] rconst_loop k (d : float array) db v (s : float array) sb len =
+  let q = len land lnot 3 in
+  let j = ref 0 in
+  while !j < q do
+    let di = db + !j and si = sb + !j in
+    Array.unsafe_set d di (op k 0 v (Array.unsafe_get s si));
+    Array.unsafe_set d (di + 1) (op k 0 v (Array.unsafe_get s (si + 1)));
+    Array.unsafe_set d (di + 2) (op k 0 v (Array.unsafe_get s (si + 2)));
+    Array.unsafe_set d (di + 3) (op k 0 v (Array.unsafe_get s (si + 3)));
+    j := !j + 4
+  done;
+  for i = q to len - 1 do
+    Array.unsafe_set d (db + i) (op k 0 v (Array.unsafe_get s (sb + i)))
+  done
+
+(* d.(db + i) <- s.(sb + i) OP t.(tb + i) for i < len *)
+let[@inline] arr_loop k (d : float array) db (s : float array) sb
+    (t : float array) tb len =
+  let q = len land lnot 3 in
+  let j = ref 0 in
+  while !j < q do
+    let di = db + !j and si = sb + !j and ti = tb + !j in
+    Array.unsafe_set d di
+      (op k 0 (Array.unsafe_get s si) (Array.unsafe_get t ti));
+    Array.unsafe_set d (di + 1)
+      (op k 0 (Array.unsafe_get s (si + 1)) (Array.unsafe_get t (ti + 1)));
+    Array.unsafe_set d (di + 2)
+      (op k 0 (Array.unsafe_get s (si + 2)) (Array.unsafe_get t (ti + 2)));
+    Array.unsafe_set d (di + 3)
+      (op k 0 (Array.unsafe_get s (si + 3)) (Array.unsafe_get t (ti + 3)));
+    j := !j + 4
+  done;
+  for i = q to len - 1 do
+    Array.unsafe_set d (db + i)
+      (op k 0 (Array.unsafe_get s (sb + i)) (Array.unsafe_get t (tb + i)))
+  done
+
+(* d.(i) <- d.(i) OP s.(ofs + map.(b + i)) for i < len *)
+let[@inline] gather_loop k (d : float array) (s : float array) ofs
+    (map : int array) b len =
+  let q = len land lnot 3 in
+  let j = ref 0 in
+  while !j < q do
+    let i = !j and mi = b + !j in
+    let g0 = Array.unsafe_get map mi and g1 = Array.unsafe_get map (mi + 1)
+    and g2 = Array.unsafe_get map (mi + 2)
+    and g3 = Array.unsafe_get map (mi + 3) in
+    Array.unsafe_set d i
+      (op k 0 (Array.unsafe_get d i) (Array.unsafe_get s (ofs + g0)));
+    Array.unsafe_set d (i + 1)
+      (op k 0 (Array.unsafe_get d (i + 1)) (Array.unsafe_get s (ofs + g1)));
+    Array.unsafe_set d (i + 2)
+      (op k 0 (Array.unsafe_get d (i + 2)) (Array.unsafe_get s (ofs + g2)));
+    Array.unsafe_set d (i + 3)
+      (op k 0 (Array.unsafe_get d (i + 3)) (Array.unsafe_get s (ofs + g3)));
+    j := i + 4
+  done;
+  for i = q to len - 1 do
+    Array.unsafe_set d i
+      (op k 0 (Array.unsafe_get d i)
+         (Array.unsafe_get s (ofs + Array.unsafe_get map (b + i))))
+  done
+
+(* One element of the unary opcode [u], folded like [op]. *)
+let[@inline] unary (u : Plan.sop) a =
+  match u with
+  | Plan.Sqrt1 -> Float.sqrt a
+  | Plan.Exp1 -> Float.exp a
+  | _ -> Float.log a
+
+(* d.(i) <- u d.(i) for i < len *)
+let[@inline] unary_loop u (d : float array) len =
+  let q = len land lnot 3 in
+  let j = ref 0 in
+  while !j < q do
+    let i = !j in
+    Array.unsafe_set d i (unary u (Array.unsafe_get d i));
+    Array.unsafe_set d (i + 1) (unary u (Array.unsafe_get d (i + 1)));
+    Array.unsafe_set d (i + 2) (unary u (Array.unsafe_get d (i + 2)));
+    Array.unsafe_set d (i + 3) (unary u (Array.unsafe_get d (i + 3)));
+    j := i + 4
+  done;
+  for i = q to len - 1 do
+    Array.unsafe_set d i (unary u (Array.unsafe_get d i))
+  done
+
+(* The opcode dispatchers, one instance of a loop per opcode.
+   [bin_const] serves a [BinC], a [BinL] of a one-element leaf, a
+   [Load] fused with either, and a [Bin] step over a dense and a
+   broadcast operand; [bin_arr] a dense [BinL], a [Bin2], a [Load]
+   fused with a dense [BinL] and a dense [Bin] step. *)
+let bin_const k d db s sb v len =
   match (k : Plan.sbin) with
-  | Plan.SAdd ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i +. v)
-      done
-  | Plan.SSub ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i -. v)
-      done
-  | Plan.SMul ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i *. v)
-      done
-  | Plan.SDiv ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i /. v)
-      done
-  | Plan.SPow ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (Float.pow (Array.unsafe_get x i) v)
-      done
-  | Plan.SMax ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (fmax (Array.unsafe_get x i) v)
-      done
-  | Plan.SLess ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i (if Array.unsafe_get x i < v then 1. else 0.)
-      done
+  | Plan.SAdd -> const_loop Plan.SAdd 0 d db s sb v len
+  | Plan.SSub -> const_loop Plan.SSub 0 d db s sb v len
+  | Plan.SMul -> const_loop Plan.SMul 0 d db s sb v len
+  | Plan.SDiv -> const_loop Plan.SDiv 0 d db s sb v len
+  | Plan.SPow when v = 2. -> const_loop Plan.SPow 2 d db s sb v len
+  | Plan.SPow when v = 3. -> const_loop Plan.SPow 3 d db s sb v len
+  | Plan.SPow -> const_loop Plan.SPow 0 d db s sb v len
+  | Plan.SMax -> const_loop Plan.SMax 0 d db s sb v len
+  | Plan.SLess -> const_loop Plan.SLess 0 d db s sb v len
 
-(* x.(i) <- x.(i) OP s.(sb + i): the dense direct-read superinstruction *)
-let strip_bin_arr k (x : float array) (s : float array) sb len =
+(* a [Bin] step over a broadcast and a dense operand: arithmetic only *)
+let bin_rconst k d db v s sb len =
   match (k : Plan.sbin) with
-  | Plan.SAdd ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Array.unsafe_get x i +. Array.unsafe_get s (sb + i))
-      done
-  | Plan.SSub ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Array.unsafe_get x i -. Array.unsafe_get s (sb + i))
-      done
-  | Plan.SMul ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Array.unsafe_get x i *. Array.unsafe_get s (sb + i))
-      done
-  | Plan.SDiv ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Array.unsafe_get x i /. Array.unsafe_get s (sb + i))
-      done
-  | Plan.SPow ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Float.pow (Array.unsafe_get x i) (Array.unsafe_get s (sb + i)))
-      done
-  | Plan.SMax ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (fmax (Array.unsafe_get x i) (Array.unsafe_get s (sb + i)))
-      done
-  | Plan.SLess ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (if Array.unsafe_get x i < Array.unsafe_get s (sb + i) then 1.
-           else 0.)
-      done
+  | Plan.SAdd -> rconst_loop Plan.SAdd d db v s sb len
+  | Plan.SSub -> rconst_loop Plan.SSub d db v s sb len
+  | Plan.SMul -> rconst_loop Plan.SMul d db v s sb len
+  | Plan.SDiv -> rconst_loop Plan.SDiv d db v s sb len
+  | Plan.SPow | Plan.SMax | Plan.SLess -> assert false
 
-(* x.(i) <- x.(i) OP s.(ofs + map.(b + i)) *)
-let strip_bin_gather k (x : float array) (s : float array) ofs (map : int array)
-    b len =
+let bin_arr k d db s sb t tb len =
   match (k : Plan.sbin) with
-  | Plan.SAdd ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Array.unsafe_get x i
-          +. Array.unsafe_get s (ofs + Array.unsafe_get map (b + i)))
-      done
-  | Plan.SSub ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Array.unsafe_get x i
-          -. Array.unsafe_get s (ofs + Array.unsafe_get map (b + i)))
-      done
-  | Plan.SMul ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Array.unsafe_get x i
-          *. Array.unsafe_get s (ofs + Array.unsafe_get map (b + i)))
-      done
-  | Plan.SDiv ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Array.unsafe_get x i
-          /. Array.unsafe_get s (ofs + Array.unsafe_get map (b + i)))
-      done
-  | Plan.SPow ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (Float.pow (Array.unsafe_get x i)
-             (Array.unsafe_get s (ofs + Array.unsafe_get map (b + i))))
-      done
-  | Plan.SMax ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (fmax (Array.unsafe_get x i)
-             (Array.unsafe_get s (ofs + Array.unsafe_get map (b + i))))
-      done
-  | Plan.SLess ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set x i
-          (if
-             Array.unsafe_get x i
-             < Array.unsafe_get s (ofs + Array.unsafe_get map (b + i))
-           then 1.
-           else 0.)
-      done
+  | Plan.SAdd -> arr_loop Plan.SAdd d db s sb t tb len
+  | Plan.SSub -> arr_loop Plan.SSub d db s sb t tb len
+  | Plan.SMul -> arr_loop Plan.SMul d db s sb t tb len
+  | Plan.SDiv -> arr_loop Plan.SDiv d db s sb t tb len
+  | Plan.SPow -> arr_loop Plan.SPow d db s sb t tb len
+  | Plan.SMax -> arr_loop Plan.SMax d db s sb t tb len
+  | Plan.SLess -> arr_loop Plan.SLess d db s sb t tb len
 
-(* d.(i) <- s.(sb + i) OP v — a [Load] fused with its following
-   [BinC], saving one full pass over the strip *)
-let load_bin_const k (d : float array) (s : float array) sb v len =
+let bin_gather k d s ofs map b len =
   match (k : Plan.sbin) with
-  | Plan.SAdd ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i (Array.unsafe_get s (sb + i) +. v)
-      done
-  | Plan.SSub ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i (Array.unsafe_get s (sb + i) -. v)
-      done
-  | Plan.SMul ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i (Array.unsafe_get s (sb + i) *. v)
-      done
-  | Plan.SDiv ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i (Array.unsafe_get s (sb + i) /. v)
-      done
-  | Plan.SPow ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i (Float.pow (Array.unsafe_get s (sb + i)) v)
-      done
-  | Plan.SMax ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i (fmax (Array.unsafe_get s (sb + i)) v)
-      done
-  | Plan.SLess ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i
-          (if Array.unsafe_get s (sb + i) < v then 1. else 0.)
-      done
+  | Plan.SAdd -> gather_loop Plan.SAdd d s ofs map b len
+  | Plan.SSub -> gather_loop Plan.SSub d s ofs map b len
+  | Plan.SMul -> gather_loop Plan.SMul d s ofs map b len
+  | Plan.SDiv -> gather_loop Plan.SDiv d s ofs map b len
+  | Plan.SPow -> gather_loop Plan.SPow d s ofs map b len
+  | Plan.SMax -> gather_loop Plan.SMax d s ofs map b len
+  | Plan.SLess -> gather_loop Plan.SLess d s ofs map b len
 
-(* d.(i) <- s.(sb + i) OP t.(tb + i) — a [Load] fused with its
-   following dense [BinL] *)
-let load_bin_arr k (d : float array) (s : float array) sb (t : float array) tb
-    len =
-  match (k : Plan.sbin) with
-  | Plan.SAdd ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i
-          (Array.unsafe_get s (sb + i) +. Array.unsafe_get t (tb + i))
-      done
-  | Plan.SSub ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i
-          (Array.unsafe_get s (sb + i) -. Array.unsafe_get t (tb + i))
-      done
-  | Plan.SMul ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i
-          (Array.unsafe_get s (sb + i) *. Array.unsafe_get t (tb + i))
-      done
-  | Plan.SDiv ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i
-          (Array.unsafe_get s (sb + i) /. Array.unsafe_get t (tb + i))
-      done
-  | Plan.SPow ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i
-          (Float.pow
-             (Array.unsafe_get s (sb + i))
-             (Array.unsafe_get t (tb + i)))
-      done
-  | Plan.SMax ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i
-          (fmax
-             (Array.unsafe_get s (sb + i))
-             (Array.unsafe_get t (tb + i)))
-      done
-  | Plan.SLess ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set d i
-          (if Array.unsafe_get s (sb + i) < Array.unsafe_get t (tb + i) then
-             1.
-           else 0.)
-      done
+(* Strip length of a lane's scratch stack. *)
+let strip_cap (strips : float array array) =
+  Array.length (Array.unsafe_get strips 0)
 
-(* Evaluate [code] over the source index range [lo, hi) strip by strip
-   on one lane's scratch stack [strips], calling [consume strip len]
-   for each completed strip (covering [b, b + len) of the range, in
-   ascending order).  A dense [Load] immediately followed by [BinC] or
-   a dense/cell [BinL] executes as one fused pass — elementwise the
-   same operations, so the fusion is invisible in the bits. *)
+(* Evaluate [code] over the source index range [lo, hi) in strips of
+   at most [cap] elements on one lane's scratch stack [strips], calling
+   [consume strip b len] for each completed strip, which covers
+   [b, b + len) of the range (strips ascend).  A dense [Load]
+   immediately followed by [BinC] or a dense/cell [BinL] executes as one
+   fused pass — elementwise the same operations, so the fusion is
+   invisible in the bits. *)
 let run_body (slots : Plan.buf array) (code : Plan.sop array)
-    (leaves : Plan.operand array) (strips : float array array) lo hi consume =
+    (leaves : Plan.operand array) (strips : float array array) cap lo hi
+    consume =
   let ncode = Array.length code in
-  let cap = Array.length (Array.unsafe_get strips 0) in
   let base = ref lo in
   while !base < hi do
     let b = !base in
@@ -324,17 +280,17 @@ let run_body (slots : Plan.buf array) (code : Plan.sop array)
                 else
                   match Array.unsafe_get code (!pc + 1) with
                   | Plan.BinC (k, v) ->
-                      load_bin_const k d s (ofs + b) v len;
+                      bin_const k d 0 s (ofs + b) v len;
                       true
                   | Plan.BinL (k, l2) -> (
                       let lf2 = Array.unsafe_get leaves l2 in
                       let t = slots.(lf2.Plan.src) and tofs = lf2.Plan.ofs in
                       match lf2.Plan.acc with
                       | Plan.Dense ->
-                          load_bin_arr k d s (ofs + b) t (tofs + b) len;
+                          bin_arr k d 0 s (ofs + b) t (tofs + b) len;
                           true
                       | Plan.Cell ->
-                          load_bin_const k d s (ofs + b)
+                          bin_const k d 0 s (ofs + b)
                             (Array.unsafe_get t tofs)
                             len;
                           true
@@ -354,49 +310,42 @@ let run_body (slots : Plan.buf array) (code : Plan.sop array)
           Array.fill (Array.unsafe_get strips !sp) 0 len v;
           incr sp
       | Plan.Bin2 k ->
-          strip_bin2 k
-            (Array.unsafe_get strips (!sp - 2))
-            (Array.unsafe_get strips (!sp - 1))
-            len;
+          let x = Array.unsafe_get strips (!sp - 2) in
+          bin_arr k x 0 x 0 (Array.unsafe_get strips (!sp - 1)) 0 len;
           decr sp
       | Plan.BinC (k, v) ->
-          strip_bin_const k (Array.unsafe_get strips (!sp - 1)) v len
+          let x = Array.unsafe_get strips (!sp - 1) in
+          bin_const k x 0 x 0 v len
       | Plan.BinL (k, l) -> (
           let lf = Array.unsafe_get leaves l in
           let s = slots.(lf.Plan.src) and ofs = lf.Plan.ofs in
           let x = Array.unsafe_get strips (!sp - 1) in
           match lf.Plan.acc with
-          | Plan.Dense -> strip_bin_arr k x s (ofs + b) len
-          | Plan.Cell -> strip_bin_const k x (Array.unsafe_get s ofs) len
-          | Plan.Gather map -> strip_bin_gather k x s ofs map b len)
+          | Plan.Dense -> bin_arr k x 0 x 0 s (ofs + b) len
+          | Plan.Cell -> bin_const k x 0 x 0 (Array.unsafe_get s ofs) len
+          | Plan.Gather map -> bin_gather k x s ofs map b len)
       | Plan.Sqrt1 ->
-          let d = Array.unsafe_get strips (!sp - 1) in
-          for i = 0 to len - 1 do
-            Array.unsafe_set d i (Float.sqrt (Array.unsafe_get d i))
-          done
+          unary_loop Plan.Sqrt1 (Array.unsafe_get strips (!sp - 1)) len
       | Plan.Exp1 ->
-          let d = Array.unsafe_get strips (!sp - 1) in
-          for i = 0 to len - 1 do
-            Array.unsafe_set d i (Float.exp (Array.unsafe_get d i))
-          done
+          unary_loop Plan.Exp1 (Array.unsafe_get strips (!sp - 1)) len
       | Plan.Log1 ->
-          let d = Array.unsafe_get strips (!sp - 1) in
-          for i = 0 to len - 1 do
-            Array.unsafe_set d i (Float.log (Array.unsafe_get d i))
-          done
+          unary_loop Plan.Log1 (Array.unsafe_get strips (!sp - 1)) len
       | Plan.Where3 ->
-          let c = Array.unsafe_get strips (!sp - 3)
-          and x = Array.unsafe_get strips (!sp - 2)
-          and y = Array.unsafe_get strips (!sp - 1) in
+          (* x sits one stack level below y: the condition picks the
+             level to read, so the select copies the same bits with no
+             branch (NaN is nonzero, as in [if c <> 0.]) *)
+          let c = Array.unsafe_get strips (!sp - 3) and y = !sp - 1 in
           for i = 0 to len - 1 do
-            Array.unsafe_set c i
-              (if Array.unsafe_get c i <> 0. then Array.unsafe_get x i
-               else Array.unsafe_get y i)
+            let src =
+              Array.unsafe_get strips
+                (y - Bool.to_int (Array.unsafe_get c i <> 0.))
+            in
+            Array.unsafe_set c i (Array.unsafe_get src i)
           done;
           sp := !sp - 2);
       incr pc
     done;
-    consume (Array.unsafe_get strips 0) len;
+    consume (Array.unsafe_get strips 0) b len;
     base := b + len
   done
 
@@ -435,12 +384,73 @@ let sum_range (s : float array) lo hi =
     !acc
   end
 
+(* o.(oi) <- the ascending sum of s.[r0, r0 + mid) from [0.]: the
+   interpreter's order for an axis reduction. *)
+let[@inline] row_sum (o : float array) oi (s : float array) r0 mid =
+  let acc = ref 0. in
+  for i = r0 to r0 + mid - 1 do
+    acc := !acc +. Array.unsafe_get s i
+  done;
+  Array.unsafe_set o oi !acc
+
+(* The [fmax] fold of s.[lo, hi) from [neg_infinity], in ascending
+   order (unrolled by four, the same fold). *)
 let max_range (s : float array) lo hi =
   let acc = ref Float.neg_infinity in
-  for i = lo to hi - 1 do
+  let q = lo + ((hi - lo) land lnot 3) in
+  let i = ref lo in
+  while !i < q do
+    let j = !i in
+    let a = fmax !acc (Array.unsafe_get s j) in
+    let a = fmax a (Array.unsafe_get s (j + 1)) in
+    let a = fmax a (Array.unsafe_get s (j + 2)) in
+    acc := fmax a (Array.unsafe_get s (j + 3));
+    i := j + 4
+  done;
+  for i = q to hi - 1 do
     acc := fmax !acc (Array.unsafe_get s i)
   done;
   !acc
+
+(* Rows up to this long take [row_max]'s branch-free select.  On longer
+   rows the running maximum rarely changes, so [fmax]'s first branch
+   predicts well and the select only adds work (2.5-3x slower on rows
+   of 256). *)
+let short_row = 16
+
+(* o.(oi) <- [max_range s r0 (r0 + mid)], bit for bit (stored, not
+   returned, so no float is boxed per row).  A short row tracks the
+   index of its running maximum with no branch: on random data [fmax]'s
+   first comparison mispredicts about half the time there.  The select
+   keeps the first of equal values, where [fmax] orders -0 below +0 and
+   propagates NaN, so a row holding a NaN or two values that compare
+   equal falls back to the [fmax] fold. *)
+let[@inline] row_max (o : float array) oi (s : float array) r0 mid =
+  if mid > short_row then Array.unsafe_set o oi (max_range s r0 (r0 + mid))
+  else begin
+    let best = ref r0 and tie = ref 0 in
+    for j = r0 + 1 to r0 + mid - 1 do
+      let v = Array.unsafe_get s j and m = Array.unsafe_get s !best in
+      let gt = Bool.to_int (v > m) in
+      tie := !tie lor (1 - gt - Bool.to_int (v < m));
+      best := !best + ((j - !best) * gt)
+    done;
+    Array.unsafe_set o oi
+      (if !tie = 0 then Array.unsafe_get s !best
+       else max_range s r0 (r0 + mid))
+  end
+
+(* The first [jn] of a 4-wide block row of the matmul kernel. *)
+let[@inline] store4 (c : float array) cb jn v0 v1 v2 v3 =
+  Array.unsafe_set c cb v0;
+  if jn > 1 then Array.unsafe_set c (cb + 1) v1;
+  if jn > 2 then Array.unsafe_set c (cb + 2) v2;
+  if jn > 3 then Array.unsafe_set c (cb + 3) v3
+
+(* The in-place opcode and start value that fold a column reduction. *)
+let column_fold = function
+  | `Sum -> (Plan.SAdd, 0.)
+  | `Max -> (Plan.SMax, Float.neg_infinity)
 
 (* ------------------------------------------------------------------ *)
 (* Step execution                                                      *)
@@ -454,86 +464,29 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
       let ab = slots.(a.Plan.src) and bb = slots.(b.Plan.src) in
       let ao = a.Plan.ofs and bo = b.Plan.ofs in
       split lanes n (fun ~lane:_ ~lo ~hi ->
-          match (a.Plan.acc, b.Plan.acc) with
-          | Plan.Dense, Plan.Dense -> (
-              match kind with
-              | Plan.BAdd ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i
-                      (Array.unsafe_get ab (ao + i)
-                      +. Array.unsafe_get bb (bo + i))
-                  done
-              | Plan.BSub ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i
-                      (Array.unsafe_get ab (ao + i)
-                      -. Array.unsafe_get bb (bo + i))
-                  done
-              | Plan.BMul ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i
-                      (Array.unsafe_get ab (ao + i)
-                      *. Array.unsafe_get bb (bo + i))
-                  done
-              | Plan.BDiv ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i
-                      (Array.unsafe_get ab (ao + i)
-                      /. Array.unsafe_get bb (bo + i))
-                  done)
-          | Plan.Dense, Plan.Cell -> (
-              let bv = Array.unsafe_get bb bo in
-              match kind with
-              | Plan.BAdd ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i (Array.unsafe_get ab (ao + i) +. bv)
-                  done
-              | Plan.BSub ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i (Array.unsafe_get ab (ao + i) -. bv)
-                  done
-              | Plan.BMul ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i (Array.unsafe_get ab (ao + i) *. bv)
-                  done
-              | Plan.BDiv ->
-                  (* dividing a whole tensor by one broadcast scalar:
-                     one division up front, multiplies in the loop —
-                     within 1 ulp of dividing elementwise, and an
-                     identical plan at every lane count, so results
-                     stay bitwise domain-independent *)
-                  let inv = 1. /. bv in
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i (Array.unsafe_get ab (ao + i) *. inv)
-                  done)
-          | Plan.Cell, Plan.Dense -> (
-              let av = Array.unsafe_get ab ao in
-              match kind with
-              | Plan.BAdd ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i (av +. Array.unsafe_get bb (bo + i))
-                  done
-              | Plan.BSub ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i (av -. Array.unsafe_get bb (bo + i))
-                  done
-              | Plan.BMul ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i (av *. Array.unsafe_get bb (bo + i))
-                  done
-              | Plan.BDiv ->
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i (av /. Array.unsafe_get bb (bo + i))
-                  done)
+          let len = hi - lo in
+          match (a.Plan.acc, b.Plan.acc, kind) with
+          | Plan.Dense, Plan.Dense, _ ->
+              bin_arr kind o lo ab (ao + lo) bb (bo + lo) len
+          | Plan.Dense, Plan.Cell, Plan.SDiv ->
+              (* dividing a whole tensor by one broadcast scalar: one
+                 division up front, multiplies in the loop — within 1
+                 ulp of dividing elementwise, and an identical plan at
+                 every lane count, so results stay bitwise
+                 domain-independent *)
+              let inv = 1. /. Array.unsafe_get bb bo in
+              bin_const Plan.SMul o lo ab (ao + lo) inv len
+          | Plan.Dense, Plan.Cell, _ ->
+              bin_const kind o lo ab (ao + lo) (Array.unsafe_get bb bo) len
+          | Plan.Cell, Plan.Dense, _ ->
+              bin_rconst kind o lo (Array.unsafe_get ab ao) bb (bo + lo) len
           | _ -> assert false (* the planner emits Bin only for these *))
   | Plan.Ew { out; n; code; leaves; strips } ->
       let o = slots.(out) in
       split lanes n (fun ~lane ~lo ~hi ->
-          let pos = ref lo in
-          run_body slots code leaves (Array.unsafe_get strips lane) lo hi
-            (fun d len ->
-              Array.blit d 0 o !pos len;
-              pos := !pos + len))
+          let st = Array.unsafe_get strips lane in
+          run_body slots code leaves st (strip_cap st) lo hi (fun d b len ->
+              Array.blit d 0 o b len))
   | Plan.Reduce { kind; out; src; sofs; outer; mid; inner; partials } -> (
       let o = slots.(out) and s = slots.(src) in
       if outer = 1 && inner = 1 then begin
@@ -573,86 +526,35 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
         | `Sum ->
             split lanes outer (fun ~lane:_ ~lo ~hi ->
                 for ob = lo to hi - 1 do
-                  let sb = sofs + (ob * mid) in
-                  let acc = ref 0. in
-                  for i = sb to sb + mid - 1 do
-                    acc := !acc +. Array.unsafe_get s i
-                  done;
-                  Array.unsafe_set o ob !acc
+                  row_sum o ob s (sofs + (ob * mid)) mid
                 done)
         | `Max ->
             split lanes outer (fun ~lane:_ ~lo ~hi ->
                 for ob = lo to hi - 1 do
-                  let sb = sofs + (ob * mid) in
-                  Array.unsafe_set o ob (max_range s sb (sb + mid))
-                done)
-      else if outer = 1 then
-        (* axis 0: split across output columns; each column accumulates
-           in ascending m order *)
-        match kind with
-        | `Sum ->
-            split lanes inner (fun ~lane:_ ~lo ~hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set o i 0.
-                done;
-                for m = 0 to mid - 1 do
-                  let smb = sofs + (m * inner) in
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i
-                      (Array.unsafe_get o i +. Array.unsafe_get s (smb + i))
-                  done
-                done)
-        | `Max ->
-            split lanes inner (fun ~lane:_ ~lo ~hi ->
-                for i = lo to hi - 1 do
-                  Array.unsafe_set o i Float.neg_infinity
-                done;
-                for m = 0 to mid - 1 do
-                  let smb = sofs + (m * inner) in
-                  for i = lo to hi - 1 do
-                    Array.unsafe_set o i
-                      (fmax (Array.unsafe_get o i)
-                         (Array.unsafe_get s (smb + i)))
-                  done
+                  row_max o ob s (sofs + (ob * mid)) mid
                 done)
       else
-        (* general middle-axis reduction: split across outer blocks *)
-        match kind with
-        | `Sum ->
-            split lanes outer (fun ~lane:_ ~lo ~hi ->
-                for ob = lo to hi - 1 do
-                  let obase = ob * inner
-                  and sbase = sofs + (ob * mid * inner) in
-                  for i = 0 to inner - 1 do
-                    Array.unsafe_set o (obase + i) 0.
-                  done;
-                  for m = 0 to mid - 1 do
-                    let smb = sbase + (m * inner) in
-                    for i = 0 to inner - 1 do
-                      Array.unsafe_set o (obase + i)
-                        (Array.unsafe_get o (obase + i)
-                        +. Array.unsafe_get s (smb + i))
-                    done
-                  done
-                done)
-        | `Max ->
-            split lanes outer (fun ~lane:_ ~lo ~hi ->
-                for ob = lo to hi - 1 do
-                  let obase = ob * inner
-                  and sbase = sofs + (ob * mid * inner) in
-                  for i = 0 to inner - 1 do
-                    Array.unsafe_set o (obase + i) Float.neg_infinity
-                  done;
-                  for m = 0 to mid - 1 do
-                    let smb = sbase + (m * inner) in
-                    for i = 0 to inner - 1 do
-                      Array.unsafe_set o (obase + i)
-                        (fmax
-                           (Array.unsafe_get o (obase + i))
-                           (Array.unsafe_get s (smb + i)))
-                    done
-                  done
-                done))
+        (* columns (inner > 1): each output column accumulates in
+           ascending m order, one in-place [bin_arr] pass per m.  Axis
+           0 splits across output columns, any other axis across outer
+           blocks *)
+        let k, init = column_fold kind in
+        if outer = 1 then
+          split lanes inner (fun ~lane:_ ~lo ~hi ->
+              Array.fill o lo (hi - lo) init;
+              for m = 0 to mid - 1 do
+                bin_arr k o lo o lo s (sofs + (m * inner) + lo) (hi - lo)
+              done)
+        else
+          split lanes outer (fun ~lane:_ ~lo ~hi ->
+              Array.fill o (lo * inner) ((hi - lo) * inner) init;
+              for ob = lo to hi - 1 do
+                let obase = ob * inner
+                and sbase = sofs + (ob * mid * inner) in
+                for m = 0 to mid - 1 do
+                  bin_arr k o obase o obase s (sbase + (m * inner)) inner
+                done
+              done))
   | Plan.Reduce_fused
       { kind; out; outer; mid; inner; code; leaves; strips; partials } -> (
       let o = slots.(out) in
@@ -669,8 +571,8 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
                   let b0 = blk * Plan.red_block in
                   let b1 = min total ((blk + 1) * Plan.red_block) in
                   let acc = ref 0. in
-                  run_body slots code leaves st b0 b1 (fun d len ->
-                      acc := !acc +. sum_range d 0 len);
+                  run_body slots code leaves st (strip_cap st) b0 b1
+                    (fun d _ len -> acc := !acc +. sum_range d 0 len);
                   Array.unsafe_set partials blk !acc
                 done)
         | `Max ->
@@ -680,8 +582,8 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
                   let b0 = blk * Plan.red_block in
                   let b1 = min total ((blk + 1) * Plan.red_block) in
                   let acc = ref Float.neg_infinity in
-                  run_body slots code leaves st b0 b1 (fun d len ->
-                      acc := fmax !acc (max_range d 0 len));
+                  run_body slots code leaves st (strip_cap st) b0 b1
+                    (fun d _ len -> acc := fmax !acc (max_range d 0 len));
                   Array.unsafe_set partials blk !acc
                 done));
         let acc = ref (Array.unsafe_get partials 0) in
@@ -696,20 +598,43 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
             done);
         Array.unsafe_set o 0 !acc
       end
+      else if inner = 1 && mid <= strip_cap (Array.unsafe_get strips 0)
+      then begin
+        (* rows that fit a strip: strips hold whole rows, and each row
+           reduces in local accumulators ([row_sum], [row_max]) with no
+           cursor carried across strips — the same fold as the cursor
+           drain below, so the same bits *)
+        let cap = strip_cap (Array.unsafe_get strips 0) / mid * mid in
+        let rows d b len =
+          let ob = b / mid in
+          match kind with
+          | `Sum ->
+              for r = 0 to (len / mid) - 1 do
+                row_sum o (ob + r) d (r * mid) mid
+              done
+          | `Max ->
+              for r = 0 to (len / mid) - 1 do
+                row_max o (ob + r) d (r * mid) mid
+              done
+        in
+        split lanes outer (fun ~lane ~lo ~hi ->
+            run_body slots code leaves (Array.unsafe_get strips lane) cap
+              (lo * mid) (hi * mid) rows)
+      end
       else if inner = 1 then
-        (* rows: drain the body in row-bounded runs, carrying the
-           (row, count, acc) cursor across strips.  Each output still
-           accumulates element-by-element in ascending order (sum), or
-           through [fmax], which is associative, so run boundaries
-           — which shift with the lane count — cannot show up in the
-           bits. *)
+        (* rows longer than a strip: drain the body in row-bounded runs,
+           carrying the (row, count, acc) cursor across strips.  Each
+           output still accumulates element-by-element in ascending
+           order (sum), or through [fmax], which is associative, so run
+           boundaries — which shift with the lane count — cannot show
+           up in the bits. *)
         match kind with
         | `Sum ->
             split lanes outer (fun ~lane ~lo ~hi ->
                 let st = Array.unsafe_get strips lane in
                 let ob = ref lo and m = ref 0 and acc = ref 0. in
-                run_body slots code leaves st (lo * mid) (hi * mid)
-                  (fun d len ->
+                run_body slots code leaves st (strip_cap st) (lo * mid)
+                  (hi * mid) (fun d _ len ->
                     let i = ref 0 in
                     while !i < len do
                       let run = min (mid - !m) (len - !i) in
@@ -733,8 +658,8 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
                 let ob = ref lo
                 and m = ref 0
                 and acc = ref Float.neg_infinity in
-                run_body slots code leaves st (lo * mid) (hi * mid)
-                  (fun d len ->
+                run_body slots code leaves st (strip_cap st) (lo * mid)
+                  (hi * mid) (fun d _ len ->
                     let i = ref 0 in
                     while !i < len do
                       let run = min (mid - !m) (len - !i) in
@@ -749,207 +674,91 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
                       end
                       else acc := a
                     done))
-      else if outer = 1 then begin
-        (* axis 0: the output column cycles with the strip; serial (the
-           planner allocates one lane) *)
-        (match kind with
-        | `Sum ->
-            for i = 0 to inner - 1 do
-              Array.unsafe_set o i 0.
-            done
-        | `Max ->
-            for i = 0 to inner - 1 do
-              Array.unsafe_set o i Float.neg_infinity
-            done);
-        let st = Array.unsafe_get strips 0 in
-        let col = ref 0 in
-        (* column-bounded runs: each column accumulates in ascending m
-           order whatever the run boundaries *)
-        match kind with
-        | `Sum ->
-            run_body slots code leaves st 0 total (fun d len ->
+      else begin
+        (* columns (inner > 1): split across outer blocks (axis 0,
+           outer = 1, runs on the one lane the planner allocates).  The
+           drain walks column-bounded runs with a (block, m, column)
+           cursor, so each output column accumulates in ascending m
+           order whatever the strip boundaries *)
+        let k, init = column_fold kind in
+        split lanes outer (fun ~lane ~lo ~hi ->
+            let st = Array.unsafe_get strips lane in
+            Array.fill o (lo * inner) ((hi - lo) * inner) init;
+            let obase = ref (lo * inner) and m = ref 0 and col = ref 0 in
+            run_body slots code leaves st (strip_cap st)
+              (lo * mid * inner)
+              (hi * mid * inner)
+              (fun d _ len ->
                 let i = ref 0 in
                 while !i < len do
                   let run = min (inner - !col) (len - !i) in
-                  let c0 = !col and i0 = !i in
-                  for j = 0 to run - 1 do
-                    let oi = c0 + j in
-                    Array.unsafe_set o oi
-                      (Array.unsafe_get o oi +. Array.unsafe_get d (i0 + j))
-                  done;
-                  i := i0 + run;
-                  col := c0 + run;
-                  if !col = inner then col := 0
-                done)
-        | `Max ->
-            run_body slots code leaves st 0 total (fun d len ->
-                let i = ref 0 in
-                while !i < len do
-                  let run = min (inner - !col) (len - !i) in
-                  let c0 = !col and i0 = !i in
-                  for j = 0 to run - 1 do
-                    let oi = c0 + j in
-                    Array.unsafe_set o oi
-                      (fmax (Array.unsafe_get o oi)
-                         (Array.unsafe_get d (i0 + j)))
-                  done;
-                  i := i0 + run;
-                  col := c0 + run;
-                  if !col = inner then col := 0
-                done)
-      end
-      else
-        (* general: split across outer blocks, 3-counter drain *)
-        let drain ~combine ~init =
-          split lanes outer (fun ~lane ~lo ~hi ->
-              let st = Array.unsafe_get strips lane in
-              for oi = lo * inner to (hi * inner) - 1 do
-                Array.unsafe_set o oi init
-              done;
-              let obase = ref (lo * inner) and m = ref 0 and col = ref 0 in
-              run_body slots code leaves st
-                (lo * mid * inner)
-                (hi * mid * inner)
-                (fun d len ->
-                  (* column-bounded runs, as in the axis-0 case *)
-                  let i = ref 0 in
-                  while !i < len do
-                    let run = min (inner - !col) (len - !i) in
-                    let ob = !obase and c0 = !col and i0 = !i in
-                    for j = 0 to run - 1 do
-                      let oi = ob + c0 + j in
-                      Array.unsafe_set o oi
-                        (combine (Array.unsafe_get o oi)
-                           (Array.unsafe_get d (i0 + j)))
-                    done;
-                    i := i0 + run;
-                    col := c0 + run;
-                    if !col = inner then begin
-                      col := 0;
-                      incr m;
-                      if !m = mid then begin
-                        m := 0;
-                        obase := !obase + inner
-                      end
+                  let ob = !obase + !col in
+                  bin_arr k o ob o ob d !i run;
+                  i := !i + run;
+                  col := !col + run;
+                  if !col = inner then begin
+                    col := 0;
+                    incr m;
+                    if !m = mid then begin
+                      m := 0;
+                      obase := !obase + inner
                     end
-                  done))
-        in
-        match kind with
-        | `Sum -> drain ~combine:( +. ) ~init:0.
-        | `Max -> drain ~combine:fmax ~init:Float.neg_infinity)
-  | Plan.Matmul { out; a; aofs; b; bofs; m; k; n } ->
-      (* cache-blocked i-k-j with the k loop unrolled by 4: k-blocks
-         ascend and within a block each c[i,j] is updated as
-         (((c + a0*b0) + a1*b1) + a2*b2) + a3*b3 — exactly the
-         ascending-k order of the naive multiply, so tiling and
-         unrolling change locality and loop overhead, not bits.  The
-         unroll amortizes the c[i,j] load/store over four
-         multiply-adds.  Lanes take disjoint row ranges. *)
+                  end
+                done))
+      end)
+  | Plan.Matmul { out; a; aofs; b; bofs; m; k; n; pack } ->
+      (* packed 2 x 4 micro-kernel.  Each k x 4 panel of b is copied
+         contiguously into the lane's [pack] (zero-padded past column
+         n): b's power-of-two row stride would otherwise map a whole
+         column onto two L1 sets.  A 2 x 4 block of c then accumulates
+         in locals from 0. over ascending k — exactly the order of the
+         naive i-k-j multiply, so every c[i,j] keeps its bits.  An odd
+         last row runs as its own partner and is stored once.  Lanes
+         take disjoint row ranges. *)
       let c = slots.(out) and ab = slots.(a) and bb = slots.(b) in
-      split lanes m (fun ~lane:_ ~lo ~hi ->
-          for i = lo to hi - 1 do
-            let cb = i * n in
-            for j = 0 to n - 1 do
-              Array.unsafe_set c (cb + j) 0.
-            done
-          done;
-          let jj = ref 0 in
-          while !jj < n do
-            let jhi = min n (!jj + tile) in
-            let kk = ref 0 in
-            while !kk < k do
-              let khi = min k (!kk + tile) in
-              let i = ref lo in
-              while !i + 1 < hi do
-                (* two rows share the four B rows: B traffic per flop
-                   halves; each row keeps its own ascending-k chain *)
-                let arow = aofs + (!i * k)
-                and arow' = aofs + ((!i + 1) * k)
-                and cb = !i * n
-                and cb' = (!i + 1) * n in
-                let l = ref !kk in
-                while !l + 3 < khi do
-                  let l0 = !l in
-                  let a0 = Array.unsafe_get ab (arow + l0)
-                  and a1 = Array.unsafe_get ab (arow + l0 + 1)
-                  and a2 = Array.unsafe_get ab (arow + l0 + 2)
-                  and a3 = Array.unsafe_get ab (arow + l0 + 3)
-                  and a0' = Array.unsafe_get ab (arow' + l0)
-                  and a1' = Array.unsafe_get ab (arow' + l0 + 1)
-                  and a2' = Array.unsafe_get ab (arow' + l0 + 2)
-                  and a3' = Array.unsafe_get ab (arow' + l0 + 3) in
-                  let b0 = bofs + (l0 * n)
-                  and b1 = bofs + ((l0 + 1) * n)
-                  and b2 = bofs + ((l0 + 2) * n)
-                  and b3 = bofs + ((l0 + 3) * n) in
-                  for j = !jj to jhi - 1 do
-                    let v0 = Array.unsafe_get bb (b0 + j)
-                    and v1 = Array.unsafe_get bb (b1 + j)
-                    and v2 = Array.unsafe_get bb (b2 + j)
-                    and v3 = Array.unsafe_get bb (b3 + j) in
-                    Array.unsafe_set c (cb + j)
-                      (((Array.unsafe_get c (cb + j) +. (a0 *. v0))
-                        +. (a1 *. v1) +. (a2 *. v2))
-                      +. (a3 *. v3));
-                    Array.unsafe_set c (cb' + j)
-                      (((Array.unsafe_get c (cb' + j) +. (a0' *. v0))
-                        +. (a1' *. v1) +. (a2' *. v2))
-                      +. (a3' *. v3))
-                  done;
-                  l := l0 + 4
-                done;
-                while !l < khi do
-                  let av = Array.unsafe_get ab (arow + !l)
-                  and av' = Array.unsafe_get ab (arow' + !l) in
-                  let brow = bofs + (!l * n) in
-                  for j = !jj to jhi - 1 do
-                    let bv = Array.unsafe_get bb (brow + j) in
-                    Array.unsafe_set c (cb + j)
-                      (Array.unsafe_get c (cb + j) +. (av *. bv));
-                    Array.unsafe_set c (cb' + j)
-                      (Array.unsafe_get c (cb' + j) +. (av' *. bv))
-                  done;
-                  incr l
-                done;
-                i := !i + 2
-              done;
-              if !i < hi then begin
-                let arow = aofs + (!i * k) and cb = !i * n in
-                let l = ref !kk in
-                while !l + 3 < khi do
-                  let l0 = !l in
-                  let a0 = Array.unsafe_get ab (arow + l0)
-                  and a1 = Array.unsafe_get ab (arow + l0 + 1)
-                  and a2 = Array.unsafe_get ab (arow + l0 + 2)
-                  and a3 = Array.unsafe_get ab (arow + l0 + 3) in
-                  let b0 = bofs + (l0 * n)
-                  and b1 = bofs + ((l0 + 1) * n)
-                  and b2 = bofs + ((l0 + 2) * n)
-                  and b3 = bofs + ((l0 + 3) * n) in
-                  for j = !jj to jhi - 1 do
-                    Array.unsafe_set c (cb + j)
-                      (((Array.unsafe_get c (cb + j)
-                        +. (a0 *. Array.unsafe_get bb (b0 + j)))
-                        +. (a1 *. Array.unsafe_get bb (b1 + j))
-                        +. (a2 *. Array.unsafe_get bb (b2 + j)))
-                      +. (a3 *. Array.unsafe_get bb (b3 + j)))
-                  done;
-                  l := l0 + 4
-                done;
-                while !l < khi do
-                  let av = Array.unsafe_get ab (arow + !l) in
-                  let brow = bofs + (!l * n) in
-                  for j = !jj to jhi - 1 do
-                    Array.unsafe_set c (cb + j)
-                      (Array.unsafe_get c (cb + j)
-                      +. (av *. Array.unsafe_get bb (brow + j)))
-                  done;
-                  incr l
-                done
-              end;
-              kk := khi
+      split lanes m (fun ~lane ~lo ~hi ->
+          let p = Array.unsafe_get pack lane in
+          let j0 = ref 0 in
+          while !j0 < n do
+            let jn = min 4 (n - !j0) in
+            for l = 0 to k - 1 do
+              let src = bofs + (l * n) + !j0 in
+              for q = 0 to 3 do
+                Array.unsafe_set p ((4 * l) + q)
+                  (if q < jn then Array.unsafe_get bb (src + q) else 0.)
+              done
             done;
-            jj := jhi
+            let i = ref lo in
+            while !i < hi do
+              let pair = !i + 1 < hi in
+              let r0 = aofs + (!i * k) in
+              let r1 = if pair then r0 + k else r0 in
+              let c00 = ref 0. and c01 = ref 0. and c02 = ref 0.
+              and c03 = ref 0. and c10 = ref 0. and c11 = ref 0.
+              and c12 = ref 0. and c13 = ref 0. in
+              for l = 0 to k - 1 do
+                let a0 = Array.unsafe_get ab (r0 + l)
+                and a1 = Array.unsafe_get ab (r1 + l)
+                and pb = 4 * l in
+                let b0 = Array.unsafe_get p pb
+                and b1 = Array.unsafe_get p (pb + 1)
+                and b2 = Array.unsafe_get p (pb + 2)
+                and b3 = Array.unsafe_get p (pb + 3) in
+                c00 := !c00 +. (a0 *. b0);
+                c01 := !c01 +. (a0 *. b1);
+                c02 := !c02 +. (a0 *. b2);
+                c03 := !c03 +. (a0 *. b3);
+                c10 := !c10 +. (a1 *. b0);
+                c11 := !c11 +. (a1 *. b1);
+                c12 := !c12 +. (a1 *. b2);
+                c13 := !c13 +. (a1 *. b3)
+              done;
+              let cb = (!i * n) + !j0 in
+              store4 c cb jn !c00 !c01 !c02 !c03;
+              if pair then store4 c (cb + n) jn !c10 !c11 !c12 !c13;
+              i := !i + 2
+            done;
+            j0 := !j0 + 4
           done)
   | Plan.Transpose2 { out; src; sofs; rows; cols } ->
       let o = slots.(out) and s = slots.(src) in

@@ -112,13 +112,16 @@ let exec_schema =
     @ many Int
         [ "steps"; "ops_fused"; "parallel_strips"; "buffers_reused";
           "arena_bytes" ]
+    (* rates against the measured ceilings, added after the schema froze *)
+    @ many (Opt Float) [ "gbps"; "gflops"; "triad_gbps"; "ceiling_fraction" ]
+    @ [ ("bound", Opt Str) ]
   in
   {
     tag = exec_bench;
     fields =
       many Str [ "version"; "options" ]
       @ [ ("geomean_speedup", Float); ("n_benchmarks", Int);
-          ("results", List (Obj result)) ];
+          ("peak_gflops", Opt Float); ("results", List (Obj result)) ];
     invariants =
       [
         agrees ~count:"n_benchmarks" ~array:"results";

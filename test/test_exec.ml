@@ -416,6 +416,10 @@ let test_parallel_determinism () =
       "np.dot(A, B)";
       "A.T";
       "A / np.sum(A)";
+      "np.where(np.less(A, B), A, B)";
+      "np.max(np.reshape(A - B, (32768, 2)), axis=1)";
+      "np.sum(np.reshape(A * B, (16384, 4)), axis=1)";
+      "np.sum(np.power(A, 2)) + np.max(np.power(B, 3) - A)";
     ]
   in
   List.iter
@@ -434,6 +438,153 @@ let test_parallel_determinism () =
       if bits seq <> bits par then
         Alcotest.failf "%s: results differ across domain counts" src)
     progs
+
+(* The VM's branch-free and strength-reduced paths on the values random
+   inputs never hold: NaN, -0/+0, infinities, negatives, subnormals.
+   Compares, selects, a literal-first commutative op, row reductions
+   (rows of 2 and 7 take the short-row max select, 256 the [fmax]
+   fold, 600 straddles a strip) and column reductions must equal the
+   interpreter bit for bit, at 1 and 4 domains — about 2^17 elements
+   per case, so 4 lanes engage.  Integer powers multiply
+   where the interpreter calls [Float.pow], so they are close, and
+   exact on the special values.  Matmul keeps the bits of the kernel
+   it replaced: digests pinned from that kernel, which equal the
+   interpreter's i-k-j order. *)
+let digest t =
+  let d = F.unsafe_data t in
+  let b = Bytes.create (8 * Array.length d) in
+  Array.iteri
+    (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x))
+    d;
+  Digest.to_hex (Digest.bytes b)
+
+let test_special_values () =
+  let nan = Float.nan and inf = Float.infinity in
+  let specials = [| nan; 0.; -0.; inf; -.inf; -1.5; 1e-310; -2.5e300 |] in
+  (* leading rows of 2: a NaN second, -0/+0 ties both ways, a NaN
+     first, equal values, equal infinities *)
+  let hand =
+    [| 1.; nan; -0.; 0.; 0.; -0.; nan; 1.; 2.; 2.; -.inf; -.inf; inf; -1. |]
+  in
+  let data st n =
+    Array.init n (fun i ->
+        if i < Array.length hand then hand.(i)
+        else if i mod 13 = 3 then specials.(i / 13 mod Array.length specials)
+        else Random.State.float st 6. -. 3.)
+  in
+  let domains = [ 1; 4 ] in
+  let run env inputs prog d =
+    vm_eval ~options:Exec.Options.(default |> with_domains d) env inputs prog
+  in
+  List.iter
+    (fun mid ->
+      let rows = 131072 / mid in
+      let st = Random.State.make [| mid |] in
+      let a = data st (rows * mid) in
+      let b =
+        Array.mapi (fun i x -> if i mod 17 = 0 then x else -.x *. 0.5) a
+      in
+      let env =
+        [ ("A", Types.float_t [| rows; mid |]);
+          ("B", Types.float_t [| rows; mid |]) ]
+      in
+      let inputs =
+        [ ("A", F.of_array [| rows; mid |] a);
+          ("B", F.of_array [| rows; mid |] b) ]
+      in
+      List.iter
+        (fun src ->
+          let prog = Parser.expression src in
+          let want = bits (Interp.eval_alist inputs prog) in
+          List.iter
+            (fun d ->
+              if bits (run env inputs prog d) <> want then
+                Alcotest.failf "%s on rows of %d at %d domains: bits differ \
+                                from the interpreter" src mid d)
+            domains)
+        [
+          "np.less(A, B)";
+          "np.less(A, 0.5)";
+          "np.less(A, np.max(A, axis=1, keepdims=True))";
+          "np.where(np.less(A, B), A, B)";
+          "np.max(A, axis=1)";
+          "np.max(A * 1.0, axis=1)";
+          "np.sum(A, axis=1)";
+          "np.sum(A * 1.0, axis=1)";
+          "np.maximum(0.0, A) + 2.0 * B";
+        ])
+    [ 2; 7; 256; 600 ];
+  (* column reductions (inner > 1): axis 0 and a middle axis, the
+     middle one longer than a strip, fused and not *)
+  let dims = [| 16; 700; 12 |] in
+  let c = data (Random.State.make [| 31 |]) (16 * 700 * 12) in
+  let env = [ ("C", Types.float_t dims) ] in
+  let inputs = [ ("C", F.of_array dims c) ] in
+  List.iter
+    (fun src ->
+      let prog = Parser.expression src in
+      let want = bits (Interp.eval_alist inputs prog) in
+      List.iter
+        (fun d ->
+          if bits (run env inputs prog d) <> want then
+            Alcotest.failf "%s at %d domains: bits differ from the \
+                            interpreter" src d)
+        domains)
+    [
+      "np.sum(C, axis=1)"; "np.max(C, axis=1)"; "np.sum(C * 1.0, axis=1)";
+      "np.max(C * 1.0, axis=1)"; "np.sum(C, axis=0)"; "np.max(C * 1.0, axis=0)";
+    ];
+  (* integer powers *)
+  let n = 4096 in
+  let x = data (Random.State.make [| 23 |]) n in
+  let env = [ ("x", Types.float_t [| n |]) ] in
+  let inputs = [ ("x", F.of_array [| n |] x) ] in
+  List.iter
+    (fun src ->
+      let prog = Parser.expression src in
+      let want = F.unsafe_data (Interp.eval_alist inputs prog) in
+      List.iter
+        (fun d ->
+          let got = F.unsafe_data (run env inputs prog d) in
+          Array.iteri
+            (fun i w ->
+              let g = got.(i) in
+              let ok =
+                Int64.bits_of_float g = Int64.bits_of_float w
+                || Float.is_finite w && w <> 0.
+                   && Float.abs (g -. w) <= 1e-15 *. Float.abs w
+              in
+              if not ok then
+                Alcotest.failf "%s at x = %h (%d domains): %h, want %h" src
+                  x.(i) d g w)
+            want)
+        domains)
+    [ "np.power(x, 2)"; "np.power(x, 3)"; "np.power(x * 1.0, 3) + 0.0" ];
+  (* matmul: the replaced kernel's bits *)
+  List.iter
+    (fun (m, k, n, pinned) ->
+      let env =
+        [ ("A", Types.float_t [| m; k |]); ("B", Types.float_t [| k; n |]) ]
+      in
+      let prog = Parser.expression "np.dot(A, B)" in
+      let inputs =
+        Interp.random_inputs ~lo:(-2.) ~hi:2.
+          (Random.State.make [| m; k; n |])
+          env
+      in
+      List.iter
+        (fun d ->
+          let got = digest (run env inputs prog d) in
+          if got <> pinned then
+            Alcotest.failf "matmul %dx%d . %dx%d at %d domains: digest %s, \
+                            pinned %s" m k k n d got pinned)
+        domains)
+    [
+      (1, 1, 1, "8135d8f6a4c93737d72b416228845f1f");
+      (3, 5, 7, "3b13b478c8aece925dd1e5f77a6f22d1");
+      (64, 64, 64, "b83095c49c37df968d1c6629efea5943");
+      (65, 67, 63, "23863a8decb7c44090d062082fe757d7");
+    ]
 
 (* Regression for the one benchmark the VM used to lose (0.94x):
    normalize must not run slower than the interpreter. *)
@@ -605,6 +756,8 @@ let suite =
     Alcotest.test_case "vm: tiled edge shapes" `Quick test_tiled_edge_shapes;
     Alcotest.test_case "vm: parallel determinism (bitwise)" `Quick
       test_parallel_determinism;
+    Alcotest.test_case "vm: special values (bitwise)" `Quick
+      test_special_values;
     Alcotest.test_case "vm: normalize not slower than interp" `Slow
       test_normalize_not_slower;
     Alcotest.test_case "vm: arena reuse" `Quick test_arena_reuse;

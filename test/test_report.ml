@@ -24,7 +24,7 @@ let archived =
   [
     ( "BENCH_exec_vm.json",
       `Min_speedup,
-      "valid stenso.exec-bench/1 (14 benchmarks, 5.65x geomean, options \
+      "valid stenso.exec-bench/1 (14 benchmarks, 7.11x geomean, options \
        fus=true;red=true;tile=64;dom=1)" );
     ( "BENCH_lift.json",
       `Min_success,
