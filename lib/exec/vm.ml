@@ -447,6 +447,21 @@ let[@inline] store4 (c : float array) cb jn v0 v1 v2 v3 =
   if jn > 2 then Array.unsafe_set c (cb + 2) v2;
   if jn > 3 then Array.unsafe_set c (cb + 3) v3
 
+(* o.(0) <- the blocks of a full reduction combined in ascending
+   order, by the leader *)
+let combine_partials kind (partials : float array) (o : float array) =
+  let acc = ref (Array.unsafe_get partials 0) in
+  (match kind with
+  | `Sum ->
+      for blk = 1 to Array.length partials - 1 do
+        acc := !acc +. Array.unsafe_get partials blk
+      done
+  | `Max ->
+      for blk = 1 to Array.length partials - 1 do
+        acc := fmax !acc (Array.unsafe_get partials blk)
+      done);
+  Array.unsafe_set o 0 !acc
+
 (* The in-place opcode and start value that fold a column reduction. *)
 let column_fold = function
   | `Sum -> (Plan.SAdd, 0.)
@@ -508,17 +523,7 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
                   let b1 = sofs + min mid ((blk + 1) * Plan.red_block) in
                   Array.unsafe_set partials blk (max_range s b0 b1)
                 done));
-        let acc = ref (Array.unsafe_get partials 0) in
-        (match kind with
-        | `Sum ->
-            for blk = 1 to nb - 1 do
-              acc := !acc +. Array.unsafe_get partials blk
-            done
-        | `Max ->
-            for blk = 1 to nb - 1 do
-              acc := fmax !acc (Array.unsafe_get partials blk)
-            done);
-        Array.unsafe_set o 0 !acc
+        combine_partials kind partials o
       end
       else if inner = 1 then
         (* one independent ascending chain per output row *)
@@ -586,17 +591,7 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
                     (fun d _ len -> acc := fmax !acc (max_range d 0 len));
                   Array.unsafe_set partials blk !acc
                 done));
-        let acc = ref (Array.unsafe_get partials 0) in
-        (match kind with
-        | `Sum ->
-            for blk = 1 to nb - 1 do
-              acc := !acc +. Array.unsafe_get partials blk
-            done
-        | `Max ->
-            for blk = 1 to nb - 1 do
-              acc := fmax !acc (Array.unsafe_get partials blk)
-            done);
-        Array.unsafe_set o 0 !acc
+        combine_partials kind partials o
       end
       else if inner = 1 && mid <= strip_cap (Array.unsafe_get strips 0)
       then begin

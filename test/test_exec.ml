@@ -444,7 +444,7 @@ let test_parallel_determinism () =
    Compares, selects, a literal-first commutative op, row reductions
    (rows of 2 and 7 take the short-row max select, 256 the [fmax]
    fold, 600 straddles a strip) and column reductions must equal the
-   interpreter bit for bit, at 1 and 4 domains — about 2^17 elements
+   interpreter bit for bit, at 1, 2 and 4 domains — about 2^17 elements
    per case, so 4 lanes engage.  Integer powers multiply
    where the interpreter calls [Float.pow], so they are close, and
    exact on the special values.  Matmul keeps the bits of the kernel
@@ -472,7 +472,7 @@ let test_special_values () =
         else if i mod 13 = 3 then specials.(i / 13 mod Array.length specials)
         else Random.State.float st 6. -. 3.)
   in
-  let domains = [ 1; 4 ] in
+  let domains = [ 1; 2; 4 ] in
   let run env inputs prog d =
     vm_eval ~options:Exec.Options.(default |> with_domains d) env inputs prog
   in
