@@ -565,7 +565,7 @@ let exec_micro =
    arrays holding [bytes] between them (24 bytes an element), so the
    ceiling is that of the cache level the kernel's data lives in.
    Compute: twelve independent x <- x * m + d chains, unrolled, all in
-   registers — enough chains that issue, not latency, bounds them: the
+   registers — enough chains that throughput, not latency, bounds them: the
    peak of the scalar float loops the VM runs (2 flops per chain step). *)
 let triad_gbps ctx bytes =
   let n = max 512 (int_of_float (bytes /. 24.)) in
