@@ -17,7 +17,8 @@
      a binary opcode whose second operand is a literal ({!BinC}) or a
      leaf load ({!BinL}) reads it directly instead of first
      materializing a scratch strip, roughly halving strip traffic on
-     typical chains;
+     typical chains; a literal first operand of a commutative opcode
+     is walked second, so it reaches the peephole too;
    - {e aliasing}: [reshape], identity [transpose] and the axis-0 slices
      of unrolled comprehensions are zero-cost views (slot + offset) of
      their operand's buffer;

@@ -4,7 +4,8 @@
     The planner makes every decision that would otherwise cost time or
     allocation at run time: elementwise fusion into postfix strip
     bodies (including inlining producers into their [sum]/[max]
-    consumer), a superinstruction peephole ({!BinC}/{!BinL}), view
+    consumer), a superinstruction peephole ({!BinC}/{!BinL}, with a
+    literal first operand of a commutative opcode walked second), view
     aliasing, liveness-driven arena slot reuse, precomputed gather
     maps, and a static lane count per step ({!step_lanes}) with
     per-lane scratch preallocated so parallel execution stays
