@@ -609,13 +609,6 @@ let madd_gflops ctx =
   in
   24. *. float_of_int steps /. t /. 1e9
 
-let bytes_model =
-  {
-    Cost.Model.name = "bytes";
-    op_cost = Cost.Model.bytes_moved;
-    iter_scale = 1;
-  }
-
 (* Bytes of a program's inputs and result: the data a run must touch. *)
 let working_set env prog =
   let bytes (vt : Dsl.Types.vt) =
@@ -666,7 +659,7 @@ let exec_point ctx ~csv entries =
         if expects_fused && s.ops_fused = 0 then
           Printf.printf
             "  WARNING: %s is reduction-rooted but nothing was fused\n" name;
-        let bytes = Cost.Model.program_cost bytes_model env prog
+        let bytes = Cost.Model.program_cost Cost.Model.bytes env prog
         and flops = Cost.Model.program_cost Cost.Model.flops env prog in
         ((name, ti, tv, speedup, s, expects_fused),
          (bytes, flops, working_set env prog)))

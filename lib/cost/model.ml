@@ -54,6 +54,7 @@ let bytes_moved_out ~out (op : Dsl.Ast.op) (args : Dsl.Types.vt list) =
 let bytes_moved op args = bytes_moved_out ~out:(numel_out op args) op args
 
 let flops = { name = "flops"; op_cost = flop_count; iter_scale = 1 }
+let bytes = { name = "bytes"; op_cost = bytes_moved; iter_scale = 1 }
 
 (* ------------------------------------------------------------------ *)
 (* Analytic roofline model                                             *)

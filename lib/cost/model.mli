@@ -30,6 +30,10 @@ type t = {
 
 val flops : t
 
+val bytes : t
+(** Every operation's reads and writes ({!bytes_moved}), fused or not:
+    the traffic of an unfused run, not the data a fused one touches. *)
+
 val roofline : t
 (** Deterministic analytic estimator: per-op dispatch overhead plus a
     roofline of weighted arithmetic (transcendentals and [power] cost

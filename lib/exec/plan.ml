@@ -132,7 +132,8 @@ type step =
       k : int;
       n : int;
       pack : float array array;
-        (* scratch: lane -> one k x 4 panel of b, packed row by row *)
+        (* scratch: lane -> one k x 4 panel of b, packed row by row, or
+           empty where the lane reads b in place *)
     }  (* out[m,n] = a[m,k] . b[k,n], all row-major *)
   | Transpose2 of {
       out : int;
@@ -684,6 +685,11 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
     let lanes =
       max 1 (min (lanes_for ~domains:opts.Opts.domains (c.m * c.k * c.n)) c.m)
     in
+    (* a lane packs b's 4-wide panels only where each serves more than
+       one of its row pairs *)
+    let pack_len =
+      if c.n >= 4 && (c.m + lanes - 1) / lanes > 2 then 4 * c.k else 0
+    in
     emit
       (Matmul
          {
@@ -695,7 +701,7 @@ let compile ~(opts : Opts.t) (ir : Ir.t) : t =
            m = c.m;
            k = c.k;
            n = c.n;
-           pack = Array.init lanes (fun _ -> Array.make (4 * c.k) 0.);
+           pack = Array.init lanes (fun _ -> Array.make pack_len 0.);
          })
   in
   for id = 0 to n_nodes - 1 do

@@ -89,7 +89,9 @@ type step =
       k : int;
       n : int;
       pack : float array array;
-          (** scratch: lane -> one k x 4 panel of b, packed row by row *)
+          (** scratch: lane -> one k x 4 panel of b, packed row by row, or
+              empty where the lane reads b in place (n < 4, or at most
+              one row pair per lane) *)
     }  (** out[m,n] = a[m,k] . b[k,n], all row-major *)
   | Transpose2 of {
       out : int;

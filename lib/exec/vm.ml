@@ -13,8 +13,8 @@
    the lane count — combined in ascending block order by the leader.
 
    Accumulation orders otherwise match the reference interpreter
-   (ascending reduction index; the packed matmul accumulates every
-   c[i,j] from 0. over ascending k, the order of the naive i-k-j
+   (ascending reduction index; each of matmul's loops accumulates
+   every c[i,j] from 0. over ascending k, the order of the naive i-k-j
    multiply), so VM results coincide with [Dsl.Interp.eval] up to the
    usual float tolerance rather than drift from reassociation.  Two
    deliberate exceptions differ from the interpreter by ordinary
@@ -440,12 +440,111 @@ let[@inline] row_max (o : float array) oi (s : float array) r0 mid =
        else max_range s r0 (r0 + mid))
   end
 
-(* The first [jn] of a 4-wide block row of the matmul kernel. *)
-let[@inline] store4 (c : float array) cb jn v0 v1 v2 v3 =
-  Array.unsafe_set c cb v0;
-  if jn > 1 then Array.unsafe_set c (cb + 1) v1;
-  if jn > 2 then Array.unsafe_set c (cb + 2) v2;
-  if jn > 3 then Array.unsafe_set c (cb + 3) v3
+(* The matmul kernel's three loops.  Each computes c[i..i+1, ...] at
+   [cb] from a's rows at [r0] and [r1] (the same row, stored once, when
+   [pair] is false), and each accumulates every c[i,j] from 0. over
+   ascending l — exactly the order of the naive i-k-j multiply, so the
+   three agree bit for bit and whichever runs, c keeps its bits. *)
+
+(* A 2 x 4 block, c[i..i+1, j..j+3], in locals, from the k x 4 panel
+   of b's columns j..j+3 packed row by row in [p]. *)
+let mm_block4 (ab : float array) r0 r1 k (p : float array) (c : float array)
+    cb n pair =
+  let c00 = ref 0. and c01 = ref 0. and c02 = ref 0. and c03 = ref 0.
+  and c10 = ref 0. and c11 = ref 0. and c12 = ref 0. and c13 = ref 0. in
+  for l = 0 to k - 1 do
+    let a0 = Array.unsafe_get ab (r0 + l)
+    and a1 = Array.unsafe_get ab (r1 + l)
+    and pb = 4 * l in
+    let b0 = Array.unsafe_get p pb
+    and b1 = Array.unsafe_get p (pb + 1)
+    and b2 = Array.unsafe_get p (pb + 2)
+    and b3 = Array.unsafe_get p (pb + 3) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c02 := !c02 +. (a0 *. b2);
+    c03 := !c03 +. (a0 *. b3);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c12 := !c12 +. (a1 *. b2);
+    c13 := !c13 +. (a1 *. b3)
+  done;
+  Array.unsafe_set c cb !c00;
+  Array.unsafe_set c (cb + 1) !c01;
+  Array.unsafe_set c (cb + 2) !c02;
+  Array.unsafe_set c (cb + 3) !c03;
+  if pair then begin
+    Array.unsafe_set c (cb + n) !c10;
+    Array.unsafe_set c (cb + n + 1) !c11;
+    Array.unsafe_set c (cb + n + 2) !c12;
+    Array.unsafe_set c (cb + n + 3) !c13
+  end
+
+(* One column, c[i..i+1, 0], in locals, from b (k x 1) read in place
+   at [bofs]: a dot or a matrix-vector product streams both operands. *)
+let mm_col (ab : float array) r0 r1 k (bb : float array) bofs
+    (c : float array) cb pair =
+  let c0 = ref 0. and c1 = ref 0. in
+  for l = 0 to k - 1 do
+    let v = Array.unsafe_get bb (bofs + l) in
+    c0 := !c0 +. (Array.unsafe_get ab (r0 + l) *. v);
+    c1 := !c1 +. (Array.unsafe_get ab (r1 + l) *. v)
+  done;
+  Array.unsafe_set c cb !c0;
+  if pair then Array.unsafe_set c (cb + 1) !c1
+
+(* c[ci] + a0 * b[b0] + ... + a3 * b[b3] in ascending order *)
+let[@inline] madd4 (c : float array) ci (bb : float array) b0 b1 b2 b3 a0 a1
+    a2 a3 =
+  Array.unsafe_set c ci
+    (((Array.unsafe_get c ci +. (a0 *. Array.unsafe_get bb b0))
+      +. (a1 *. Array.unsafe_get bb b1)
+      +. (a2 *. Array.unsafe_get bb b2))
+    +. (a3 *. Array.unsafe_get bb b3))
+
+(* Whole rows, c[i..i+1, :], in c itself, adding a[i,l] * b[l,:] for
+   ascending l, four l at a time (one load and store of c[i,j] per four
+   multiply-adds): b is read row by row.  For n = 2 or 3, which fill no
+   panel, and for a lane with one row pair, where a packed panel would
+   serve once and b's columns are strided. *)
+let mm_rows (ab : float array) r0 r1 k (bb : float array) bofs
+    (c : float array) cb n pair =
+  Array.fill c cb (if pair then 2 * n else n) 0.;
+  let l = ref 0 in
+  while !l + 3 < k do
+    let l0 = !l in
+    let a0 = Array.unsafe_get ab (r0 + l0)
+    and a1 = Array.unsafe_get ab (r0 + l0 + 1)
+    and a2 = Array.unsafe_get ab (r0 + l0 + 2)
+    and a3 = Array.unsafe_get ab (r0 + l0 + 3)
+    and e0 = Array.unsafe_get ab (r1 + l0)
+    and e1 = Array.unsafe_get ab (r1 + l0 + 1)
+    and e2 = Array.unsafe_get ab (r1 + l0 + 2)
+    and e3 = Array.unsafe_get ab (r1 + l0 + 3)
+    and b0 = bofs + (l0 * n) in
+    let b1 = b0 + n in
+    let b2 = b1 + n in
+    let b3 = b2 + n in
+    for j = 0 to n - 1 do
+      madd4 c (cb + j) bb (b0 + j) (b1 + j) (b2 + j) (b3 + j) a0 a1 a2 a3;
+      if pair then
+        madd4 c (cb + n + j) bb (b0 + j) (b1 + j) (b2 + j) (b3 + j) e0 e1 e2
+          e3
+    done;
+    l := l0 + 4
+  done;
+  for l = !l to k - 1 do
+    let a0 = Array.unsafe_get ab (r0 + l)
+    and e0 = Array.unsafe_get ab (r1 + l)
+    and b0 = bofs + (l * n) in
+    for j = 0 to n - 1 do
+      let v = Array.unsafe_get bb (b0 + j) in
+      Array.unsafe_set c (cb + j) (Array.unsafe_get c (cb + j) +. (a0 *. v));
+      if pair then
+        Array.unsafe_set c (cb + n + j)
+          (Array.unsafe_get c (cb + n + j) +. (e0 *. v))
+    done
+  done
 
 (* o.(0) <- the blocks of a full reduction combined in ascending
    order, by the leader *)
@@ -702,58 +801,43 @@ let exec_step (opts : Opts.t) (slots : Plan.buf array) (step : Plan.step) =
                 done))
       end)
   | Plan.Matmul { out; a; aofs; b; bofs; m; k; n; pack } ->
-      (* packed 2 x 4 micro-kernel.  Each k x 4 panel of b is copied
-         contiguously into the lane's [pack] (zero-padded past column
-         n): b's power-of-two row stride would otherwise map a whole
-         column onto two L1 sets.  A 2 x 4 block of c then accumulates
-         in locals from 0. over ascending k — exactly the order of the
-         naive i-k-j multiply, so every c[i,j] keeps its bits.  An odd
-         last row runs as its own partner and is stored once.  Lanes
-         take disjoint row ranges. *)
+      (* Lanes take disjoint row ranges, and walk them a row pair at a
+         time; an odd last row runs as its own partner.  Where a lane
+         has a [pack] buffer (the plan gives one where b's panels each
+         serve more than one row pair) it copies each k x 4 panel of b
+         there contiguously and runs the 2 x 4 micro-kernel over it: in
+         place, b's power-of-two row stride would map a whole column
+         onto two L1 sets.  The last panel ends at column n, and
+         recomputes up to three columns of the one before it with the
+         same bits.  Without a buffer, n = 1 reads b's one column in
+         place, and otherwise b's rows stream past each row pair.  All
+         three accumulate in the same order (see [mm_block4]). *)
       let c = slots.(out) and ab = slots.(a) and bb = slots.(b) in
       split lanes m (fun ~lane ~lo ~hi ->
           let p = Array.unsafe_get pack lane in
+          let packed = Array.length p > 0 in
           let j0 = ref 0 in
           while !j0 < n do
-            let jn = min 4 (n - !j0) in
-            for l = 0 to k - 1 do
-              let src = bofs + (l * n) + !j0 in
-              for q = 0 to 3 do
-                Array.unsafe_set p ((4 * l) + q)
-                  (if q < jn then Array.unsafe_get bb (src + q) else 0.)
-              done
-            done;
+            let j = if packed then min !j0 (n - 4) else !j0 in
+            if packed then
+              for l = 0 to k - 1 do
+                let s = bofs + (l * n) + j and d = 4 * l in
+                Array.unsafe_set p d (Array.unsafe_get bb s);
+                Array.unsafe_set p (d + 1) (Array.unsafe_get bb (s + 1));
+                Array.unsafe_set p (d + 2) (Array.unsafe_get bb (s + 2));
+                Array.unsafe_set p (d + 3) (Array.unsafe_get bb (s + 3))
+              done;
             let i = ref lo in
             while !i < hi do
               let pair = !i + 1 < hi in
               let r0 = aofs + (!i * k) in
-              let r1 = if pair then r0 + k else r0 in
-              let c00 = ref 0. and c01 = ref 0. and c02 = ref 0.
-              and c03 = ref 0. and c10 = ref 0. and c11 = ref 0.
-              and c12 = ref 0. and c13 = ref 0. in
-              for l = 0 to k - 1 do
-                let a0 = Array.unsafe_get ab (r0 + l)
-                and a1 = Array.unsafe_get ab (r1 + l)
-                and pb = 4 * l in
-                let b0 = Array.unsafe_get p pb
-                and b1 = Array.unsafe_get p (pb + 1)
-                and b2 = Array.unsafe_get p (pb + 2)
-                and b3 = Array.unsafe_get p (pb + 3) in
-                c00 := !c00 +. (a0 *. b0);
-                c01 := !c01 +. (a0 *. b1);
-                c02 := !c02 +. (a0 *. b2);
-                c03 := !c03 +. (a0 *. b3);
-                c10 := !c10 +. (a1 *. b0);
-                c11 := !c11 +. (a1 *. b1);
-                c12 := !c12 +. (a1 *. b2);
-                c13 := !c13 +. (a1 *. b3)
-              done;
-              let cb = (!i * n) + !j0 in
-              store4 c cb jn !c00 !c01 !c02 !c03;
-              if pair then store4 c (cb + n) jn !c10 !c11 !c12 !c13;
+              let r1 = if pair then r0 + k else r0 and cb = (!i * n) + j in
+              if packed then mm_block4 ab r0 r1 k p c cb n pair
+              else if n = 1 then mm_col ab r0 r1 k bb bofs c cb pair
+              else mm_rows ab r0 r1 k bb bofs c cb n pair;
               i := !i + 2
             done;
-            j0 := !j0 + 4
+            j0 := if packed then j + 4 else n
           done)
   | Plan.Transpose2 { out; src; sofs; rows; cols } ->
       let o = slots.(out) and s = slots.(src) in

@@ -112,7 +112,12 @@ let exec_schema =
     @ many Int
         [ "steps"; "ops_fused"; "parallel_strips"; "buffers_reused";
           "arena_bytes" ]
-    (* rates against the measured ceilings, added after the schema froze *)
+    (* rates against the measured ceilings, added after the schema
+       froze.  [gbps] is the bytes model's traffic (every operation's
+       reads and writes, as if unfused) over the run time, so a fused
+       kernel can exceed [triad_gbps]: it is not comparable with it.
+       [ceiling_fraction] times the working set (inputs and result)
+       against the triad instead. *)
     @ many (Opt Float) [ "gbps"; "gflops"; "triad_gbps"; "ceiling_fraction" ]
     @ [ ("bound", Opt Str) ]
   in

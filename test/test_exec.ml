@@ -584,6 +584,16 @@ let test_special_values () =
       (3, 5, 7, "3b13b478c8aece925dd1e5f77a6f22d1");
       (64, 64, 64, "b83095c49c37df968d1c6629efea5943");
       (65, 67, 63, "23863a8decb7c44090d062082fe757d7");
+      (* narrow outputs (n = 1 reads b's column, n = 2 and 3 stream
+         b's rows) and few rows (row streaming; a pair of rows per lane
+         at 4 domains) *)
+      (1, 1001, 1, "57b2fd770d38bee3db826a99225ff003");
+      (130, 67, 1, "ea289b5dd0e602203f24625bc38eff51");
+      (9, 33, 2, "ab70963e6b9d726177d6d4831e8893b3");
+      (5, 6, 3, "c3632774b074792056b7a51a66b65df6");
+      (1, 130, 9, "711b982a1eb25b9d60350324f1f7e3c3");
+      (2, 7, 9, "1037306dfc9dbd68b3ecd8a49da2d1d7");
+      (6, 512, 256, "b418ae38fbdd3801c17dd300cab349b1");
     ]
 
 (* Regression for the one benchmark the VM used to lose (0.94x):
