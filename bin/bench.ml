@@ -17,6 +17,7 @@
 
 module Ast = Dsl.Ast
 module B = Suite.Benchmarks
+module Classify = Stenso.Classify
 module Fw = Frameworks.Framework
 module Pf = Frameworks.Platform
 
@@ -133,7 +134,7 @@ let tables _ results =
     (fun { bench = b; _ } ->
       if b.source = `Github then
         Printf.printf "%-16s %-24s %-26s %s\n" b.name b.domain
-          (B.klass_name b.klass)
+          (Classify.klass_name b.klass)
           (Ast.to_string b.program))
     results;
   header "Table II: synthetic benchmarks";
@@ -197,7 +198,7 @@ let fig7 _ results =
       let members =
         List.filter (fun r -> r.bench.B.klass = klass) results
       in
-      Printf.printf "%-26s" (B.klass_name klass);
+      Printf.printf "%-26s" (Classify.klass_name klass);
       List.iter
         (fun fw ->
           let g =
@@ -221,14 +222,14 @@ let fig8 ctx results =
           if r.bench.B.klass = klass then begin
             let s fw = speedup_of fw Pf.amd_7950x r in
             rows :=
-              [ B.klass_name klass; r.bench.name;
+              [ Classify.klass_name klass; r.bench.name;
                 Printf.sprintf "%.4f" (s Fw.numpy);
                 Printf.sprintf "%.4f" (s Fw.jax);
                 Printf.sprintf "%.4f" (s Fw.torch_inductor) ]
               :: !rows;
             Printf.printf "%-26s %-16s %7.2fx %7.2fx %7.2fx  %s\n"
-              (B.klass_name klass) r.bench.name (s Fw.numpy) (s Fw.jax)
-              (s Fw.torch_inductor)
+              (Classify.klass_name klass) r.bench.name (s Fw.numpy)
+              (s Fw.jax) (s Fw.torch_inductor)
               (bar 20 (Stdlib.log (Float.max 1. (s Fw.numpy)))
                  (Stdlib.log 25.))
           end)
@@ -254,13 +255,13 @@ let fig6 _ results =
           (List.filter
              (fun r ->
                r.outcome.improved
-               && Stenso.Classify.klass_name
-                    (Stenso.Classify.classify ~original:r.bench.program
-                       ~optimized:r.outcome.optimized)
-                  = B.klass_name klass)
+               && Classify.classify ~original:r.bench.program
+                    ~optimized:r.outcome.optimized
+                  = klass)
              results)
       in
-      Printf.printf "%-28s %6d %6d  %s\n" (B.klass_name klass) labelled auto
+      Printf.printf "%-28s %6d %6d  %s\n" (Classify.klass_name klass)
+        labelled auto
         (bar 30 (float_of_int labelled) 9.))
     B.all_klasses;
   Printf.printf

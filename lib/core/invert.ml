@@ -653,7 +653,7 @@ let masked_candidates (ix : Stub.index) spec =
                 | masked when St.equal masked spec ->
                     Some { op; parts = [ P_conc c ] }
                 | _ -> None
-                | exception (Invalid_argument _ | Dsl.Sexec.Eval_error _) ->
+                | exception (Invalid_argument _ | Dsl.Eval.Eval_error _) ->
                     None)
               [ Ast.Triu; Ast.Tril ]
           else [])
@@ -709,7 +709,7 @@ let recombines spec d =
   in
   match Dsl.Sexec.apply_op d.op args with
   | result -> St.equal result spec
-  | exception (Invalid_argument _ | Dsl.Sexec.Eval_error _ | Q.Overflow) ->
+  | exception (Invalid_argument _ | Dsl.Eval.Eval_error _ | Q.Overflow) ->
       false
 
 let candidates ?(tel = Obs.Telemetry.null) ?budget lib spec =

@@ -84,33 +84,7 @@ let error_stats = function
 (* Symbolic instantiation of the loop interpreter                     *)
 (* ------------------------------------------------------------------ *)
 
-module Expr_domain = struct
-  module Expr = Symbolic.Expr
-
-  type t = Expr.t
-
-  (* Mirrors Sexec's constant embedding so kernel and candidate specs
-     agree on literals that are not exact rationals. *)
-  let of_float f =
-    match Symbolic.Q.of_float f with
-    | Some q -> Expr.rat q
-    | None ->
-        Expr.rat
-          (Symbolic.Q.make (int_of_float (Float.round (f *. 1e9)))
-             1_000_000_000)
-
-  let add a b = Expr.add [ a; b ]
-  let sub = Expr.sub
-  let mul a b = Expr.mul [ a; b ]
-  let div = Expr.div
-  let neg = Expr.neg
-  let sqrt = Expr.sqrt
-  let exp = Expr.exp
-  let log = Expr.log
-  let fmax = Expr.max2
-end
-
-module Sym_interp = Loop_interp.Make (Expr_domain)
+module Sym_interp = Loop_interp.Make (Sexec.Expr_elt)
 
 let symbolic_spec (k : Loop_ast.kernel) (env : Types.env) : Spec.t =
   let inputs =
@@ -249,27 +223,6 @@ let propose (k : Loop_ast.kernel) (a : analysis) : sketch list =
 (* Candidate generation with value pruning                            *)
 (* ------------------------------------------------------------------ *)
 
-let broadcast_dim a b =
-  if a = b then Some a
-  else if a = 1 then Some b
-  else if b = 1 then Some a
-  else None
-
-(* NumPy broadcast of two shapes, [None] when incompatible. *)
-let broadcast_shapes (a : int array) (b : int array) =
-  let ra = Array.length a and rb = Array.length b in
-  let r = max ra rb in
-  let out = Array.make r 1 in
-  let ok = ref true in
-  for i = 0 to r - 1 do
-    let da = if i < r - ra then 1 else a.(i - (r - ra)) in
-    let db = if i < r - rb then 1 else b.(i - (r - rb)) in
-    match broadcast_dim da db with
-    | Some d -> out.(i) <- d
-    | None -> ok := false
-  done;
-  if !ok then Some out else None
-
 (* [Ftensor.allclose] scales its tolerance by the second argument, so
    the (finite) expected signature must be the scaling side: a
    candidate with infinite outputs would otherwise inflate the
@@ -333,7 +286,7 @@ let fill (sketch : sketch) ~(out_shape : int array)
         match op with
         | Ast.Dot -> true
         | _ -> (
-            match broadcast_shapes a.vt.Types.shape b.vt.Types.shape with
+            match Tensor.Shape.broadcast a.vt.Types.shape b.vt.Types.shape with
             | Some s -> Tensor.Shape.equal s out_shape
             | None -> false)
       in

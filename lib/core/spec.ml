@@ -17,8 +17,8 @@ let build_key t =
     (St.to_array t);
   Buffer.contents buf
 
-(* Key-build accounting: each [key] render and each [hash] counts as one
-   build, so the figures cover all spec-identity work.  One process-wide
+(* Key-build accounting: each [key] render counts as one build; [hash],
+   which runs on every memo probe, stays uncounted.  One process-wide
    cell keeps the historical totals, and an {e ambient} per-run cell
    (installed by [with_counters] in every domain working on a given
    search) gives each telemetry sink its own attribution — two
@@ -60,11 +60,10 @@ let count_build f =
 let key t = count_build (fun () -> build_key t)
 
 let hash t =
-  count_build (fun () ->
-      Array.fold_left
-        (fun h e -> Expr.hash_combine h (Expr.hash e))
-        (Array.fold_left Expr.hash_combine (St.rank t) (St.shape t))
-        (St.unsafe_data t))
+  Array.fold_left
+    (fun h e -> Expr.hash_combine h (Expr.hash e))
+    (Array.fold_left Expr.hash_combine (St.rank t) (St.shape t))
+    (St.unsafe_data t)
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

@@ -22,16 +22,15 @@ val key : t -> string
 
 val hash : t -> int
 (** Structural hash of the shape and every element ({!Symbolic.Expr.hash}),
-    consistent with {!equal}.  Each call also counts one build, exactly
-    like {!key}: the [builds] and [build_seconds] figures below cover all
-    spec-identity work, rendered or hashed. *)
+    consistent with {!equal}.  Not counted as a build: the figures below
+    cover rendered {!key}s only. *)
 
 (** Hash tables keyed by spec value ({!hash} with {!equal}). *)
 module Tbl : Hashtbl.S with type key = t
 
 val key_stats : unit -> int * int * float
-(** [(builds, 0, build_seconds)] — process-wide totals since start,
-    over {!key} and {!hash} calls alike.  Keys are not cached, so the
+(** [(builds, 0, build_seconds)] — process-wide totals of {!key}
+    renders since start.  Keys are not cached, so the
     middle (hit-count) slot always reads 0; it stays for callers of the
     three-slot shape.  For per-run attribution (what the telemetry layer
     reports) use an ambient {!key_counters} cell instead: concurrent
@@ -50,7 +49,7 @@ val counters_stats : key_counters -> int * float
 
 val with_counters : key_counters -> (unit -> 'a) -> 'a
 (** Run [f] with [c] installed as the calling domain's ambient cell
-    (restored afterwards): every {!key} or {!hash} build inside is
+    (restored afterwards): every {!key} build inside is
     credited to [c] in addition to the process-wide totals.  The cell is
     domain-local — code that fans work out to other domains re-installs
     it in each worker (the search engine does). *)

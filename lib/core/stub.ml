@@ -116,7 +116,7 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
   let sym_lookup name =
     match List.assoc_opt name sym_inputs with
     | Some v -> v
-    | None -> raise (Sexec.Eval_error ("unbound input " ^ name))
+    | None -> raise (Dsl.Eval.Eval_error ("unbound input " ^ name))
   in
   let by_sem : entry Spec.Tbl.t = Spec.Tbl.create 4096 in
   let count = ref 0 in
@@ -294,7 +294,7 @@ let enumerate ?(config = default_config) ?(tel = Obs.Telemetry.null) ?on_dup
     | vt -> (
         match Sexec.apply_op op (List.map (fun s -> s.sem) args) with
         | exception
-            ( Sexec.Eval_error _ | Invalid_argument _
+            ( Dsl.Eval.Eval_error _ | Invalid_argument _
             | Symbolic.Q.Overflow (* e.g. pow towers of constants *) ) ->
             None
         | sem ->

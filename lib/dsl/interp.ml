@@ -1,63 +1,8 @@
 module F = Tensor.Ftensor
 
-exception Eval_error of string
-
-let rec eval env (t : Ast.t) : F.t =
-  match t with
-  | Input name -> env name
-  | Const f -> F.scalar f
-  | App (op, args) -> apply op (List.map (eval env) args)
-  | For_stack { var; iter; body } ->
-      let source = env iter in
-      let n = (F.shape source).(0) in
-      let slices =
-        List.init n (fun i ->
-            let slice = F.slice0 source i in
-            let env' name = if name = var then slice else env name in
-            eval env' body)
-      in
-      F.stack slices ~axis:0
-
-and apply (op : Ast.op) (args : F.t list) : F.t =
-  match (op, args) with
-  | Add, [ a; b ] -> F.add a b
-  | Sub, [ a; b ] -> F.sub a b
-  | Mul, [ a; b ] -> F.mul a b
-  | Div, [ a; b ] -> F.div a b
-  | Pow_op, [ a; b ] -> F.pow a b
-  | Maximum, [ a; b ] -> F.maximum a b
-  | Sqrt, [ a ] -> F.sqrt a
-  | Exp, [ a ] -> F.exp a
-  | Log, [ a ] -> F.log a
-  | Dot, [ a; b ] -> F.dot a b
-  | Tensordot (axes_a, axes_b), [ a; b ] -> F.tensordot a b ~axes_a ~axes_b
-  | Transpose perm, [ a ] -> F.transpose ?perm a
-  | Sum { axis; keepdims }, [ a ] -> F.sum ?axis ~keepdims a
-  | Max { axis; keepdims }, [ a ] -> F.max_reduce ?axis ~keepdims a
-  | Stack axis, ts -> F.stack ts ~axis
-  | Where, [ c; a; b ] -> F.where c a b
-  | Less, [ a; b ] -> F.less a b
-  | Triu, [ a ] -> F.triu a
-  | Tril, [ a ] -> F.tril a
-  | Diag, [ a ] -> F.diag a
-  | Trace, [ a ] -> F.trace a
-  | Reshape shape, [ a ] -> F.reshape a shape
-  | Full shape, [ v ] -> F.full shape (F.to_scalar v)
-  | ( ( Add | Sub | Mul | Div | Pow_op | Maximum | Sqrt | Exp | Log | Dot
-      | Tensordot _ | Transpose _ | Sum _ | Max _ | Where | Less | Triu
-      | Tril | Diag | Trace | Reshape _ | Full _ ),
-      _ ) ->
-      raise (Eval_error (Ast.op_name op ^ ": wrong number of arguments"))
-
-let apply_op = apply
-
-let eval_alist alist t =
-  eval
-    (fun name ->
-      match List.assoc_opt name alist with
-      | Some v -> v
-      | None -> raise (Eval_error ("unbound input " ^ name)))
-    t
+include Eval.Make (F) (struct
+  let const = Fun.id
+end)
 
 let random_inputs ?(lo = 0.5) ?(hi = 1.5) st (env : Types.env) =
   List.map

@@ -33,77 +33,24 @@ end
 
 module Stensor = Tensor.Nd.Make (Expr_elt)
 
-exception Eval_error of string
-
 let input_tensor name shape =
   Stensor.init shape (fun idx -> Expr.var (Sym.make name (Array.copy idx)))
 
 let sym_env (env : Types.env) =
   List.map (fun (name, (vt : Types.vt)) -> (name, input_tensor name vt.shape)) env
 
-let rec exec env (t : Ast.t) : Stensor.t =
-  match t with
-  | Input name -> env name
-  | Const f -> Stensor.scalar (Expr_elt.of_float f)
-  | App (op, args) -> apply op (List.map (exec env) args)
-  | For_stack { var; iter; body } ->
-      let source = env iter in
-      let n = (Stensor.shape source).(0) in
-      let slices =
-        List.init n (fun i ->
-            let slice = Stensor.slice0 source i in
-            let env' name = if name = var then slice else env name in
-            exec env' body)
-      in
-      Stensor.stack slices ~axis:0
+include Eval.Make (Stensor) (struct
+  let const = Expr_elt.of_float
+end)
 
-and apply (op : Ast.op) (args : Stensor.t list) : Stensor.t =
-  match (op, args) with
-  | Add, [ a; b ] -> Stensor.add a b
-  | Sub, [ a; b ] -> Stensor.sub a b
-  | Mul, [ a; b ] -> Stensor.mul a b
-  | Div, [ a; b ] -> Stensor.div a b
-  | Pow_op, [ a; b ] -> Stensor.pow a b
-  | Maximum, [ a; b ] -> Stensor.maximum a b
-  | Sqrt, [ a ] -> Stensor.sqrt a
-  | Exp, [ a ] -> Stensor.exp a
-  | Log, [ a ] -> Stensor.log a
-  | Dot, [ a; b ] -> Stensor.dot a b
-  | Tensordot (axes_a, axes_b), [ a; b ] -> Stensor.tensordot a b ~axes_a ~axes_b
-  | Transpose perm, [ a ] -> Stensor.transpose ?perm a
-  | Sum { axis; keepdims }, [ a ] -> Stensor.sum ?axis ~keepdims a
-  | Max { axis; keepdims }, [ a ] -> Stensor.max_reduce ?axis ~keepdims a
-  | Stack axis, ts -> Stensor.stack ts ~axis
-  | Where, [ c; a; b ] -> Stensor.where c a b
-  | Less, [ a; b ] -> Stensor.less a b
-  | Triu, [ a ] -> Stensor.triu a
-  | Tril, [ a ] -> Stensor.tril a
-  | Diag, [ a ] -> Stensor.diag a
-  | Trace, [ a ] -> Stensor.trace a
-  | Reshape shape, [ a ] -> Stensor.reshape a shape
-  | Full shape, [ v ] -> Stensor.full shape (Stensor.to_scalar v)
-  | ( ( Add | Sub | Mul | Div | Pow_op | Maximum | Sqrt | Exp | Log | Dot
-      | Tensordot _ | Transpose _ | Sum _ | Max _ | Where | Less | Triu
-      | Tril | Diag | Trace | Reshape _ | Full _ ),
-      _ ) ->
-      raise (Eval_error (Ast.op_name op ^ ": wrong number of arguments"))
-
-let apply_op = apply
-
-let exec_env env t =
-  let alist = sym_env env in
-  exec
-    (fun name ->
-      match List.assoc_opt name alist with
-      | Some v -> v
-      | None -> raise (Eval_error ("unbound input " ^ name)))
-    t
+let exec = eval
+let exec_env env t = eval_alist (sym_env env) t
 
 let equivalent env a b =
   try
     let sa = exec_env env a and sb = exec_env env b in
     Stensor.equal sa sb
-  with Eval_error _ | Invalid_argument _ | Symbolic.Q.Overflow -> false
+  with Eval.Eval_error _ | Invalid_argument _ | Symbolic.Q.Overflow -> false
 
 let density t =
   let n = Stensor.numel t in

@@ -7,10 +7,13 @@
     independently of syntactic form, exactly as the paper obtains its
     target specification via SymPy (Section IV-A). *)
 
+module Expr_elt : Tensor.Elt.S with type t = Symbolic.Expr.t
+(** The symbolic element domain.  Its [of_float] is the one constant
+    embedding: lifting's kernel specs go through it too, so kernel and
+    candidate specs agree on literals that are not exact rationals. *)
+
 module Stensor : Tensor.Nd.S with type elt = Symbolic.Expr.t
 (** Tensors of symbolic expressions. *)
-
-exception Eval_error of string
 
 val input_tensor : string -> Tensor.Shape.t -> Stensor.t
 (** Fresh symbolic input: element [idx] is the symbol [name[idx]]. *)
@@ -19,6 +22,8 @@ val sym_env : Types.env -> (string * Stensor.t) list
 (** Symbolic inputs for a whole typing environment. *)
 
 val exec : (string -> Stensor.t) -> Ast.t -> Stensor.t
+(** {!Eval} over {!Stensor}; raises {!Eval.Eval_error} on unbound
+    inputs. *)
 
 val apply_op : Ast.op -> Stensor.t list -> Stensor.t
 (** Apply a single operation to symbolic arguments (used by the

@@ -2,22 +2,7 @@ exception Eval_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Eval_error s)) fmt
 
-module type DOMAIN = sig
-  type t
-
-  val of_float : float -> t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
-  val div : t -> t -> t
-  val neg : t -> t
-  val sqrt : t -> t
-  val exp : t -> t
-  val log : t -> t
-  val fmax : t -> t -> t
-end
-
-module Make (D : DOMAIN) = struct
+module Make (D : Tensor.Elt.S) = struct
   open Loop_ast
 
   (* Mutable interpreter state: scalars are single cells, arrays flat
@@ -74,7 +59,7 @@ module Make (D : DOMAIN) = struct
               | None -> fail "missing input '%s'" p.pname)
           | Out ->
               Hashtbl.replace writable p.pname ();
-              Array.make (numel p.dims) (D.of_float 0.)
+              Array.make (numel p.dims) D.zero
         in
         let v =
           if p.dims = [] then Scalar (ref data.(0))
@@ -113,7 +98,7 @@ module Make (D : DOMAIN) = struct
           | Sqrt, [ a ] -> D.sqrt a
           | Exp, [ a ] -> D.exp a
           | Log, [ a ] -> D.log a
-          | Fmax, [ a; b ] -> D.fmax a b
+          | Fmax, [ a; b ] -> D.max a b
           | f, _ -> fail "%s: wrong arity" (intrinsic_name f))
     in
     let assign loops { base; indices } v =
@@ -167,22 +152,7 @@ end
 (* Concrete instantiation                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Float_domain = struct
-  type t = float
-
-  let of_float f = f
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let neg = ( ~-. )
-  let sqrt = Float.sqrt
-  let exp = Float.exp
-  let log = Float.log
-  let fmax = Float.max
-end
-
-module F = Make (Float_domain)
+module F = Make (Tensor.Elt.Float)
 
 let run_tensors (k : Loop_ast.kernel)
     (inputs : (string * Tensor.Ftensor.t) list) : Tensor.Ftensor.t =

@@ -14,22 +14,7 @@ exception Eval_error of string
     out of bounds or non-affine, assignment to an [in] parameter,
     rank/arity mismatches. *)
 
-module type DOMAIN = sig
-  type t
-
-  val of_float : float -> t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
-  val div : t -> t -> t
-  val neg : t -> t
-  val sqrt : t -> t
-  val exp : t -> t
-  val log : t -> t
-  val fmax : t -> t -> t
-end
-
-module Make (D : DOMAIN) : sig
+module Make (D : Tensor.Elt.S) : sig
   val run : Loop_ast.kernel -> (string * D.t array) list -> D.t array
   (** [run k inputs] executes the kernel on flat row-major input
       buffers (a scalar is a one-element array) and returns the flat

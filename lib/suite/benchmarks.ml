@@ -1,16 +1,9 @@
-type klass =
+type klass = Stenso.Classify.klass =
   | Algebraic_simplification
   | Identity_replacement
   | Redundancy_elimination
   | Strength_reduction
   | Vectorization
-
-let klass_name = function
-  | Algebraic_simplification -> "Algebraic Simplification"
-  | Identity_replacement -> "Identity Replacement"
-  | Redundancy_elimination -> "Redundancy Elimination"
-  | Strength_reduction -> "Strength Reduction"
-  | Vectorization -> "Vectorization"
 
 let all_klasses =
   [

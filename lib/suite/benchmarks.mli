@@ -10,14 +10,13 @@
     published (or directly implied) optimized form, used as a test
     oracle and as the reference implementation in speedup benches. *)
 
-type klass =
+type klass = Stenso.Classify.klass =
   | Algebraic_simplification
   | Identity_replacement
   | Redundancy_elimination
   | Strength_reduction
   | Vectorization
 
-val klass_name : klass -> string
 val all_klasses : klass list
 
 type t = {

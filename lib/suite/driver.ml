@@ -84,7 +84,7 @@ let bench_json (r : bench_result) : Json.t =
           (match r.bench.source with
           | `Github -> "github"
           | `Synthetic -> "synthetic") );
-      ("klass", Json.Str (Benchmarks.klass_name r.bench.klass));
+      ("klass", Json.Str (Stenso.Classify.klass_name r.bench.klass));
       ("tier", Json.Int o.tier);
       ("improved", Json.Bool o.improved);
       ("verified", Json.Bool o.verified);

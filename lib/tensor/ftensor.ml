@@ -5,9 +5,9 @@ include Nd.Make (Elt.Float)
 (*                                                                     *)
 (* The generic functor pays a closure call and an index computation    *)
 (* per element, which is fine for symbolic execution on tiny tensors   *)
-(* but dominates when the measured cost model and the benches execute  *)
-(* at representative sizes.  The shadowed operations below work        *)
-(* directly on the flat [float array] storage (unboxed in OCaml) and   *)
+(* but dominates when the reference interpreter runs at performance    *)
+(* shapes (the benches, validation).  The shadowed operations below    *)
+(* work on the flat [float array] storage (unboxed in OCaml) and       *)
 (* fall back to the generic versions for shapes they do not handle.    *)
 (* ------------------------------------------------------------------ *)
 

@@ -28,7 +28,8 @@ let broadcast a b =
   for i = 0 to r - 1 do
     let da = if i < r - ra then 1 else a.(i - (r - ra)) in
     let db = if i < r - rb then 1 else b.(i - (r - rb)) in
-    if da = db || da = 1 || db = 1 then out.(i) <- max da db
+    if da = db || db = 1 then out.(i) <- da
+    else if da = 1 then out.(i) <- db
     else ok := false
   done;
   if !ok then Some out else None

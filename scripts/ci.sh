@@ -384,3 +384,7 @@ echo "lift smoke check passed"
 # API change that breaks the benchmark fails here, not in a benchmark run.
 python3 perfbench/run.py --smoke
 echo "perfbench smoke check passed"
+
+# Source size (informational, not a gate): `scripts/loc.sh BASE` adds
+# the net change against a git base.
+scripts/loc.sh

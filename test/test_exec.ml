@@ -20,7 +20,7 @@ let test_interp_basics () =
     (F.of_array [| 2; 2 |] [| 2.; 4.; 6.; 8. |])
     (run "np.stack([r * 2 for r in A])");
   (match run "Z" with
-  | exception Interp.Eval_error _ -> ()
+  | exception Eval.Eval_error _ -> ()
   | _ -> Alcotest.fail "unbound input should raise")
 
 let test_sexec_spec_shape () =

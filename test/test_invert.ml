@@ -38,7 +38,7 @@ let check_all_exact name env lib src =
           if not (St.equal r spec) then
             Alcotest.failf "%s: inexact decomposition %s" name
               (Format.asprintf "%a" Invert.pp d)
-      | exception (Invalid_argument _ | Sexec.Eval_error _) ->
+      | exception (Invalid_argument _ | Eval.Eval_error _) ->
           Alcotest.failf "%s: decomposition does not recombine (%s)" name
             (Format.asprintf "%a" Invert.pp d))
     ds;

@@ -96,6 +96,26 @@ let test_value_pruning () =
         "telemetry counter agrees" l.stats.pruned_by_value
         (List.assoc "lift.pruned_by_value" (Stenso.Telemetry.counters tel))
 
+(* A literal that is not a dyadic rational (0.1) enters the kernel's
+   spec and the candidate's spec through the same constant embedding,
+   so certification accepts the exact program. *)
+let test_non_dyadic_literal () =
+  let kernel =
+    Stenso.Lift.Loop_parser.kernel
+      {|kernel scale_add(in float x[8], in float y[8], out float z[8]) {
+  for (int i = 0; i < 8; i++) {
+    z[i] = x[i] * 0.1 + y[i];
+  }
+}
+|}
+  in
+  match Stenso.Lift.lift ~stub_cache kernel with
+  | Error e -> Alcotest.failf "scale_add: %s" (Stenso.Lift.error_message e)
+  | Ok l ->
+      Alcotest.(check bool) "certified" true (l.stats.certified >= 1);
+      Alcotest.(check string) "lifted program" "np.add(np.multiply(x, 0.1), y)"
+        (Dsl.Ast.to_string l.prog)
+
 (* The value-table cache key must fingerprint the sampled inputs, so
    lifts against different input distributions never collide even when
    they share a stub library. *)
@@ -125,6 +145,8 @@ let suite =
       test_negative;
     Alcotest.test_case "value pruning precedes certification" `Quick
       test_value_pruning;
+    Alcotest.test_case "non-dyadic literal certifies" `Quick
+      test_non_dyadic_literal;
     Alcotest.test_case "value tables keyed by sampled inputs" `Quick
       test_values_fingerprint;
   ]

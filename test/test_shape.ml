@@ -27,7 +27,9 @@ let test_broadcast () =
     (bc [| 4; 1 |] [| 3 |]);
   Alcotest.(check (option shape)) "incompatible" None (bc [| 3 |] [| 4 |]);
   Alcotest.(check (option shape)) "ones stretch both ways" (Some [| 5; 7 |])
-    (bc [| 5; 1 |] [| 1; 7 |])
+    (bc [| 5; 1 |] [| 1; 7 |]);
+  Alcotest.(check (option shape)) "one stretches to zero" (Some [| 0; 3 |])
+    (bc [| 1; 3 |] [| 0; 1 |])
 
 let test_iteration () =
   let order = ref [] in

@@ -23,7 +23,8 @@ let test_class_distribution () =
   List.iter
     (fun k ->
       if count k = 0 then
-        Alcotest.failf "empty transformation class %s" (B.klass_name k))
+        Alcotest.failf "empty transformation class %s"
+          (Stenso.Classify.klass_name k))
     B.all_klasses;
   Alcotest.(check int) "classes partition the suite" 33
     (List.fold_left (fun acc k -> acc + count k) 0 B.all_klasses)
