@@ -117,6 +117,7 @@ let rec add g (t : Ast.t) =
   | For_stack _ -> raise (Unsupported "comprehensions in an e-graph")
 
 let equivalent g a b = find g a = find g b
+let repr = find
 
 (* Union two classes and queue congruence repair. *)
 let union g a b =
@@ -173,17 +174,24 @@ let rebuild g =
 (* E-matching                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Match a rule pattern against an e-class, producing bindings from
-   metavariables to e-classes. *)
-let ematch g (rule : Rules.t) cls =
-  let is_metavar name =
-    List.exists (fun (_, mv) -> mv = name) rule.Rules.metavars
+(* Match a rule's left side against an e-class, producing bindings from
+   its metavariables ([vars]) to e-classes.  Names are compared with
+   [String.equal]: polymorphic equality on these hot leaf checks costs
+   tier 2 a measurable share of its saturation time. *)
+let ematch g ~vars lhs cls =
+  let rec is_var mv = function
+    | [] -> false
+    | v :: rest -> String.equal v mv || is_var mv rest
+  in
+  let rec bound mv = function
+    | [] -> None
+    | (v, c) :: rest -> if String.equal v mv then Some c else bound mv rest
   in
   let rec go (pat : Ast.t) cls (subst : (string * eclass) list) =
     let cls = find g cls in
     match pat with
-    | Input mv when is_metavar mv -> (
-        match List.assoc_opt mv subst with
+    | Input mv when is_var mv vars -> (
+        match bound mv subst with
         | Some bound -> if find g bound = cls then [ subst ] else []
         | None -> [ (mv, cls) :: subst ])
     | Input name ->
@@ -206,15 +214,71 @@ let ematch g (rule : Rules.t) cls =
             | N_op op' when op' = op
                             && Array.length node.children
                                = List.length args ->
-                List.fold_left2
-                  (fun substs arg child ->
-                    List.concat_map (go arg child) substs)
-                  [ subst ] args (Array.to_list node.children)
+                let rec children i substs = function
+                  | [] -> substs
+                  | arg :: rest ->
+                      children (i + 1)
+                        (List.concat_map (go arg node.children.(i)) substs)
+                        rest
+                in
+                children 0 [ subst ] args
             | N_op _ | N_input _ | N_const _ -> [])
           (class_of g cls).nodes
     | For_stack _ -> []
   in
-  go rule.Rules.lhs cls []
+  go lhs cls []
+
+(* ------------------------------------------------------------------ *)
+(* Rule sets                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A rule's bucket: the root e-node its left side needs (operator or
+   leaf, and arity), [every] for a bare metavariable, which matches
+   every class, or [never] for a left side that matches nothing. *)
+let every = -1
+let never = -2
+
+type compiled = {
+  rule : Rules.t;
+  vars : string list;  (* the metavariables of [rule.lhs] *)
+  bucket : int;
+}
+
+type rule_set = {
+  rules : compiled array;  (* in the order given *)
+  buckets : (nop * int, int) Hashtbl.t;  (* root e-node -> bucket *)
+  n_buckets : int;
+}
+
+let compile_with ~indexed rules =
+  let buckets = Hashtbl.create 64 in
+  let bucket key =
+    match Hashtbl.find_opt buckets key with
+    | Some b -> b
+    | None ->
+        let b = Hashtbl.length buckets in
+        Hashtbl.add buckets key b;
+        b
+  in
+  let compile (rule : Rules.t) =
+    let vars = List.map snd rule.metavars in
+    let bucket =
+      if not indexed then every
+      else
+        match rule.lhs with
+        | Input name when List.exists (String.equal name) vars -> every
+        | Input name -> bucket (N_input name, 0)
+        | Const f -> bucket (N_const (Int64.bits_of_float f), 0)
+        | App (op, args) -> bucket (N_op op, List.length args)
+        | For_stack _ -> never
+    in
+    { rule; vars; bucket }
+  in
+  let rules = Array.of_list (List.map compile rules) in
+  { rules; buckets; n_buckets = Hashtbl.length buckets }
+
+let compile rules = compile_with ~indexed:true rules
+let unindexed rules = compile_with ~indexed:false rules
 
 (* Instantiate the rule's right-hand side under a binding. *)
 let rec instantiate g (pat : Ast.t) subst =
@@ -231,30 +295,63 @@ let rec instantiate g (pat : Ast.t) subst =
       add_node g { nop = N_op op; children }
   | For_stack _ -> raise (Unsupported "comprehension in rule rhs")
 
-let total_nodes g =
-  Hashtbl.fold
-    (fun _ (d : class_data) acc -> acc + List.length d.nodes)
-    g.classes 0
+(* Every class id ever minted holds exactly one e-node from its
+   creation, and unions only move e-nodes between classes, so the e-graph
+   has [g.count] e-nodes. *)
+let total_nodes g = g.count
 
-let saturate ?(iters = 8) ?(node_limit = 10_000) ~rules g =
+(* The classes each bucket's rules can match this round: those holding
+   an e-node with the bucket's root, each in snapshot order. *)
+let bucket_classes rs g =
+  let classes = Array.make rs.n_buckets [] in
+  if rs.n_buckets > 0 then
+    Hashtbl.iter
+      (fun cls (data : class_data) ->
+        List.iter
+          (fun node ->
+            match
+              Hashtbl.find_opt rs.buckets
+                (node.nop, Array.length node.children)
+            with
+            | None -> ()
+            | Some b -> (
+                match classes.(b) with
+                | c :: _ when c = cls -> ()
+                | l -> classes.(b) <- cls :: l))
+          data.nodes)
+      g.classes;
+  classes
+
+let saturate_set ?(iters = 8) ?(node_limit = 10_000) rs g =
   let applications = ref 0 in
   let iterations = ref 0 in
   let saturated = ref false in
   (try
      for _ = 1 to iters do
        incr iterations;
-       (* snapshot the classes before this round *)
+       (* snapshot the classes before this round; [Hashtbl.iter] visits
+          them in the order [Hashtbl.fold] does, so every bucket lists
+          its classes in snapshot order *)
        let classes = Hashtbl.fold (fun c _ acc -> c :: acc) g.classes [] in
+       let buckets = bucket_classes rs g in
+       (* rule-major, classes in snapshot order within a rule *)
        let matches =
-         List.concat_map
-           (fun rule ->
+         Array.fold_right
+           (fun cr acc ->
+             let candidates =
+               if cr.bucket = every then classes
+               else if cr.bucket = never then []
+               else buckets.(cr.bucket)
+             in
              List.concat_map
                (fun cls ->
                  if Hashtbl.mem g.classes cls then
-                   List.map (fun subst -> (rule, cls, subst)) (ematch g rule cls)
+                   List.map (fun subst -> (cr.rule, cls, subst))
+                     (ematch g ~vars:cr.vars cr.rule.lhs cls)
                  else [])
-               classes)
-           rules
+               candidates
+             @ acc)
+           rs.rules []
        in
        let changed = ref false in
        List.iter
@@ -291,6 +388,9 @@ let saturate ?(iters = 8) ?(node_limit = 10_000) ~rules g =
   in
   g.last_stats <- stats;
   stats
+
+let saturate ?iters ?node_limit ~rules g =
+  saturate_set ?iters ?node_limit (compile rules) g
 
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)

@@ -30,6 +30,9 @@ val add : t -> Dsl.Ast.t -> eclass
 val equivalent : t -> eclass -> eclass -> bool
 (** Are two e-classes known equal (after the saturation so far)? *)
 
+val repr : t -> eclass -> eclass
+(** The canonical id of an e-class's equivalence class. *)
+
 type saturation_stats = {
   iterations : int;
   applications : int;  (** successful rule instantiations *)
@@ -38,11 +41,37 @@ type saturation_stats = {
   saturated : bool;  (** reached a fixpoint before hitting limits *)
 }
 
+type rule_set
+(** A rule list compiled for matching.  Each rule's left side is
+    resolved once (its metavariables listed) and indexed by its
+    root: the operator with its attributes and arity, or the input or
+    constant leaf.  A bare-metavariable left side is tried against every
+    class. *)
+
+val compile : Rules.t list -> rule_set
+(** Compile rules in order; the order is kept. *)
+
+val unindexed : Rules.t list -> rule_set
+(** The same rules with every rule tried against every class: the plain
+    rule-major scan that the index must reproduce exactly. *)
+
+val saturate_set :
+  ?iters:int -> ?node_limit:int -> rule_set -> t -> saturation_stats
+(** Apply a compiled rule set to a fixpoint or until the limits
+    (defaults: 8 iterations, 10_000 e-nodes).  Rules are applied
+    left-to-right only; include both directions explicitly for
+    bidirectional identities.
+
+    Each round snapshots the classes, then matches rule by rule in the
+    set's order, each rule against the snapshot's classes in order, and
+    applies every match found in that order.  A rule is tried only on
+    the classes holding an e-node with its left side's root (found by
+    one pass over the e-nodes per round), which gives the same matches,
+    in the same order, as trying it on every class. *)
+
 val saturate :
   ?iters:int -> ?node_limit:int -> rules:Rules.t list -> t -> saturation_stats
-(** Apply the rule set to a fixpoint or until the limits (defaults: 8
-    iterations, 10_000 e-nodes).  Rules are applied left-to-right only;
-    include both directions explicitly for bidirectional identities. *)
+(** [saturate ~rules g] is [saturate_set (compile rules) g]. *)
 
 val extract : t -> model:Cost.Model.t -> eclass -> Dsl.Ast.t
 (** Cheapest program in the e-class under the cost model (summed per-op

@@ -86,7 +86,7 @@ let mine_env ?(tel = Obs.Telemetry.null) ?(jobs = 1) ?max_stubs ~depth ~model
       attempts = Stub.attempts lib;
       dups = Hashtbl.length displaced;
       rules = List.length entry.Rules_db.rules;
-      optima = Hashtbl.length entry.Rules_db.optima;
+      optima = Rules_db.optima_count entry;
       truncated;
       elapsed = Unix.gettimeofday () -. t0;
     }

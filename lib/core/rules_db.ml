@@ -18,6 +18,15 @@ let key ~env ~model_id ~depth =
 
 type rule = { rule : Rules.t; gain : float }
 
+(* The entry's optima table, never changed once built and shared by
+   every view of one decode, under the cheaper optima its journal
+   adds. *)
+type optima = {
+  table : (string, float * string) Hashtbl.t;
+  journal : (string, float * string) Hashtbl.t;
+  added : int;  (* digests in [journal] that [table] lacks *)
+}
+
 type t = {
   version : string;
   model_id : string;
@@ -27,8 +36,42 @@ type t = {
          set is still sound (each rule was verified within the library),
          but "no better program exists" conclusions must not be drawn *)
   rules : rule list;
-  optima : (string, float * string) Hashtbl.t;
+  rule_set : Egraph.rule_set;
+  optima : optima;
 }
+
+let best o digest =
+  match Hashtbl.find_opt o.journal digest with
+  | Some _ as b -> b
+  | None -> Hashtbl.find_opt o.table digest
+
+let optimum t digest = best t.optima digest
+
+let optima_count t = Hashtbl.length t.optima.table + t.optima.added
+
+let optima_sorted t =
+  let o = t.optima in
+  let bindings tbl skip =
+    Hashtbl.fold
+      (fun digest b acc -> if skip digest then acc else (digest, b) :: acc)
+      tbl
+  in
+  bindings o.table (Hashtbl.mem o.journal)
+    (bindings o.journal (fun _ -> false) [])
+  |> List.sort (fun (x, _) (y, _) -> compare x y)
+
+let compile rules = Egraph.compile (List.map (fun r -> r.rule) rules)
+
+let flat ?(truncated = false) ~version ~model_id ~depth ~rules table =
+  {
+    version;
+    model_id;
+    depth;
+    truncated;
+    rules;
+    rule_set = compile rules;
+    optima = { table; journal = Hashtbl.create 1; added = 0 };
+  }
 
 let max_rules = 1024
 
@@ -56,7 +99,7 @@ let dedupe_rules rules =
   in
   List.filteri (fun i _ -> i < max_rules) sorted
 
-let entry ?(truncated = false) ~model_id ~depth ~rules ~optima () =
+let entry ?truncated ~model_id ~depth ~rules ~optima () =
   let table = Hashtbl.create (List.length optima) in
   List.iter
     (fun (digest, ((cost, _) as binding)) ->
@@ -64,17 +107,11 @@ let entry ?(truncated = false) ~model_id ~depth ~rules ~optima () =
       | Some (prev, _) when prev <= cost -> ()
       | _ -> Hashtbl.replace table digest binding)
     optima;
-  {
-    version = Version.current;
-    model_id;
-    depth;
-    truncated;
-    rules = dedupe_rules rules;
-    optima = table;
-  }
+  flat ?truncated ~version:Version.current ~model_id ~depth
+    ~rules:(dedupe_rules rules) table
 
 let lookup_optimum t digest =
-  match Hashtbl.find_opt t.optima digest with
+  match optimum t digest with
   | None -> None
   | Some (cost, text) -> (
       match Dsl.Parser.expression text with
@@ -98,9 +135,8 @@ let rule_json r =
       ("gain", Json.Float r.gain);
     ]
 
-(* The entry's JSON text, streamed into [buf]: feedback rewrites the
-   whole database after every verified search, and a tree of thousands
-   of optima would cost many times the bytes it renders. *)
+(* The entry's JSON text, streamed into [buf]: a tree of thousands of
+   optima would cost many times the bytes it renders. *)
 let render buf t =
   let field i name =
     if i > 0 then Buffer.add_char buf ',';
@@ -115,11 +151,6 @@ let render buf t =
         Json.to_buffer buf (emit x))
       xs;
     Buffer.add_char buf ']'
-  in
-  (* Deterministic rendering: hash order is arbitrary. *)
-  let optima =
-    Hashtbl.fold (fun digest b acc -> (digest, b) :: acc) t.optima []
-    |> List.sort (fun (x, _) (y, _) -> compare x y)
   in
   Buffer.add_char buf '{';
   List.iteri
@@ -138,7 +169,7 @@ let render buf t =
   list
     (fun (digest, (cost, text)) ->
       Json.List [ Json.Str digest; Json.Float cost; Json.Str text ])
-    optima;
+    (optima_sorted t);
   Buffer.add_char buf '}'
 
 let rule_of_json j =
@@ -183,32 +214,169 @@ let of_json j =
   in
   (* Individually malformed lines degrade the entry, not the load. *)
   let rules = List.filter_map rule_of_json rule_docs in
-  let optima = Hashtbl.create (List.length optima_docs) in
+  let table = Hashtbl.create (List.length optima_docs) in
   List.iter
     (function
       | Json.List [ Json.Str digest; cost; Json.Str text ] -> (
           match Json.to_float_opt cost with
-          | Some c -> Hashtbl.replace optima digest (c, text)
+          | Some c -> Hashtbl.replace table digest (c, text)
           | None -> ())
       | _ -> ())
     optima_docs;
-  Some { version; model_id; depth; truncated; rules; optima }
+  Some (flat ~truncated ~version ~model_id ~depth ~rules table)
+
+(* ------------------------------------------------------------------ *)
+(* Journal                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One tier-3 discovery: the optimum, and the generalized rule when the
+   entry lacked it. *)
+let journal_line ?rule ~spec_digest ~cost ~prog () =
+  Json.to_string
+    (Json.Obj
+       ([
+          ("digest", Json.Str spec_digest);
+          ("cost", Json.Float cost);
+          ("prog", Json.Str prog);
+        ]
+       @
+       match rule with
+       | None -> []
+       | Some r -> [ ("rule", rule_json r) ]))
+
+(* [fresh] placed in rules sorted by decreasing gain where
+   [dedupe_rules (fresh :: rules)] places a rule it lacks: after the
+   rules with a higher gain.  Returns the list capped at [max_rules] and
+   the rule the cap pushed out, if any. *)
+let insert_rule fresh rules =
+  let rec go = function
+    | r :: rest when compare fresh.gain r.gain < 0 -> r :: go rest
+    | rest -> fresh :: rest
+  in
+  let rules = go rules in
+  if List.length rules <= max_rules then (rules, None)
+  else
+    (List.filteri (fun i _ -> i < max_rules) rules, List.nth_opt rules max_rules)
+
+(* One decode of an entry's bytes, shared by every view of them. *)
+type base = {
+  digest : Digest.t;
+  db : t;  (* the entry alone *)
+  ids : (string, unit) Hashtbl.t option Atomic.t;
+      (* [rule_id]s of [db.rules], rendered when a journal line first
+         brings a rule *)
+}
+
+let base_ids b =
+  match Atomic.get b.ids with
+  | Some ids -> ids
+  | None ->
+      let ids = Hashtbl.create (List.length b.db.rules) in
+      List.iter (fun r -> Hashtbl.replace ids (rule_id r.rule) ()) b.db.rules;
+      Atomic.set b.ids (Some ids);
+      ids
+
+(* An entry with its journal folded in.  Every table here is built for
+   this view and never changed afterwards. *)
+type view = {
+  base : base;
+  db : t;
+  lines : int;  (* journal lines folded *)
+  consumed : int;  (* journal bytes folded: whole lines only *)
+  present : (string, bool) Hashtbl.t;
+      (* rule ids the journal added (true) or the cap pushed out (false);
+         any other rule is present iff the base has it *)
+}
+
+let has_rule v id =
+  match Hashtbl.find_opt v.present id with
+  | Some p -> p
+  | None -> Hashtbl.mem (base_ids v.base) id
+
+let base_view base =
+  { base; db = base.db; lines = 0; consumed = 0; present = Hashtbl.create 1 }
+
+(* Fold the whole lines of [text], the journal from [v.consumed] on,
+   into a new view.  A line that does not decode (a torn write that a
+   later line was appended after) is skipped; a last line without its
+   newline is left for a later fold. *)
+let fold_journal v text =
+  match String.rindex_opt text '\n' with
+  | None -> v
+  | Some last ->
+      let o = v.db.optima in
+      let journal = Hashtbl.copy o.journal in
+      let present = Hashtbl.copy v.present in
+      let added = ref o.added in
+      let rules = ref v.db.rules in
+      let rules_changed = ref false in
+      let v = { v with present } in
+      let fold_line line =
+        match Json.of_string line with
+        | Error _ -> ()
+        | Ok j ->
+            let str name = Option.bind (Json.member name j) Json.to_string_opt in
+            (match
+               ( str "digest",
+                 Option.bind (Json.member "cost" j) Json.to_float_opt,
+                 str "prog" )
+             with
+            | Some digest, Some cost, Some prog -> (
+                match best { o with journal } digest with
+                | Some (prev, _) when prev <= cost -> ()
+                | prev ->
+                    if Option.is_none prev then incr added;
+                    Hashtbl.replace journal digest (cost, prog))
+            | _ -> ());
+            Option.iter
+              (fun rj ->
+                match rule_of_json rj with
+                | Some fresh when not (has_rule v (rule_id fresh.rule)) ->
+                    let kept, dropped = insert_rule fresh !rules in
+                    rules := kept;
+                    rules_changed := true;
+                    Hashtbl.replace present (rule_id fresh.rule) true;
+                    Option.iter
+                      (fun d -> Hashtbl.replace present (rule_id d.rule) false)
+                      dropped
+                | Some _ | None -> ())
+              (Json.member "rule" j)
+      in
+      let lines = String.split_on_char '\n' (String.sub text 0 last) in
+      List.iter fold_line lines;
+      {
+        v with
+        lines = v.lines + List.length lines;
+        consumed = v.consumed + last + 1;
+        db =
+          {
+            v.db with
+            rules = !rules;
+            rule_set =
+              (if !rules_changed then compile !rules else v.db.rule_set);
+            optima = { o with journal; added = !added };
+          };
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Store plumbing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Decoded-entry cache: one decode per database key, shared by every
-   store handle whose entry file holds the same bytes.  Parsing a few
+(* Decoded-entry cache: one view per database key.  Parsing a few
    hundred rules plus a few thousand optima lines per request would
-   dominate tier-2 latency, so a lookup only stats the entry file: the
-   same file (path, inode, size, mtime) reuses the decode; another file
-   is digested, and only bytes not seen before are read and parsed.  A
-   process therefore holds at most one decode per key, however many
-   stores it opens over copies of one database, and reading the file
-   makes external modification and corruption visible at once. *)
+   dominate tier-2 latency, so a lookup only stats the entry file and
+   its journal: unchanged files (path, inode, size, mtime) reuse the
+   view, and a journal that grew is folded from where the view stopped.
+   Another entry file (another store's copy, a touched file) is
+   digested, and only bytes not seen before are read and parsed; its
+   journal is folded from the start, so a copy of a database never
+   inherits another store's feedback.  A process therefore holds at
+   most one decode per key however many stores it opens over copies of
+   one database, and reading the files makes external modification and
+   corruption visible at once. *)
 type stamp = { path : string; ino : int; size : int; mtime : float }
-type cached = { stamp : stamp; digest : Digest.t; db : t }
+
+type cached = { stamp : stamp; journal : stamp option; view : view }
 
 let cache : (string, cached) Hashtbl.t = Hashtbl.create 8
 let cache_lock = Mutex.create ()
@@ -225,25 +393,49 @@ let stamp path =
       Some { path; ino = st.st_ino; size = st.st_size; mtime = st.st_mtime }
   | exception Unix.Unix_error _ -> None
 
-(* The stamp is taken before the read: a file replaced in between is
-   cached under the old stamp, so the next lookup reads it again. *)
-let find store ~key =
+(* The view of this entry file's [base] with [journal] folded in,
+   starting from [from] when it already folded a prefix of it. *)
+let with_journal ?from base journal =
+  let start = Option.value from ~default:(base_view base) in
+  match journal with
+  | None -> start
+  | Some js -> (
+      match Store.read_file ~pos:start.consumed js.path with
+      | None -> start
+      | Some text -> fold_journal start text)
+
+(* Stamps are taken before the reads: a file replaced or grown in
+   between is cached under the old stamp, so the next lookup reads it
+   again. *)
+let lookup store ~key =
   let path = Store.entry_path store key in
   match stamp path with
   | None -> None
   | Some st -> (
+      let js = stamp (Store.journal_path store key) in
+      let keep view =
+        remember key { stamp = st; journal = js; view };
+        Some view
+      in
       match cached key with
-      | Some c when c.stamp = st -> Some c.db
+      | Some c when c.stamp = st && c.journal = js -> Some c.view
+      | Some c when c.stamp = st ->
+          let from =
+            match (c.journal, js) with
+            | Some pj, Some j when pj.ino = j.ino && j.size >= c.view.consumed
+              ->
+                c.view
+            | _ -> base_view c.view.base
+          in
+          keep (with_journal ~from c.view.base js)
       | prev -> (
-          let same_bytes c =
+          let same_bytes (c : cached) =
             match Digest.file path with
-            | d -> Digest.equal c.digest d
+            | d -> Digest.equal c.view.base.digest d
             | exception Sys_error _ -> false
           in
           match prev with
-          | Some c when same_bytes c ->
-              remember key { c with stamp = st };
-              Some c.db
+          | Some c when same_bytes c -> keep (with_journal c.view.base js)
           | _ -> (
               match Store.read_file path with
               | None -> None
@@ -255,12 +447,19 @@ let find store ~key =
                       of_json
                   with
                   | Some db ->
-                      remember key
-                        { stamp = st; digest = Digest.string contents; db };
-                      Some db
+                      let base =
+                        {
+                          digest = Digest.string contents;
+                          db;
+                          ids = Atomic.make None;
+                        }
+                      in
+                      keep (with_journal base js)
                   | None ->
                       Store.invalidate store key;
                       None))))
+
+let find store ~key = Option.map (fun v -> v.db) (lookup store ~key)
 
 let record store ~key t =
   let path = Store.entry_path store key in
@@ -272,51 +471,55 @@ let record store ~key t =
   match stamp path with
   | Some st when Some st <> before -> (
       match Digest.file path with
-      | digest -> remember key { stamp = st; digest; db = t }
+      | digest ->
+          let db =
+            if Hashtbl.length t.optima.journal = 0 then t
+            else
+              let table = Hashtbl.of_seq (List.to_seq (optima_sorted t)) in
+              { t with optima = { table; journal = Hashtbl.create 1; added = 0 } }
+          in
+          let base = { digest; db; ids = Atomic.make None } in
+          remember key { stamp = st; journal = None; view = base_view base }
       | exception Sys_error _ -> ())
   | _ -> ()
 
-(* Serializes feedback read-modify-writes within this process; across
-   processes the last writer wins, which is acceptable for a cache whose
+(* A journal this many lines long is folded into a rewritten entry: the
+   decode of a fresh process folds at most this many lines. *)
+let compact_after = 256
+
+(* Serializes feedback within this process; across processes appends
+   interleave whole lines, and a compaction racing another process's
+   append may lose that one line, which is acceptable for a cache whose
    entries are independently correct. *)
 let feedback_lock = Mutex.create ()
 
 let record_feedback store ~key ~model_id ~depth ?rule ~spec_digest ~cost ~prog
     () =
+  let fresh = Option.map (fun (rule, gain) -> { rule; gain }) rule in
   Mutex.protect feedback_lock (fun () ->
-      let current =
-        match find store ~key with
-        | Some t when t.model_id = model_id && t.depth = depth -> Some t
-        | Some _ | None -> None
-      in
-      let rules, optima_tbl =
-        match current with
-        | Some t -> (t.rules, Hashtbl.copy t.optima)
-        | None -> ([], Hashtbl.create 4)
-      in
-      (* Feedback optima come from verified searches, not from the
-         mining enumeration; they do not clear the truncation mark. *)
-      let truncated =
-        match current with Some t -> t.truncated | None -> false
-      in
-      let rules =
-        match rule with
-        | None -> rules
-        | Some (r, gain) ->
-            let fresh = { rule = r; gain } in
-            if List.exists (fun e -> rule_id e.rule = rule_id r) rules then
-              rules
-            else dedupe_rules (fresh :: rules)
-      in
-      (match Hashtbl.find_opt optima_tbl spec_digest with
-      | Some (prev, _) when prev <= cost -> ()
-      | _ -> Hashtbl.replace optima_tbl spec_digest (cost, prog));
-      record store ~key
-        {
-          version = Version.current;
-          model_id;
-          depth;
-          truncated;
-          rules;
-          optima = optima_tbl;
-        })
+      match lookup store ~key with
+      | Some v when v.db.model_id = model_id && v.db.depth = depth ->
+          let cheaper =
+            match optimum v.db spec_digest with
+            | Some (prev, _) -> prev > cost
+            | None -> true
+          in
+          let fresh =
+            Option.bind fresh (fun r ->
+                if has_rule v (rule_id r.rule) then None else Some r)
+          in
+          if cheaper || fresh <> None then begin
+            Store.append store key
+              (journal_line ?rule:fresh ~spec_digest ~cost ~prog ());
+            if v.lines + 1 >= compact_after then
+              Option.iter
+                (fun t -> record store ~key { t with version = Version.current })
+                (find store ~key)
+          end
+      | Some _ | None ->
+          (* Never mined (or mined for another model or depth): the
+             organic-growth path starts the entry. *)
+          record store ~key
+            (entry ~model_id ~depth ~rules:(Option.to_list fresh)
+               ~optima:[ (spec_digest, (cost, prog)) ]
+               ()))

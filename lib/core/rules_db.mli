@@ -45,8 +45,13 @@ type rule = {
           the database's cost model — the ranking criterion *)
 }
 
+type optima
+(** The optima table: spec-key digest ↦ (cost, program text) of the
+    cheapest known implementation of that symbolic value.  Read it with
+    {!optimum}, {!optima_count} and {!optima_sorted}. *)
+
 type t = {
-  version : string;  (** build that mined the entry *)
+  version : string;  (** build that mined or last rewrote the entry *)
   model_id : string;
   depth : int;
   truncated : bool;
@@ -57,10 +62,20 @@ type t = {
           not one — so this flag on a decoded entry means its optima
           came solely from tier-3 feedback (or predate the flag). *)
   rules : rule list;  (** sorted by decreasing gain *)
-  optima : (string, float * string) Hashtbl.t;
-      (** spec-key digest ↦ (cost, program text) of the cheapest known
-          implementation of that symbolic value *)
+  rule_set : Egraph.rule_set;
+      (** [rules] compiled for {!Egraph.saturate_set}, once per decoded
+          view *)
+  optima : optima;
 }
+
+val optimum : t -> string -> (float * string) option
+(** The (cost, program text) recorded for a spec digest. *)
+
+val optima_count : t -> int
+
+val optima_sorted : t -> (string * (float * string)) list
+(** Every optimum, in digest order (the order the entry file lists
+    them in). *)
 
 val spec_digest : string -> string
 (** Digest of a canonical spec rendering ({!Spec.key}) — the
@@ -75,8 +90,8 @@ val entry :
   unit ->
   t
 (** Assemble a fresh entry: rules are deduplicated (by rendered
-    lhs/rhs), sorted by decreasing gain and capped at 1024 rules;
-    optima keep the cheapest binding per digest.  [truncated] (default
+    lhs/rhs), sorted by decreasing gain, capped at 1024 rules and
+    compiled; optima keep the cheapest binding per digest.  [truncated] (default
     [false]) stamps the entry as mined from a capped enumeration. *)
 
 val lookup_optimum : t -> string -> (float * Dsl.Ast.t) option
@@ -85,19 +100,23 @@ val lookup_optimum : t -> string -> (float * Dsl.Ast.t) option
     parses. *)
 
 val find : Store.t -> key:string -> t option
-(** Decode the database entry under this key, read from its file in
-    the store directory (not the store's memory front, so an entry
-    whose write failed is not served).  The process keeps one decode
-    per key: a lookup whose file is unchanged (path, inode, size,
-    mtime) only stats it, and a file with the same bytes (another copy
-    of the database, or a touched file) is digested but not parsed
-    again.  An entry whose envelope is unreadable or whose
-    payload no longer decodes is invalidated (deleted, counted corrupt)
-    and reported as a miss.  Individually malformed rules or optima
-    lines are dropped rather than failing the entry. *)
+(** The database under this key: its entry file in the store directory
+    (not the store's memory front, so an entry whose write failed is not
+    served) with the entry's journal folded in.  The process keeps one
+    view per key: a lookup whose entry file and journal are unchanged
+    (path, inode, size, mtime) only stats them, a journal that grew is
+    folded from where the view stopped, and an entry file with bytes
+    already decoded (another store's copy of the database, or a touched
+    file) is digested but not parsed again — its view starts from that
+    decode and folds its own journal, never another store's.  An entry
+    whose envelope is unreadable or whose payload no longer decodes is
+    invalidated (deleted with its journal, counted corrupt) and
+    reported as a miss.  Individually malformed rules, optima or
+    journal lines are dropped rather than failing the entry. *)
 
 val record : Store.t -> key:string -> t -> unit
-(** Persist an entry (write-through), replacing any previous one. *)
+(** Persist an entry (write-through), replacing any previous one and
+    deleting its journal. *)
 
 val record_feedback :
   Store.t ->
@@ -110,8 +129,13 @@ val record_feedback :
   prog:string ->
   unit ->
   unit
-(** Fold one tier-3 discovery into the database: add the generalized
-    rule (if any, skipped when an equal lhs/rhs pair is already
-    present) and the (digest, cost, program) optimum (kept only if
-    cheaper than the recorded one).  Creates the entry when the
-    environment was never mined — the organic-growth path. *)
+(** Fold one tier-3 discovery into the database: the (digest, cost,
+    program) optimum, kept only if cheaper than the recorded one, and
+    the generalized rule (if any), skipped when an equal lhs/rhs pair is
+    already present.  When either changes the database, one JSON line
+    carrying both is appended to the entry's journal ({!Store.append});
+    the entry file itself is not rewritten.  The journal line that
+    brings the journal to 256 lines is followed by a compaction: the
+    folded view is written as the entry ({!record}) and the journal
+    deleted.  Creates the entry when the environment was never mined —
+    the organic-growth path. *)

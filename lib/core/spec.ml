@@ -13,7 +13,7 @@ let build_key t =
   Array.iter
     (fun e ->
       Buffer.add_char buf '|';
-      Buffer.add_string buf (Expr.to_string e))
+      Expr.render buf e)
     (St.to_array t);
   Buffer.contents buf
 

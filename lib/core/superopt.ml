@@ -255,13 +255,12 @@ let tier2_attempt ~tel ~config ~model ~env ~spec_key ~depth ~store prog =
           | exception _ -> infinity
         else infinity
       in
-      let rules = List.map (fun r -> r.Rules_db.rule) db.Rules_db.rules in
       let saturated =
         match
           let g = Egraph.create env in
           let cls = Egraph.add g prog in
           let ts = Unix.gettimeofday () in
-          let st = Egraph.saturate ~rules g in
+          let st = Egraph.saturate_set db.Rules_db.rule_set g in
           Obs.Telemetry.Acc.add
             (Obs.Telemetry.acc tel "tier.saturation_ms")
             ((Unix.gettimeofday () -. ts) *. 1000.);

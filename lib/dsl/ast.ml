@@ -114,19 +114,6 @@ let subst_inputs bindings t =
   in
   if bindings = [] then t else go bindings t
 
-let pp_int_list ppf xs =
-  Format.fprintf ppf "[%s]" (String.concat ", " (List.map string_of_int xs))
-
-let pp_int_array ppf xs = pp_int_list ppf (Array.to_list xs)
-
-let pp_axis ppf = function
-  | None -> ()
-  | Some a -> Format.fprintf ppf ", axis=%d" a
-
-let pp_reduce ppf { axis; keepdims } =
-  pp_axis ppf axis;
-  if keepdims then Format.fprintf ppf ", keepdims=True"
-
 (* The shortest of the integer form, [%g], [%.15g], [%.16g] and [%.17g]
    that reads back to the same bits, so the canonical rendering keeps
    every finite constant exactly ([-0.] included) and stays byte-identical
@@ -144,41 +131,46 @@ let const_literal f =
   |> Seq.find exact
   |> Option.value ~default:(Printf.sprintf "%g" f)
 
-let rec pp ppf t =
+(* One printer for every rendering of a program: [to_string], [pp] and
+   the parser's [unparse] all append to a buffer. *)
+let rec render buf t =
+  let str = Buffer.add_string buf in
   match t with
-  | Input name -> Format.pp_print_string ppf name
-  | Const f -> Format.pp_print_string ppf (const_literal f)
-  | App (op, args) -> pp_app ppf op args
+  | Input name -> str name
+  | Const f -> str (const_literal f)
+  | App (op, args) -> render_app buf op args
   | For_stack { var; iter; body } ->
-      Format.fprintf ppf "np.stack([%a for %s in %s])" pp body var iter
+      str "np.stack(["; render buf body; str " for "; str var; str " in ";
+      str iter; str "])"
 
-and pp_app ppf op args =
-  let call name extras =
-    Format.fprintf ppf "np.%s(%a%s)" name
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         pp)
-      args extras
+and render_app buf op args =
+  let str = Buffer.add_string buf in
+  let list xs = List.iteri (fun i x -> if i > 0 then str ", "; render buf x) xs in
+  let ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]" in
+  let call name extra =
+    str "np."; str name; str "("; list args; str extra; str ")"
   in
   match (op, args) with
-  | Sum r, [ _ ] -> call "sum" (Format.asprintf "%a" pp_reduce r)
-  | Max r, [ _ ] -> call "max" (Format.asprintf "%a" pp_reduce r)
+  | (Sum { axis; keepdims } | Max { axis; keepdims }), [ _ ] ->
+      call (op_name op)
+        ((match axis with Some a -> ", axis=" ^ string_of_int a | None -> "")
+        ^ if keepdims then ", keepdims=True" else "")
   | Stack axis, _ ->
-      Format.fprintf ppf "np.stack([%a], axis=%d)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           pp)
-        args axis
-  | Transpose None, [ x ] -> Format.fprintf ppf "np.transpose(%a)" pp x
-  | Transpose (Some perm), [ x ] ->
-      Format.fprintf ppf "np.transpose(%a, %a)" pp x pp_int_array perm
-  | Tensordot (xa, xb), [ a; b ] ->
-      Format.fprintf ppf "np.tensordot(%a, %a, (%a, %a))" pp a pp b
-        pp_int_list xa pp_int_list xb
-  | Reshape shape, [ x ] ->
-      Format.fprintf ppf "np.reshape(%a, %a)" pp x pp_int_array shape
+      str "np.stack(["; list args; str "], axis="; str (string_of_int axis);
+      str ")"
+  | Transpose (Some perm), [ _ ] ->
+      call "transpose" (", " ^ ints (Array.to_list perm))
+  | Tensordot (xa, xb), [ _; _ ] ->
+      call "tensordot" (", (" ^ ints xa ^ ", " ^ ints xb ^ ")")
+  | Reshape shape, [ _ ] -> call "reshape" (", " ^ ints (Array.to_list shape))
   | Full shape, [ v ] ->
-      Format.fprintf ppf "np.full(%a, %a)" pp_int_array shape pp v
+      str "np.full("; str (ints (Array.to_list shape)); str ", "; render buf v;
+      str ")"
   | _, _ -> call (op_name op) ""
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let buf = Buffer.create 64 in
+  render buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

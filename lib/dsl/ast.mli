@@ -74,9 +74,14 @@ val subst_inputs : (string * t) list -> t -> t
 val children : t -> t list
 val map_children : (t -> t) -> t -> t
 
-val pp : Format.formatter -> t -> unit
-(** NumPy-flavoured rendering, e.g. [np.dot(np.multiply(A, C), B)].
-    Constants print exactly: the shortest of the integer form, [%g],
-    [%.15g], [%.16g] and [%.17g] that reads back to the same float. *)
+val render : Buffer.t -> t -> unit
+(** NumPy-flavoured rendering, e.g. [np.dot(np.multiply(A, C), B)],
+    appended to the buffer.  Constants print exactly: the shortest of
+    the integer form, [%g], [%.15g], [%.16g] and [%.17g] that reads back
+    to the same float. *)
 
 val to_string : t -> string
+(** {!render}'s text. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

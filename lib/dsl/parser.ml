@@ -559,16 +559,14 @@ let expression src =
    persistent store's cached-outcome entries, so both always produce the
    byte-identical text for a given program. *)
 let unparse (env : Types.env) (prog : Ast.t) =
-  let render_vt (vt : Types.vt) =
-    Printf.sprintf "%s[%s]"
-      (match vt.dtype with Types.Float -> "f32" | Types.Bool -> "bool")
-      (String.concat ", " (Array.to_list (Array.map string_of_int vt.shape)))
-  in
   let buf = Buffer.create 256 in
+  let str = Buffer.add_string buf in
   List.iter
-    (fun (name, vt) ->
-      Buffer.add_string buf
-        (Printf.sprintf "input %s : %s\n" name (render_vt vt)))
+    (fun (name, (vt : Types.vt)) ->
+      str "input "; str name;
+      str (match vt.dtype with Types.Float -> " : f32[" | Types.Bool -> " : bool[");
+      Array.iteri (fun i d -> if i > 0 then str ", "; str (string_of_int d)) vt.shape;
+      str "]\n")
     env;
-  Buffer.add_string buf (Format.asprintf "return %a\n" Ast.pp prog);
+  str "return "; Ast.render buf prog; str "\n";
   Buffer.contents buf

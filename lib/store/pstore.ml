@@ -23,13 +23,12 @@ let rec mkdir_p dir =
 let write_atomic path contents =
   let dir = Filename.dirname path in
   mkdir_p dir;
-  let tmp =
-    Filename.temp_file ~temp_dir:dir
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir
       ("." ^ Filename.basename path ^ ".")
       ".tmp"
   in
   match
-    let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () -> output_string oc contents);
@@ -91,6 +90,9 @@ let entry_path t key =
     (Filename.concat (Filename.concat t.root "objects") (String.sub d 0 2))
     (d ^ ".json")
 
+let journal_path t key =
+  Filename.remove_extension (entry_path t key) ^ ".journal"
+
 let touch t e =
   t.clock <- t.clock + 1;
   e.tick <- t.clock
@@ -119,16 +121,19 @@ let insert_mem t entry =
   Hashtbl.replace t.mem entry.key entry;
   touch t entry
 
-let read_file path =
+let read_file ?(pos = 0) path =
   match open_in_bin path with
   | exception Sys_error _ -> None
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          match really_input_string ic (in_channel_length ic) with
+          match
+            seek_in ic pos;
+            really_input_string ic (in_channel_length ic - pos)
+          with
           | s -> Some s
-          | exception End_of_file -> None)
+          | exception (End_of_file | Sys_error _ | Invalid_argument _) -> None)
 
 let remove_file path = try Sys.remove path with Sys_error _ -> ()
 
@@ -202,16 +207,52 @@ let add t ~schema key payload =
       insert_mem t { key; schema; payload; tick = 0 };
       persist t ~schema key (fun buf -> Json.to_buffer buf payload))
 
+(* The new entry supersedes its journal. *)
 let write t ~schema key render =
   Mutex.protect t.lock (fun () ->
       Hashtbl.remove t.mem key;
-      persist t ~schema key render)
+      persist t ~schema key render;
+      if t.persist then remove_file (journal_path t key))
+
+(* One [write] call on an [O_APPEND] descriptor: concurrent appenders,
+   in this process or another, land whole lines one after another.  A
+   journal whose last line is torn (a crashed writer) gets a newline
+   first, so only the torn line is lost. *)
+let append t key line =
+  Mutex.protect t.lock (fun () ->
+      if t.persist then
+        let path = journal_path t key in
+        match
+          mkdir_p (Filename.dirname path);
+          let fd =
+            Unix.openfile path
+              [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+              0o644
+          in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let size = (Unix.fstat fd).Unix.st_size in
+              let torn =
+                size > 0
+                &&
+                let last = Bytes.create 1 in
+                ignore (Unix.lseek fd (size - 1) Unix.SEEK_SET);
+                Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n'
+              in
+              let text = (if torn then "\n" else "") ^ line ^ "\n" in
+              ignore
+                (Unix.single_write_substring fd text 0 (String.length text)))
+        with
+        | () -> Tel.Counter.incr t.c_writes
+        | exception (Sys_error _ | Unix.Unix_error _) -> t.persist <- false)
 
 let invalidate t key =
   Mutex.protect t.lock (fun () ->
       Hashtbl.remove t.mem key;
       Tel.Counter.incr t.c_corrupt;
-      remove_file (entry_path t key))
+      remove_file (entry_path t key);
+      remove_file (journal_path t key))
 
 let flush t =
   (* Writes are write-through; nothing is buffered in the handle. *)

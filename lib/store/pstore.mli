@@ -50,6 +50,20 @@ val dir : t -> string
 val entry_path : t -> string -> string
 (** Where the entry for this key lives (or would live) on disk. *)
 
+val journal_path : t -> string -> string
+(** Where the entry's journal lives: lines appended to the entry since
+    it was last written ({!append}), in a file beside the entry's.
+    {!write} and {!invalidate} delete it. *)
+
+val append : t -> string -> string -> unit
+(** [append t key line] adds [line] (which must hold no newline) and a
+    newline to the entry's journal in a single [O_APPEND] write, so
+    concurrent appenders from any process each land a whole line.  When
+    the journal's last line is torn (its writer died mid-write), a
+    newline is written first, so the next line is not lost with it.
+    An I/O failure disables persistence for the handle, as for
+    {!add}. *)
+
 val find : t -> schema:string -> string -> Json.t option
 (** The payload stored under this key, from the LRU front if resident,
     else from disk.  A disk entry that fails to parse, whose recorded
@@ -70,10 +84,12 @@ val write : t -> schema:string -> string -> (Buffer.t -> unit) -> unit
     entry resident (a resident copy of the key is dropped).  For layers
     that keep their own decoded copy of a large entry and read its file
     themselves: the tree, and its copy in the LRU front, would cost
-    many times the bytes written. *)
+    many times the bytes written.  The new entry supersedes the key's
+    journal, which is deleted once the entry is written. *)
 
-val read_file : string -> string option
-(** The whole contents of a file, or [None] when it cannot be read. *)
+val read_file : ?pos:int -> string -> string option
+(** The contents of a file from byte [pos] (default 0) to its end, or
+    [None] when it cannot be read. *)
 
 val decode_entry :
   schema:string -> key:string -> string -> (Json.t, string) result
@@ -83,9 +99,9 @@ val decode_entry :
     counted, removed or made resident. *)
 
 val invalidate : t -> string -> unit
-(** Drop an entry from memory and disk, counting it as corrupt.  Used by
-    higher layers whose decoding of the payload failed even though the
-    envelope parsed. *)
+(** Drop an entry and its journal from memory and disk, counting it as
+    corrupt.  Used by higher layers whose decoding of the payload failed
+    even though the envelope parsed. *)
 
 val flush : t -> unit
 (** Ensure everything recorded through this handle is durable.  Writes

@@ -911,8 +911,8 @@ let rec render buf t =
       xs
   in
   match t with
-  | Rat q -> str (Q.to_string q)
-  | Var s -> str (Sym.to_string s)
+  | Rat q -> Q.render buf q
+  | Var s -> Sym.render buf s
   | Add ts -> str "("; list " + " ts; str ")"
   | Mul fs -> str "("; list "*" fs; str ")"
   | Pow (b, e) -> render buf b; str "^"; render buf e

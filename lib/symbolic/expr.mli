@@ -131,6 +131,9 @@ val to_string : t -> string
 (** The canonical rendering; spec keys ([Spec.key]) are built
     from it, so its output is part of every persistent key. *)
 
+val render : Buffer.t -> t -> unit
+(** Append {!to_string}'s text to the buffer. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}. *)
 

@@ -85,8 +85,16 @@ let of_float f =
     in
     try_den 2
 
+let render buf q =
+  Buffer.add_string buf (string_of_int q.num);
+  if q.den <> 1 then begin
+    Buffer.add_char buf '/';
+    Buffer.add_string buf (string_of_int q.den)
+  end
+
 let to_string q =
-  if q.den = 1 then string_of_int q.num
-  else string_of_int q.num ^ "/" ^ string_of_int q.den
+  let buf = Buffer.create 16 in
+  render buf q;
+  Buffer.contents buf
 
 let pp ppf q = Format.pp_print_string ppf (to_string q)

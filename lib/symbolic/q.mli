@@ -53,3 +53,6 @@ val of_float : float -> t option
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val render : Buffer.t -> t -> unit
+(** Append {!to_string}'s text to the buffer. *)

@@ -30,12 +30,23 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let render buf t =
+  Buffer.add_string buf t.base;
+  if Array.length t.indices > 0 then begin
+    Array.iteri
+      (fun i x ->
+        Buffer.add_char buf (if i = 0 then '[' else ',');
+        Buffer.add_string buf (string_of_int x))
+      t.indices;
+    Buffer.add_char buf ']'
+  end
+
 let to_string t =
   if Array.length t.indices = 0 then t.base
   else
-    t.base ^ "["
-    ^ String.concat "," (Array.to_list (Array.map string_of_int t.indices))
-    ^ "]"
+    let buf = Buffer.create 16 in
+    render buf t;
+    Buffer.contents buf
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

@@ -18,5 +18,8 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val render : Buffer.t -> t -> unit
+(** Append {!to_string}'s text to the buffer. *)
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -125,8 +125,7 @@ let normalize_axis s axis =
     invalid_arg (Printf.sprintf "axis %d out of range for rank %d" axis n);
   a
 
-let pp ppf s =
-  Format.fprintf ppf "(%s)"
-    (String.concat "," (Array.to_list (Array.map string_of_int s)))
+let to_string s =
+  "(" ^ String.concat "," (Array.to_list (Array.map string_of_int s)) ^ ")"
 
-let to_string s = Format.asprintf "%a" pp s
+let pp ppf s = Format.pp_print_string ppf (to_string s)

@@ -248,6 +248,45 @@ if ! grep -F '"tier.serve"' "$scratch/trace2.ndjson" \
 fi
 echo "tiered-optimizer smoke check passed"
 
+# Tier-3 feedback smoke check: diag_dot's optimum lies outside the
+# depth-2 mined space, so its first tiered request is answered by the
+# search (tier 3), which feeds its optimum back into the rules database
+# through the database's journal, leaving the mined entry file's bytes
+# as they were.  A new process then optimizing a program with the same
+# spec but another outcome-store key (its constants change the stub
+# fingerprint) is answered at tier 2 from that fed-back optimum.
+fstore="$scratch/fstore"
+"$stenso" mine --depth 2 --benchmarks diag_dot --cost-estimator flops \
+  --store-dir "$fstore" --quiet
+mined_entry=$(find "$fstore/objects" -name '*.json')
+cp "$mined_entry" "$scratch/mined_entry.json"
+printf 'input A : f32[3,4]\ninput B : f32[4,3]\nreturn np.diag(np.dot(A, B))\n' \
+  > "$scratch/diag.tdsl"
+printf 'input A : f32[3,4]\ninput B : f32[4,3]\nreturn np.diag(np.dot(A, B)) * 2.0 / 2.0\n' \
+  > "$scratch/diag_scaled.tdsl"
+fed() {
+  "$stenso" optimize --program "$1" --rules-depth 2 --cost-estimator flops \
+    --store-dir "$fstore" --trace "$2" > /dev/null
+}
+fed "$scratch/diag.tdsl" "$scratch/fed1.ndjson"
+if ! grep -F '"tier.serve"' "$scratch/fed1.ndjson" | grep -qF '"tier":3'; then
+  echo "FAIL: diag_dot was not answered by the search (tier 3)" >&2
+  grep -F '"tier.serve"' "$scratch/fed1.ndjson" >&2 || true
+  exit 1
+fi
+if ! cmp -s "$mined_entry" "$scratch/mined_entry.json"; then
+  echo "FAIL: tier-3 feedback rewrote the mined rules entry" >&2
+  exit 1
+fi
+fed "$scratch/diag_scaled.tdsl" "$scratch/fed2.ndjson"
+if ! grep -F '"tier.serve"' "$scratch/fed2.ndjson" \
+    | grep -F '"tier":2' | grep -qF '"source":"optimum"'; then
+  echo "FAIL: the fed-back optimum did not answer at tier 2" >&2
+  grep -F '"tier.serve"' "$scratch/fed2.ndjson" >&2 || true
+  exit 1
+fi
+echo "tier-3 feedback smoke check passed"
+
 # Exec-bench archive check: the interp-vs-VM microbenchmark report
 # must regenerate as a well-formed stenso.exec-bench/1 document with a
 # geomean (the committed trajectory point is BENCH_exec_vm.json), and

@@ -118,6 +118,66 @@ let test_nan_hashconsing () =
   in
   Alcotest.(check bool) "NaN survives extraction" true (has_nan best)
 
+(* The indexed matcher against the plain rule-major scan: saturating with
+   [Egraph.compile rules] and with [Egraph.unindexed rules] must build the
+   same e-graph (same stats, every class id in the same equivalence
+   class) and extract the same program. *)
+let same_as_scan ~what env rules prog =
+  let run set =
+    let g = Egraph.create env in
+    let cls = Egraph.add g prog in
+    let st = Egraph.saturate_set set g in
+    let reprs = List.init st.nodes (Egraph.repr g) in
+    (st, reprs, Egraph.extract g ~model:Cost.Model.flops cls)
+  in
+  let st, reprs, best = run (Egraph.compile rules) in
+  let st', reprs', best' = run (Egraph.unindexed rules) in
+  let stats (s : Egraph.saturation_stats) =
+    [ s.iterations; s.applications; s.classes; s.nodes;
+      Bool.to_int s.saturated ]
+  in
+  Alcotest.(check (list int)) (what ^ ": stats") (stats st') (stats st);
+  Alcotest.(check (list int)) (what ^ ": classes") reprs' reprs;
+  Alcotest.check ast (what ^ ": extracted") best' best
+
+let test_index_matches_scan () =
+  let suite = Suite.Benchmarks.github @ Suite.Benchmarks.synthetic in
+  List.iter
+    (fun name ->
+      let b = Suite.Benchmarks.find name in
+      let db, _ = Mine.mine_env ~depth:2 ~model:Cost.Model.flops b.env in
+      let rules = List.map (fun (r : Rules_db.rule) -> r.rule) db.rules in
+      List.iter
+        (fun (b' : Suite.Benchmarks.t) ->
+          if b'.env = b.env then
+            same_as_scan ~what:(name ^ "/" ^ b'.name) b.env rules b'.program)
+        suite)
+    [ "diag_dot"; "log_exp_1"; "common_factor"; "synth_11" ];
+  (* A bare-metavariable left side matches every class; [stack] at two
+     arities shares an operator but not a root. *)
+  let rule lhs rhs metavars = { Rules.lhs = p lhs; rhs = p rhs; metavars } in
+  let envs =
+    [ ("A", Types.float_t [| 3 |]); ("B", Types.float_t [| 3 |]);
+      ("C", Types.float_t [| 3 |]) ]
+  in
+  let rules =
+    [
+      rule "X" "np.multiply(X, 1)" [ ("A", "X") ];
+      rule "np.stack([X, Y], axis=0)" "np.stack([Y, X], axis=0)"
+        [ ("A", "X"); ("B", "Y") ];
+      rule "np.stack([X, Y, Z], axis=0)" "np.stack([Z, Y, X], axis=0)"
+        [ ("A", "X"); ("B", "Y"); ("C", "Z") ];
+      rule "np.multiply(X, 1)" "X" [ ("A", "X") ];
+    ]
+  in
+  List.iter
+    (fun prog -> same_as_scan ~what:prog envs rules (p prog))
+    [
+      "np.stack([A, B], axis=0) + np.stack([A, C], axis=0)";
+      "np.sum(np.stack([A, B, C], axis=0), axis=0) + np.sum(np.stack([C, \
+       B], axis=0), axis=0)";
+    ]
+
 let test_unsupported_loops () =
   let envl = [ ("A", Types.float_t [| 3; 2 |]) ] in
   let g = Egraph.create envl in
@@ -137,4 +197,6 @@ let suite =
       test_mined_rules_cross_apply;
     Alcotest.test_case "NaN hashconsing" `Quick test_nan_hashconsing;
     Alcotest.test_case "loops unsupported" `Quick test_unsupported_loops;
+    Alcotest.test_case "indexed matcher equals the scan" `Quick
+      test_index_matches_scan;
   ]

@@ -74,7 +74,7 @@ let test_truncated_mine () =
   Alcotest.(check bool) "stats flag truncation" true stats.truncated;
   Alcotest.(check bool) "entry stamped truncated" true db.truncated;
   Alcotest.(check int) "no optima from a truncated library" 0
-    (Hashtbl.length db.optima);
+    (Rules_db.optima_count db);
   (* the flag survives the store round-trip *)
   let dir = fresh_dir () in
   let key =
@@ -95,14 +95,14 @@ let test_truncated_mine () =
       Alcotest.(check bool) "feedback preserves truncation" true
         db'.truncated;
       Alcotest.(check int) "feedback optimum recorded" 1
-        (Hashtbl.length db'.optima)
+        (Rules_db.optima_count db')
   | None -> Alcotest.fail "entry lost after feedback");
   (* an uncapped mine of the same environment is complete *)
   let db_full, stats_full = Mine.mine_env ~depth:2 ~model env2 in
   Alcotest.(check bool) "uncapped mine not truncated" false
     stats_full.truncated;
   Alcotest.(check bool) "uncapped mine publishes optima" true
-    (Hashtbl.length db_full.optima > 0)
+    (Rules_db.optima_count db_full > 0)
 
 let test_db_roundtrip_and_corruption () =
   let dir = fresh_dir () in
@@ -142,10 +142,7 @@ let test_db_roundtrip_and_corruption () =
       Alcotest.(check int) "rules survive the round-trip"
         (List.length db.rules) (List.length db'.rules);
       Alcotest.(check bool) "optima survive the round-trip" true
-        (Hashtbl.fold
-           (fun d b ok -> ok && Hashtbl.find_opt db'.optima d = Some b)
-           db.optima
-           (Hashtbl.length db.optima = Hashtbl.length db'.optima));
+        (Rules_db.optima_sorted db = Rules_db.optima_sorted db');
       Alcotest.(check int) "depth preserved" db.depth db'.depth
   | None -> Alcotest.fail "recorded entry not found");
   (* corrupt the on-disk payload: a fresh handle must treat it as a
@@ -158,9 +155,10 @@ let test_db_roundtrip_and_corruption () =
     (Rules_db.find store'' ~key = None);
   Alcotest.(check bool) "corrupt entry deleted" false (Sys.file_exists path)
 
-(* The decode cache keeps one database per key: a store over a copy of
-   the same entry reuses the decode instead of parsing it again, and a
-   rewritten entry releases the old decode, so a process that opens
+(* The decode cache keeps one decode per entry's bytes and one view per
+   key: a store over a copy of the same entry reuses the decode instead
+   of parsing it again (and sees none of the other store's feedback),
+   and a feedback releases the previous view, so a process that opens
    store after store does not accumulate databases. *)
 let test_db_decode_per_key () =
   let key =
@@ -171,18 +169,155 @@ let test_db_decode_per_key () =
   let copy = Store.open_store ~dir:(fresh_dir ()) () in
   Store.write_atomic (Store.entry_path copy key)
     (Option.get (Store.read_file (Store.entry_path store key)));
-  let decoded = Weak.create 1 in
-  (match (Rules_db.find store ~key, Rules_db.find copy ~key) with
-  | Some a, Some b ->
-      Alcotest.(check bool) "copy shares the decode" true (a == b);
-      Weak.set decoded 0 (Some a)
-  | _ -> Alcotest.fail "recorded entry not found");
-  Rules_db.record_feedback store ~key ~model_id:model.Cost.Model.name
-    ~depth:2 ~spec_digest:"deadbeef" ~cost:1. ~prog:"A" ();
+  let base =
+    match (Rules_db.find store ~key, Rules_db.find copy ~key) with
+    | Some a, Some b ->
+        Alcotest.(check bool) "copy shares the decode" true (a == b);
+        a
+    | _ -> Alcotest.fail "recorded entry not found"
+  in
+  let feedback digest =
+    Rules_db.record_feedback store ~key ~model_id:model.Cost.Model.name
+      ~depth:2 ~spec_digest:digest ~cost:1. ~prog:"A" ();
+    Option.get (Rules_db.find store ~key)
+  in
+  let view = Weak.create 1 in
+  let first = feedback "deadbeef" in
+  Alcotest.(check bool) "feedback shares the base's optima" true
+    (Rules_db.optimum first "deadbeef" = Some (1., "A")
+    && Rules_db.optima_count first = Rules_db.optima_count base + 1);
+  Weak.set view 0 (Some first);
+  ignore (feedback "feedbeef");
+  (match Rules_db.find copy ~key with
+  | Some b ->
+      Alcotest.(check bool) "copy keeps the base decode" true (b == base);
+      Alcotest.(check bool) "copy sees no other store's feedback" true
+        (Rules_db.optimum b "deadbeef" = None)
+  | None -> Alcotest.fail "copy lost its entry");
   Gc.full_major ();
   Gc.full_major ();
-  Alcotest.(check bool) "rewritten entry releases the old decode" false
-    (Weak.check decoded 0)
+  Alcotest.(check bool) "feedback releases the previous view" false
+    (Weak.check view 0)
+
+(* Feedback goes to an append-only journal beside the entry: visible at
+   once in this process and to any handle on the directory, the entry
+   file untouched, a torn last line skipped, compaction lossless, and
+   the journal gone once the entry is re-mined or invalidated. *)
+let test_feedback_journal () =
+  let key =
+    Rules_db.key ~env:env2 ~model_id:model.Cost.Model.name ~depth:2
+  in
+  let dir = fresh_dir () in
+  let store = Store.open_store ~dir () in
+  ignore (Mine.mine ~depth:2 ~model ~store [ ("env2", env2) ]);
+  let entry = Store.entry_path store key in
+  let journal = Store.journal_path store key in
+  let mined = Option.get (Store.read_file entry) in
+  let rule =
+    Rules.generalize
+      (p "np.triu(np.tril(np.triu(A + B)))")
+      (p "np.diag(np.diag(A + B))")
+  in
+  let rule_id (r : Rules.t) = Rules.to_string r in
+  let feedback ?rule ?(cost = 1.) digest =
+    Rules_db.record_feedback store ~key ~model_id:model.Cost.Model.name
+      ~depth:2 ?rule ~spec_digest:digest ~cost ~prog:"A" ()
+  in
+  let db store =
+    match Rules_db.find store ~key with
+    | Some db -> db
+    | None -> Alcotest.fail "rules entry vanished"
+  in
+  let has_rule (db : Rules_db.t) r =
+    List.exists (fun (e : Rules_db.rule) -> rule_id e.rule = rule_id r) db.rules
+  in
+  let check_fed what store =
+    let db = db store in
+    Alcotest.(check bool) (what ^ ": optimum") true
+      (Rules_db.optimum db "deadbeef" = Some (1., "A"));
+    Alcotest.(check bool) (what ^ ": rule") true (has_rule db rule)
+  in
+  feedback ~rule:(rule, 1e6) "deadbeef";
+  check_fed "in process" store;
+  check_fed "fresh handle" (Store.open_store ~dir ());
+  Alcotest.(check bool) "entry bytes unchanged" true
+    (Store.read_file entry = Some mined);
+  Alcotest.(check bool) "journal written" true (Sys.file_exists journal);
+  (* A copy of both files decodes the entry anew and folds the whole
+     journal, as a fresh process does. *)
+  let copy = Store.open_store ~dir:(fresh_dir ()) () in
+  Store.write_atomic (Store.entry_path copy key) mined;
+  Store.write_atomic (Store.journal_path copy key)
+    (Option.get (Store.read_file journal));
+  check_fed "copy of the files" copy;
+  (* A torn last line is skipped, and the next line survives it. *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 journal in
+  output_string oc {|{"digest":"cafe","cost":0.5,"pr|};
+  close_out oc;
+  Alcotest.(check bool) "torn line skipped" true
+    (Rules_db.optimum (db store) "cafe" = None);
+  check_fed "after a torn line" store;
+  feedback "f00d";
+  Alcotest.(check bool) "line after a torn one" true
+    (Rules_db.optimum (db store) "f00d" = Some (1., "A"));
+  (* Not cheaper, no new rule: nothing to append. *)
+  let size () = (Unix.stat journal).st_size in
+  let before = size () in
+  feedback ~rule:(rule, 1e6) ~cost:2. "deadbeef";
+  Alcotest.(check int) "no-op feedback appends nothing" before (size ());
+  (* Compaction: the journal line that makes it 256 lines long is
+     folded into a rewritten entry that keeps every optimum and rule. *)
+  let rec fill i =
+    if i > 300 then Alcotest.fail "the journal was never compacted";
+    let expected : Rules_db.t = db store in
+    let digest = Printf.sprintf "d%03d" i in
+    feedback digest;
+    if Sys.file_exists journal then fill (i + 1)
+    else (expected, digest)
+  in
+  let expected, last = fill 0 in
+  let compacted : Rules_db.t = db (Store.open_store ~dir ()) in
+  Alcotest.(check bool) "compaction rewrote the entry" true
+    (Store.read_file entry <> Some mined);
+  Alcotest.(check (list string)) "compaction keeps every rule"
+    (List.map (fun (r : Rules_db.rule) -> rule_id r.rule) expected.rules)
+    (List.map (fun (r : Rules_db.rule) -> rule_id r.rule) compacted.rules);
+  Alcotest.(check bool) "compaction keeps every optimum" true
+    (Rules_db.optima_sorted compacted
+    = List.sort compare
+        ((last, (1., "A")) :: Rules_db.optima_sorted expected));
+  (* Re-mining replaces the entry and drops the journal. *)
+  feedback "beef";
+  Alcotest.(check bool) "journal before re-mining" true
+    (Sys.file_exists journal);
+  ignore (Mine.mine ~depth:2 ~model ~store [ ("env2", env2) ]);
+  Alcotest.(check bool) "re-mining drops the journal" false
+    (Sys.file_exists journal);
+  Alcotest.(check bool) "re-mined entry has no feedback" true
+    (Rules_db.optimum (db store) "beef" = None
+    && not (has_rule (db store) rule));
+  (* Two domains feeding one key both land. *)
+  let feed prefix =
+    for i = 0 to 19 do
+      feedback (Printf.sprintf "%s%02d" prefix i)
+    done
+  in
+  let other = Domain.spawn (fun () -> feed "x") in
+  feed "y";
+  Domain.join other;
+  let fed = db store in
+  for i = 0 to 19 do
+    List.iter
+      (fun prefix ->
+        let d = Printf.sprintf "%s%02d" prefix i in
+        if Rules_db.optimum fed d = None then Alcotest.failf "%s lost" d)
+      [ "x"; "y" ]
+  done;
+  (* Invalidation deletes the journal with the entry. *)
+  Store.invalidate store key;
+  Alcotest.(check bool) "invalidated entry gone" false (Sys.file_exists entry);
+  Alcotest.(check bool) "invalidated journal gone" false
+    (Sys.file_exists journal)
 
 (* The [source] field of the trace's one [tier.serve] event. *)
 let served_source tel =
@@ -411,4 +546,5 @@ let suite =
     Alcotest.test_case "rules db decode shared per key" `Quick
       test_db_decode_per_key;
     Alcotest.test_case "tier-2 candidate sources" `Quick test_tier2_sources;
+    Alcotest.test_case "feedback journal" `Quick test_feedback_journal;
   ]
