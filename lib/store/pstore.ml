@@ -20,24 +20,29 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let write_atomic path contents =
-  let dir = Filename.dirname path in
-  mkdir_p dir;
+(* [write_atomic] into a directory that exists, of what [output] writes
+   to the channel. *)
+let replace_file path output =
   let tmp, oc =
-    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir
+    Filename.open_temp_file ~mode:[ Open_binary ]
+      ~temp_dir:(Filename.dirname path)
       ("." ^ Filename.basename path ^ ".")
       ".tmp"
   in
   match
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc contents);
+      (fun () -> output oc);
     Sys.rename tmp path
   with
   | () -> ()
   | exception e ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
+
+let write_atomic path contents =
+  mkdir_p (Filename.dirname path);
+  replace_file path (fun oc -> output_string oc contents)
 
 let digest key = Digest.to_hex (Digest.string key)
 
@@ -48,14 +53,22 @@ type mem_entry = {
   mutable tick : int;
 }
 
+(* The disk reads of one entry in progress: [gen] counts the [add]s,
+   [write]s and [invalidate]s of the entry since the first began. *)
+type probe = { mutable readers : int; mutable gen : int }
+
 type t = {
   root : string;
   mem_capacity : int;
   lock : Mutex.t;
+      (* guards [mem], [probes] and [clock]; no I/O runs under it but
+         [append]'s *)
   mem : (string, mem_entry) Hashtbl.t;
       (* key -> entry: a resident hit hashes the key, never digests it *)
+  probes : (string, probe) Hashtbl.t; (* entry path -> its reads *)
   mutable clock : int;
-  mutable persist : bool; (* cleared after the first write failure *)
+  persist : bool Atomic.t; (* cleared after the first write failure *)
+  rooted : bool Atomic.t; (* [root] has existed while the handle lived *)
   (* counters: both plain (for [stats]) and telemetry-registered *)
   c_mem_hits : Tel.Counter.t;
   c_disk_hits : Tel.Counter.t;
@@ -71,8 +84,10 @@ let open_store ?(tel = Tel.null) ?(mem_capacity = 256) ~dir () =
     mem_capacity = max 1 mem_capacity;
     lock = Mutex.create ();
     mem = Hashtbl.create 64;
+    probes = Hashtbl.create 8;
     clock = 0;
-    persist = true;
+    persist = Atomic.make true;
+    rooted = Atomic.make (Sys.file_exists dir);
     c_mem_hits = Tel.counter tel "store.mem_hits";
     c_disk_hits = Tel.counter tel "store.disk_hits";
     c_misses = Tel.counter tel "store.misses";
@@ -121,6 +136,11 @@ let insert_mem t entry =
   Hashtbl.replace t.mem entry.key entry;
   touch t entry
 
+(* Caller holds the lock.  A change to the entry at [path]: a disk read
+   of it in progress must not install what it read. *)
+let bump t path =
+  Option.iter (fun p -> p.gen <- p.gen + 1) (Hashtbl.find_opt t.probes path)
+
 let read_file ?(pos = 0) path =
   match open_in_bin path with
   | exception Sys_error _ -> None
@@ -152,67 +172,280 @@ let decode_entry ~schema ~key contents =
       | Some _, Some _, Some payload -> Ok payload
       | _ -> Error "missing schema/key/payload field")
 
-let find t ~schema key =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.mem key with
-      | Some e when String.equal e.schema schema ->
-          Tel.Counter.incr t.c_mem_hits;
-          touch t e;
-          Some e.payload
-      | Some _ | None -> (
-          let path = entry_path t key in
-          match read_file path with
-          | None ->
-              Tel.Counter.incr t.c_misses;
-              None
-          | Some contents -> (
-              match decode_entry ~schema ~key contents with
-              | Ok payload ->
-                  Tel.Counter.incr t.c_disk_hits;
-                  insert_mem t { key; schema; payload; tick = 0 };
-                  Some payload
-              | Error _ ->
-                  Tel.Counter.incr t.c_corrupt;
-                  remove_file path;
-                  None)))
-
 (* The entry file: [Json.to_string] of the envelope object, with the
    payload's text appended by [payload] in place. *)
-let render_entry ~schema ~key payload =
-  let buf = Buffer.create 256 in
+let render_entry buf ~schema ~key payload =
   Buffer.add_string buf "{\"schema\":";
   Json.to_buffer buf (Json.Str schema);
   Buffer.add_string buf ",\"key\":";
   Json.to_buffer buf (Json.Str key);
   Buffer.add_string buf ",\"payload\":";
   payload buf;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Buffer.add_string buf "}\n"
 
-(* Caller holds the lock. *)
-let persist t ~schema key payload =
-  if t.persist then begin
+(* ------------------------------------------------------------------ *)
+(* The outcome writer                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One [add]'s write.  The writer renders it, so a queued job holds the
+   caller's key and payload rather than a copy of the entry's text. *)
+type job = {
+  store : t;
+  path : string;
+  jschema : string;
+  jkey : string;
+  jpayload : Json.t;
+  mutable cancelled : bool;
+}
+
+let queue_capacity = 64
+
+(* Process-wide, all under [q_lock]: the queue, the pending table (entry
+   path -> the latest job for it, queued or in flight) and the job in
+   flight.  At most one uncancelled job per path is queued, and it is the
+   pending one.  Lock order: a handle's lock, then [q_lock]; the writer
+   takes no handle's lock. *)
+let q_lock = Mutex.create ()
+let work = Condition.create () (* a job was queued *)
+let idle = Condition.create () (* the writer finished a job *)
+let queue : job Queue.t = Queue.create ()
+let pending : (string, job) Hashtbl.t = Hashtbl.create 64
+let in_flight : job option ref = ref None
+let writer_started = ref false
+let writer_hook = Atomic.make ignore
+let set_writer_hook f = Atomic.set writer_hook f
+
+let flying path =
+  match !in_flight with Some j -> String.equal j.path path | None -> false
+
+let in_flight_is j = match !in_flight with Some f -> f == j | None -> false
+
+(* Create [path]'s fan-out directories.  The store root is created only
+   while the handle has never seen it: a store directory deleted under a
+   live handle (a finished run's scratch store) stays deleted, and the
+   write is dropped. *)
+exception Root_gone
+
+let prepare_dir t path =
+  if not (Atomic.get t.rooted) then begin
+    mkdir_p t.root;
+    Atomic.set t.rooted true
+  end;
+  let fan = Filename.dirname path in
+  List.iter
+    (fun d ->
+      if not (Sys.file_exists d) then
+        try Unix.mkdir d 0o755 with
+        | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+        | Unix.Unix_error (Unix.ENOENT, _, _) -> raise Root_gone)
+    [ Filename.dirname fan; fan ]
+
+(* Renders into [buf], which the writer reuses from job to job: the
+   writer allocates little, and each of its minor collections stops every
+   domain. *)
+let land_job buf j =
+  let t = j.store in
+  if Atomic.get t.persist then
     match
-      write_atomic (entry_path t key) (render_entry ~schema ~key payload)
+      prepare_dir t j.path;
+      Buffer.clear buf;
+      render_entry buf ~schema:j.jschema ~key:j.jkey (fun buf ->
+          Json.to_buffer buf j.jpayload);
+      replace_file j.path (fun oc -> Buffer.output_buffer oc buf)
     with
     | () -> Tel.Counter.incr t.c_writes
-    | exception (Sys_error _ | Unix.Unix_error _) ->
+    | exception Root_gone -> ()
+    | exception _ ->
         (* Unwritable cache directory: degrade to memory-only rather
            than failing synthesis. *)
-        t.persist <- false
-  end
+        Atomic.set t.persist false
+
+let writer_buf = Buffer.create 4096
+
+let rec writer_loop () =
+  let j, live =
+    Mutex.protect q_lock (fun () ->
+        while Queue.is_empty queue do
+          Condition.wait work q_lock
+        done;
+        let j = Queue.pop queue in
+        if not j.cancelled then in_flight := Some j;
+        (j, not j.cancelled))
+  in
+  if live then begin
+    (Atomic.get writer_hook) ();
+    land_job writer_buf j
+  end;
+  Mutex.protect q_lock (fun () ->
+      in_flight := None;
+      (match Hashtbl.find_opt pending j.path with
+      | Some p when p == j -> Hashtbl.remove pending j.path
+      | _ -> ());
+      Condition.broadcast idle);
+  writer_loop ()
+
+let drain () =
+  Mutex.protect q_lock (fun () ->
+      while (not (Queue.is_empty queue)) || Option.is_some !in_flight do
+        Condition.wait idle q_lock
+      done)
+
+(* Caller holds [q_lock].  The writer domain starts with the first queued
+   write, never earlier: once a domain has been spawned, [Unix.fork]
+   fails for the rest of the process. *)
+let start_writer () =
+  !writer_started
+  ||
+  match Domain.spawn writer_loop with
+  | _ ->
+      writer_started := true;
+      at_exit drain;
+      true
+  | exception Failure _ -> false
+
+(* Queue [j], superseding a queued job for its path; [false] when the
+   queue is full (or no writer can start): the caller writes itself. *)
+let enqueue j =
+  Mutex.protect q_lock (fun () ->
+      Queue.length queue < queue_capacity
+      && start_writer ()
+      &&
+      ((match Hashtbl.find_opt pending j.path with
+       | Some old when not (in_flight_is old) -> old.cancelled <- true
+       | _ -> ());
+       Hashtbl.replace pending j.path j;
+       Queue.push j queue;
+       Condition.signal work;
+       true))
+
+(* The job that will land on [path], if any, for [find]. *)
+let queued path = Mutex.protect q_lock (fun () -> Hashtbl.find_opt pending path)
+
+(* Cancel the queued write of [path] and wait out an in-flight one, so
+   that nothing queued lands on [path] after the caller's own write or
+   delete. *)
+let claim path =
+  Mutex.protect q_lock (fun () ->
+      (match Hashtbl.find_opt pending path with
+      | Some j when not (in_flight_is j) ->
+          j.cancelled <- true;
+          Hashtbl.remove pending path
+      | _ -> ());
+      while flying path do
+        Condition.wait idle q_lock
+      done)
+
+(* ------------------------------------------------------------------ *)
+(* Operations                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let find t ~schema key =
+  let resident =
+    Mutex.protect t.lock (fun () ->
+        match Hashtbl.find_opt t.mem key with
+        | Some e when String.equal e.schema schema ->
+            Tel.Counter.incr t.c_mem_hits;
+            touch t e;
+            Some e.payload
+        | Some _ | None -> None)
+  in
+  match resident with
+  | Some _ -> resident
+  | None -> (
+      let path = entry_path t key in
+      let probe, gen =
+        Mutex.protect t.lock (fun () ->
+            let p =
+              match Hashtbl.find_opt t.probes path with
+              | Some p -> p
+              | None ->
+                  let p = { readers = 0; gen = 0 } in
+                  Hashtbl.replace t.probes path p;
+                  p
+            in
+            p.readers <- p.readers + 1;
+            (p, p.gen))
+      in
+      let found =
+        match queued path with
+        | Some j ->
+            if String.equal j.jschema schema && String.equal j.jkey key then
+              Ok (Some j.jpayload)
+            else Ok None
+        | None -> (
+            match read_file path with
+            | None -> Ok None
+            | Some contents ->
+                Result.map Option.some (decode_entry ~schema ~key contents))
+      in
+      let current =
+        Mutex.protect t.lock (fun () ->
+            probe.readers <- probe.readers - 1;
+            if probe.readers = 0 then Hashtbl.remove t.probes path;
+            let current = probe.gen = gen in
+            (match found with
+            | Ok (Some payload) ->
+                Tel.Counter.incr t.c_disk_hits;
+                if current then insert_mem t { key; schema; payload; tick = 0 }
+            | Ok None -> Tel.Counter.incr t.c_misses
+            | Error _ -> Tel.Counter.incr t.c_corrupt);
+            current)
+      in
+      match found with
+      | Ok payload -> payload
+      | Error _ ->
+          if current then remove_file path;
+          None)
 
 let add t ~schema key payload =
+  let path = entry_path t key in
+  let j =
+    {
+      store = t;
+      path;
+      jschema = schema;
+      jkey = key;
+      jpayload = payload;
+      cancelled = false;
+    }
+  in
+  let queued =
+    Mutex.protect t.lock (fun () ->
+        insert_mem t { key; schema; payload; tick = 0 };
+        bump t path;
+        (not (Atomic.get t.persist)) || enqueue j)
+  in
+  if not queued then begin
+    claim path;
+    land_job (Buffer.create 256) j
+  end
+
+(* Around a change to the entry at [path] that the caller makes on disk:
+   a read that overlaps it does not install what it read. *)
+let changing t key path f =
   Mutex.protect t.lock (fun () ->
-      insert_mem t { key; schema; payload; tick = 0 };
-      persist t ~schema key (fun buf -> Json.to_buffer buf payload))
+      Hashtbl.remove t.mem key;
+      bump t path);
+  claim path;
+  f ();
+  Mutex.protect t.lock (fun () -> bump t path)
 
 (* The new entry supersedes its journal. *)
 let write t ~schema key render =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.remove t.mem key;
-      persist t ~schema key render;
-      if t.persist then remove_file (journal_path t key))
+  let path = entry_path t key in
+  changing t key path (fun () ->
+      if Atomic.get t.persist then
+        let buf = Buffer.create 256 in
+        render_entry buf ~schema ~key render;
+        match
+          mkdir_p (Filename.dirname path);
+          replace_file path (fun oc -> Buffer.output_buffer oc buf)
+        with
+        | () ->
+            Tel.Counter.incr t.c_writes;
+            remove_file (journal_path t key)
+        | exception (Sys_error _ | Unix.Unix_error _) ->
+            Atomic.set t.persist false)
 
 (* One [write] call on an [O_APPEND] descriptor: concurrent appenders,
    in this process or another, land whole lines one after another.  A
@@ -220,7 +453,7 @@ let write t ~schema key render =
    first, so only the torn line is lost. *)
 let append t key line =
   Mutex.protect t.lock (fun () ->
-      if t.persist then
+      if Atomic.get t.persist then
         let path = journal_path t key in
         match
           mkdir_p (Filename.dirname path);
@@ -245,24 +478,17 @@ let append t key line =
                 (Unix.single_write_substring fd text 0 (String.length text)))
         with
         | () -> Tel.Counter.incr t.c_writes
-        | exception (Sys_error _ | Unix.Unix_error _) -> t.persist <- false)
+        | exception (Sys_error _ | Unix.Unix_error _) ->
+            Atomic.set t.persist false)
 
 let invalidate t key =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.remove t.mem key;
-      Tel.Counter.incr t.c_corrupt;
-      remove_file (entry_path t key);
+  let path = entry_path t key in
+  Tel.Counter.incr t.c_corrupt;
+  changing t key path (fun () ->
+      remove_file path;
       remove_file (journal_path t key))
 
-let flush t =
-  (* Writes are write-through; nothing is buffered in the handle. *)
-  ignore t
-
-let lru_keys t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun _ e acc -> e :: acc) t.mem []
-      |> List.sort (fun a b -> compare b.tick a.tick)
-      |> List.map (fun e -> e.key))
+let flush _ = drain ()
 
 type counts = {
   mem_hits : int;

@@ -14,10 +14,26 @@
     counters feed the {!Obs.Telemetry} sink given at {!open_store} and
     are also readable directly via {!stats}.
 
+    {!add} is write-behind: it returns once the entry is resident and
+    queued, and one writer domain per process lands queued entries on
+    disk in the background.  Within the process a queued entry is
+    already visible: {!find}, from any handle, consults the queue before
+    the disk.  Other processes see it once it lands.  A crash loses only
+    the entries still queued; {!flush}, and an [at_exit] hook, drain
+    the queue.  {!write} and {!append} are synchronous.
+
     All operations are safe under concurrent use from multiple domains
-    of one process (a mutex serializes the handle) and from multiple
-    processes (writes go through {!write_atomic}, so a reader sees
-    either the old complete entry or the new complete entry). *)
+    of one process and from multiple processes (entry files are written
+    through {!write_atomic}, so a reader sees either the old complete
+    entry or the new complete entry).  A handle's mutex guards only its
+    memory front and bookkeeping: no disk read, decode or write of
+    {!find}, {!add} or {!write} runs under it, so a slow write never
+    stalls a lookup of another key.
+
+    The writer domain is spawned by the first queued write, never by
+    {!open_store}.  On OCaml 5.1 [Unix.fork] fails in a process that
+    has ever spawned a domain: a program that forks must do so before
+    its first {!add}. *)
 
 module Json = Obs.Telemetry.Json
 
@@ -66,17 +82,28 @@ val append : t -> string -> string -> unit
 
 val find : t -> schema:string -> string -> Json.t option
 (** The payload stored under this key, from the LRU front if resident,
-    else from disk.  A disk entry that fails to parse, whose recorded
+    else from the process's write queue if an {!add} of it (through any
+    handle) has not landed yet, else from disk.  A disk entry that fails to parse, whose recorded
     schema differs from [schema], or whose recorded key differs from the
     probe (a digest collision) is deleted and counted as corrupt;
     [find] then returns [None]. *)
 
 val add : t -> schema:string -> string -> Json.t -> unit
-(** Persist a payload under a key (write-through: the entry is durable
-    when [add] returns) and make it resident in the LRU front.  An I/O
-    failure (e.g. unwritable directory) disables persistence for the
-    handle but keeps the in-memory entry — the store degrades to a
-    per-process cache rather than failing the caller. *)
+(** Make a payload resident under a key in the LRU front and queue its
+    entry file for the writer, which renders it (the payload tree is not
+    copied: the caller must not mutate it).  The entry is durable once
+    it lands, at the latest when {!flush} returns; a queued write of the
+    same key is superseded.  When {!queue_capacity} writes are already
+    queued, [add] writes the entry itself before returning; nothing is
+    dropped.  A queued write whose store directory was deleted after
+    the handle saw it does not recreate the directory.  An I/O failure
+    (e.g. unwritable directory) disables persistence for the handle but
+    keeps the in-memory entry — the store degrades to a per-process
+    cache rather than failing the caller. *)
+
+val queue_capacity : int
+(** How many writes the process's queue holds before {!add} writes
+    synchronously. *)
 
 val write : t -> schema:string -> string -> (Buffer.t -> unit) -> unit
 (** Persist the payload that the function appends to the buffer as JSON
@@ -84,8 +111,10 @@ val write : t -> schema:string -> string -> (Buffer.t -> unit) -> unit
     entry resident (a resident copy of the key is dropped).  For layers
     that keep their own decoded copy of a large entry and read its file
     themselves: the tree, and its copy in the LRU front, would cost
-    many times the bytes written.  The new entry supersedes the key's
-    journal, which is deleted once the entry is written. *)
+    many times the bytes written.  Synchronous: the entry is durable
+    when [write] returns, and a queued {!add} of the key is cancelled
+    first.  The new entry supersedes the key's journal, which is deleted
+    once the entry is written. *)
 
 val read_file : ?pos:int -> string -> string option
 (** The contents of a file from byte [pos] (default 0) to its end, or
@@ -100,17 +129,22 @@ val decode_entry :
 
 val invalidate : t -> string -> unit
 (** Drop an entry and its journal from memory and disk, counting it as
-    corrupt.  Used by higher layers whose decoding of the payload failed
-    even though the envelope parsed. *)
+    corrupt.  A queued write of the key is cancelled, and one the writer
+    has in flight is waited out before the file is deleted, so the entry
+    does not reappear on disk.  Used by higher layers whose decoding of
+    the payload failed even though the envelope parsed. *)
 
 val flush : t -> unit
-(** Ensure everything recorded through this handle is durable.  Writes
-    are write-through, so this is only a barrier for the daemon's
-    shutdown path; it never raises. *)
+(** Block until the process's write queue is empty and nothing is in
+    flight, so that every {!add} made before, through any handle, is
+    durable.  Never raises.  An [at_exit] hook does the same, so a
+    program that exits normally persists its entries without calling
+    it; [Unix._exit] skips that hook. *)
 
-val lru_keys : t -> string list
-(** Keys resident in the memory front, most recently used first (for
-    tests and introspection). *)
+val set_writer_hook : (unit -> unit) -> unit
+(** For tests: the function runs in the writer domain before each
+    queued write lands, with that write in flight.  [ignore] (the
+    default) restores normal operation. *)
 
 type counts = {
   mem_hits : int;

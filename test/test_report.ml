@@ -35,8 +35,8 @@ let archived =
        warm speedup, 0 cost mismatches)" );
     ( "BENCH_serve_load.json",
       `None,
-      "valid stenso.serve-load/1 (256 connections, 108168 requests, 10750 \
-       req/s; p50 23.11 ms, p95 30.72, p99 41.94; 591 coalesced, 108168 \
+      "valid stenso.serve-load/1 (256 connections, 173082 requests, 17207 \
+       req/s; p50 14.18 ms, p95 20.21, p99 25.65; 674 coalesced, 173082 \
        refined, 0 busy, 0 protocol errors)" );
     ( "BENCH_suite_flops.json",
       `None,

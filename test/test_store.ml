@@ -32,6 +32,9 @@ let test_round_trip () =
   Alcotest.(check (option reject)) "miss before add" None
     (Store.find s ~schema "k1");
   Store.add s ~schema "k1" (Json.Str "payload one");
+  (* The write lands in the background; the disk checks below wait for
+     it. *)
+  Store.flush s;
   (match Store.find s ~schema "k1" with
   | Some (Json.Str "payload one") -> ()
   | _ -> Alcotest.fail "mem round-trip failed");
@@ -66,15 +69,24 @@ let test_lru_eviction () =
   (* Touch [a] so [b] is the LRU victim when [c] arrives. *)
   ignore (Store.find s ~schema "a");
   Store.add s ~schema "c" (Json.Int 3);
-  Alcotest.(check (list string)) "MRU order after eviction" [ "c"; "a" ]
-    (Store.lru_keys s);
   Alcotest.(check int) "one eviction" 1 (Store.stats s).Store.evictions;
-  (* The evicted entry is still on disk and comes back as a disk hit. *)
+  (* [c] and [a] are resident, [a] the more recently used. *)
+  ignore (Store.find s ~schema "c");
+  ignore (Store.find s ~schema "a");
+  let c = Store.stats s in
+  Alcotest.(check (pair int int)) "survivors are memory hits" (3, 0)
+    (c.Store.mem_hits, c.Store.disk_hits);
+  (* The evicted entry is still on disk (or queued for it) and comes
+     back as a disk hit, evicting [c], now the least recently used. *)
   (match Store.find s ~schema "b" with
   | Some (Json.Int 2) -> ()
   | _ -> Alcotest.fail "evicted entry lost");
-  Alcotest.(check int) "reload is a disk hit" 1
-    (Store.stats s).Store.disk_hits
+  ignore (Store.find s ~schema "a");
+  ignore (Store.find s ~schema "c");
+  let c = Store.stats s in
+  Alcotest.(check (list int)) "reload evicts the LRU entry"
+    [ 4; 2; 3 ]
+    [ c.Store.mem_hits; c.Store.disk_hits; c.Store.evictions ]
 
 (* [write] lands the bytes [add] would, but keeps nothing resident: a
    stale resident copy of the key is dropped, and the next [find] reads
@@ -83,19 +95,27 @@ let test_write_not_resident () =
   let s = Store.open_store ~dir:(fresh_dir ()) () in
   let payload = Json.Obj [ ("n", Json.Float 18.); ("s", Json.Str "a\"b") ] in
   Store.add s ~schema "a" payload;
+  Store.flush s;
   Store.write s ~schema "b" (fun buf -> Json.to_buffer buf payload);
-  Alcotest.(check (list string)) "written key not resident" [ "a" ]
-    (Store.lru_keys s);
+  let hits () =
+    let c = Store.stats s in
+    (c.Store.mem_hits, c.Store.disk_hits)
+  in
+  ignore (Store.find s ~schema "a");
+  ignore (Store.find s ~schema "b");
+  Alcotest.(check (pair int int)) "added key resident, written key read"
+    (1, 1) (hits ());
   let other = Store.open_store ~dir:(fresh_dir ()) () in
   Store.add other ~schema "b" payload;
+  Store.flush other;
   let bytes st = Store.read_file (Store.entry_path st "b") in
   Alcotest.(check (option string)) "same bytes as add" (bytes other) (bytes s);
   Store.write s ~schema "a" (fun buf -> Json.to_buffer buf (Json.Int 2));
-  Alcotest.(check (list string)) "stale resident copy dropped" []
-    (Store.lru_keys s);
   (match Store.find s ~schema "a" with
   | Some (Json.Int 2) -> ()
   | _ -> Alcotest.fail "find did not read the written entry");
+  Alcotest.(check (pair int int)) "stale resident copy dropped" (1, 2)
+    (hits ());
   Alcotest.(check int) "two writes and one add counted" 3
     (Store.stats s).Store.writes
 
@@ -108,6 +128,7 @@ let test_corrupt_truncated () =
   let dir = fresh_dir () in
   let s = Store.open_store ~dir () in
   Store.add s ~schema "k" (Json.Str "good");
+  Store.flush s;
   let path = Store.entry_path s "k" in
   (* Simulate a torn legacy write: cut the file mid-envelope. *)
   let full = In_channel.with_open_bin path In_channel.input_all in
@@ -122,6 +143,7 @@ let test_corrupt_wrong_schema () =
   let dir = fresh_dir () in
   let s = Store.open_store ~dir () in
   Store.add s ~schema "k" (Json.Str "good");
+  Store.flush s;
   let path = Store.entry_path s "k" in
   write_raw path
     (Json.to_string
@@ -151,6 +173,7 @@ let test_concurrent_writers () =
   let d2 = Domain.spawn (writer s2 "two") in
   Domain.join d1;
   Domain.join d2;
+  Store.flush s1;
   let s3 = Store.open_store ~dir () in
   List.iter
     (fun k ->
@@ -214,6 +237,7 @@ let test_optimize_invalidates_corrupt_entry () =
   let store = Store.open_store ~dir () in
   let o1 = Superopt.optimize ~config ~store ~env prog in
   Alcotest.(check bool) "fresh outcome" false (o1.tier = 1);
+  Store.flush store;
   (* Corrupt every object on disk; a cold handle must fall back to the
      search, never fail. *)
   let objects = Filename.concat dir "objects" in
@@ -230,6 +254,176 @@ let test_optimize_invalidates_corrupt_entry () =
   Alcotest.(check string) "same result regardless"
     (Dsl.Parser.unparse env o1.optimized)
     (Dsl.Parser.unparse env o2.optimized)
+
+(* ------------------------------------------------------------------ *)
+(* The background writer                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs [f] with the writer held: each queued write, once in flight,
+   signals [in_flight] and waits at a gate that [release] opens for
+   good.  The queue is drained first, so the first write to arrive in
+   flight is [f]'s own. *)
+let with_held_writer s f =
+  Store.flush s;
+  let entered = Semaphore.Counting.make 0 in
+  let gate = Semaphore.Counting.make 0 in
+  Store.set_writer_hook (fun () ->
+      Semaphore.Counting.release entered;
+      Semaphore.Counting.acquire gate;
+      Semaphore.Counting.release gate);
+  let opened = ref false in
+  let release () =
+    if not !opened then begin
+      opened := true;
+      Semaphore.Counting.release gate
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Store.set_writer_hook ignore)
+    (fun () ->
+      f ~in_flight:(fun () -> Semaphore.Counting.acquire entered) ~release)
+
+(* No handle's lock is held while an entry is written: were it, the
+   lookups below would never return. *)
+let test_find_while_writer_held () =
+  let dir = fresh_dir () in
+  let s = Store.open_store ~dir () in
+  Store.add s ~schema "landed" (Json.Int 1);
+  with_held_writer s (fun ~in_flight ~release ->
+      Store.add s ~schema "held" (Json.Int 2);
+      in_flight ();
+      let fresh = Store.open_store ~dir () in
+      let found =
+        Domain.join
+          (Domain.spawn (fun () ->
+               [ Store.find s ~schema "landed"; Store.find fresh ~schema "landed" ]))
+      in
+      Alcotest.(check bool) "resident and disk lookups from a second domain"
+        true
+        (found = [ Some (Json.Int 1); Some (Json.Int 1) ]);
+      release ())
+
+let test_invalidate_cancels_writes () =
+  let dir = fresh_dir () in
+  let s = Store.open_store ~dir () in
+  let gone what =
+    Store.flush s;
+    Alcotest.(check (option reject)) (what ^ ": a fresh handle misses") None
+      (Store.find (Store.open_store ~dir ()) ~schema "k");
+    Alcotest.(check bool) (what ^ ": no entry file") false
+      (Sys.file_exists (Store.entry_path s "k"))
+  in
+  (* Queued behind a held write of another key: dropped. *)
+  with_held_writer s (fun ~in_flight ~release ->
+      Store.add s ~schema "other" (Json.Int 0);
+      in_flight ();
+      Store.add s ~schema "k" (Json.Int 1);
+      Store.invalidate s "k";
+      release ());
+  gone "queued";
+  (* In flight: waited out, then deleted. *)
+  with_held_writer s (fun ~in_flight ~release ->
+      Store.add s ~schema "k" (Json.Int 2);
+      in_flight ();
+      let returned = Atomic.make false in
+      let d =
+        Domain.spawn (fun () ->
+            Store.invalidate s "k";
+            Atomic.set returned true)
+      in
+      Unix.sleepf 0.1;
+      Alcotest.(check bool) "invalidate waits for the write in flight" false
+        (Atomic.get returned);
+      release ();
+      Domain.join d);
+  gone "in flight"
+
+let test_fresh_handle_sees_queued () =
+  let dir = fresh_dir () in
+  let env, prog =
+    parse "input A : f32[2,2]\ninput B : f32[2,2]\nreturn np.exp(np.log(A + B))"
+  in
+  let store = Store.open_store ~dir () in
+  with_held_writer store (fun ~in_flight ~release ->
+      let o1 = Superopt.optimize ~config ~store ~env prog in
+      in_flight ();
+      Alcotest.(check bool) "nothing on disk yet" false
+        (Sys.file_exists (Filename.concat dir "objects"));
+      let fresh = Store.open_store ~dir () in
+      let o2 = Superopt.optimize ~config ~store:fresh ~env prog in
+      Alcotest.(check bool) "served by the queued outcome" true (o2.tier = 1);
+      Alcotest.(check string) "same program"
+        (Dsl.Parser.unparse env o1.optimized)
+        (Dsl.Parser.unparse env o2.optimized);
+      release ())
+
+let test_full_queue_writes_through () =
+  let dir = fresh_dir () in
+  let s = Store.open_store ~dir () in
+  let n = Store.queue_capacity + 1 in
+  let key i = Printf.sprintf "k%d" i in
+  let on_disk i = Sys.file_exists (Store.entry_path s (key i)) in
+  with_held_writer s (fun ~in_flight ~release ->
+      Store.add s ~schema "held" Json.Null;
+      in_flight ();
+      for i = 0 to n - 1 do
+        Store.add s ~schema (key i) (Json.Int i)
+      done;
+      Alcotest.(check (pair bool bool)) "only the add past capacity wrote"
+        (false, true)
+        (on_disk 0, on_disk (n - 1));
+      release ());
+  Store.flush s;
+  Alcotest.(check int) "every write counted" (n + 1) (Store.stats s).Store.writes;
+  let fresh = Store.open_store ~dir () in
+  for i = 0 to n - 1 do
+    match Store.find fresh ~schema (key i) with
+    | Some (Json.Int j) when j = i && on_disk i -> ()
+    | _ -> Alcotest.failf "entry %d did not land" i
+  done
+
+(* A finished run deletes its scratch store while writes are queued:
+   they are dropped, not landed in a recreated directory. *)
+let test_deleted_store_stays_deleted () =
+  let dir = fresh_dir () in
+  let s = Store.open_store ~dir () in
+  Store.add s ~schema "landed" (Json.Int 0);
+  with_held_writer s (fun ~in_flight ~release ->
+      Store.add s ~schema "in flight" (Json.Int 1);
+      in_flight ();
+      Store.add s ~schema "queued" (Json.Int 2);
+      let rec rm p =
+        if Sys.is_directory p then begin
+          Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
+          Sys.rmdir p
+        end
+        else Sys.remove p
+      in
+      rm dir;
+      release ());
+  Store.flush s;
+  Alcotest.(check bool) "store directory not recreated" false
+    (Sys.file_exists dir)
+
+(* The bytes the store has always written, for this entry. *)
+let test_entry_bytes () =
+  let s = Store.open_store ~dir:(fresh_dir ()) () in
+  let key = "key \"with\" quotes" in
+  Store.add s ~schema key
+    (Json.Obj
+       [
+         ("n", Json.Float 18.);
+         ("s", Json.Str "a\"b\n\xc3\xa9");
+         ("l", Json.List [ Json.Int 1; Json.Bool true; Json.Null ]);
+       ]);
+  Store.flush s;
+  Alcotest.(check (option string)) "entry file"
+    (Some
+       "{\"schema\":\"stenso.store/1\",\"key\":\"key \\\"with\\\" \
+        quotes\",\"payload\":{\"n\":18,\"s\":\"a\\\"b\\n\xc3\xa9\",\"l\":[1,true,null]}}\n")
+    (Store.read_file (Store.entry_path s key))
 
 (* ------------------------------------------------------------------ *)
 (* Serve protocol                                                      *)
@@ -588,6 +782,17 @@ let suite =
       test_corrupt_wrong_schema;
     Alcotest.test_case "concurrent writers never tear" `Quick
       test_concurrent_writers;
+    Alcotest.test_case "lookups proceed while the writer is held" `Quick
+      test_find_while_writer_held;
+    Alcotest.test_case "invalidate cancels queued and in-flight writes" `Quick
+      test_invalidate_cancels_writes;
+    Alcotest.test_case "fresh handle sees a queued outcome" `Quick
+      test_fresh_handle_sees_queued;
+    Alcotest.test_case "full queue writes through" `Quick
+      test_full_queue_writes_through;
+    Alcotest.test_case "entry bytes unchanged" `Quick test_entry_bytes;
+    Alcotest.test_case "deleted store stays deleted" `Quick
+      test_deleted_store_stays_deleted;
     Alcotest.test_case "optimize serves repeats from the store" `Quick
       test_optimize_served_from_store;
     Alcotest.test_case "corrupt store entries fall back to search" `Quick
