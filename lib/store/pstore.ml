@@ -53,22 +53,16 @@ type mem_entry = {
   mutable tick : int;
 }
 
-(* The disk reads of one entry in progress: [gen] counts the [add]s,
-   [write]s and [invalidate]s of the entry since the first began. *)
-type probe = { mutable readers : int; mutable gen : int }
-
 type t = {
   root : string;
   mem_capacity : int;
   lock : Mutex.t;
-      (* guards [mem], [probes] and [clock]; no I/O runs under it but
-         [append]'s *)
+      (* guards [mem] and [clock], and each operation's disk access but
+         the writer's *)
   mem : (string, mem_entry) Hashtbl.t;
       (* key -> entry: a resident hit hashes the key, never digests it *)
-  probes : (string, probe) Hashtbl.t; (* entry path -> its reads *)
   mutable clock : int;
   persist : bool Atomic.t; (* cleared after the first write failure *)
-  rooted : bool Atomic.t; (* [root] has existed while the handle lived *)
   (* counters: both plain (for [stats]) and telemetry-registered *)
   c_mem_hits : Tel.Counter.t;
   c_disk_hits : Tel.Counter.t;
@@ -84,10 +78,8 @@ let open_store ?(tel = Tel.null) ?(mem_capacity = 256) ~dir () =
     mem_capacity = max 1 mem_capacity;
     lock = Mutex.create ();
     mem = Hashtbl.create 64;
-    probes = Hashtbl.create 8;
     clock = 0;
     persist = Atomic.make true;
-    rooted = Atomic.make (Sys.file_exists dir);
     c_mem_hits = Tel.counter tel "store.mem_hits";
     c_disk_hits = Tel.counter tel "store.disk_hits";
     c_misses = Tel.counter tel "store.misses";
@@ -135,11 +127,6 @@ let insert_mem t entry =
      | None -> ());
   Hashtbl.replace t.mem entry.key entry;
   touch t entry
-
-(* Caller holds the lock.  A change to the entry at [path]: a disk read
-   of it in progress must not install what it read. *)
-let bump t path =
-  Option.iter (fun p -> p.gen <- p.gen + 1) (Hashtbl.find_opt t.probes path)
 
 let read_file ?(pos = 0) path =
   match open_in_bin path with
@@ -195,6 +182,7 @@ type job = {
   jschema : string;
   jkey : string;
   jpayload : Json.t;
+  make_root : bool; (* the store directory was missing when queued *)
   mutable cancelled : bool;
 }
 
@@ -220,18 +208,14 @@ let flying path =
 
 let in_flight_is j = match !in_flight with Some f -> f == j | None -> false
 
-(* Create [path]'s fan-out directories.  The store root is created only
-   while the handle has never seen it: a store directory deleted under a
-   live handle (a finished run's scratch store) stays deleted, and the
-   write is dropped. *)
+(* Create [j]'s fan-out directories.  The store directory is created
+   only when it was missing as [j] was queued: one deleted after that (a
+   finished run's scratch store) stays deleted, and [j] is dropped. *)
 exception Root_gone
 
-let prepare_dir t path =
-  if not (Atomic.get t.rooted) then begin
-    mkdir_p t.root;
-    Atomic.set t.rooted true
-  end;
-  let fan = Filename.dirname path in
+let prepare_dir j =
+  if j.make_root then mkdir_p j.store.root;
+  let fan = Filename.dirname j.path in
   List.iter
     (fun d ->
       if not (Sys.file_exists d) then
@@ -247,7 +231,7 @@ let land_job buf j =
   let t = j.store in
   if Atomic.get t.persist then
     match
-      prepare_dir t j.path;
+      prepare_dir j;
       Buffer.clear buf;
       render_entry buf ~schema:j.jschema ~key:j.jkey (fun buf ->
           Json.to_buffer buf j.jpayload);
@@ -257,8 +241,10 @@ let land_job buf j =
     | exception Root_gone -> ()
     | exception _ ->
         (* Unwritable cache directory: degrade to memory-only rather
-           than failing synthesis. *)
-        Atomic.set t.persist false
+           than failing synthesis.  A directory deleted mid-write only
+           drops [j], as [Root_gone] does. *)
+        if j.make_root || Sys.file_exists t.root then
+          Atomic.set t.persist false
 
 let writer_buf = Buffer.create 4096
 
@@ -318,7 +304,7 @@ let enqueue j =
        Condition.signal work;
        true))
 
-(* The job that will land on [path], if any, for [find]. *)
+(* The job that will land on [path], if any. *)
 let queued path = Mutex.protect q_lock (fun () -> Hashtbl.find_opt pending path)
 
 (* Cancel the queued write of [path] and wait out an in-flight one, so
@@ -340,100 +326,67 @@ let claim path =
 (* ------------------------------------------------------------------ *)
 
 let find t ~schema key =
-  let resident =
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.mem key with
-        | Some e when String.equal e.schema schema ->
-            Tel.Counter.incr t.c_mem_hits;
-            touch t e;
-            Some e.payload
-        | Some _ | None -> None)
-  in
-  match resident with
-  | Some _ -> resident
-  | None -> (
-      let path = entry_path t key in
-      let probe, gen =
-        Mutex.protect t.lock (fun () ->
-            let p =
-              match Hashtbl.find_opt t.probes path with
-              | Some p -> p
-              | None ->
-                  let p = { readers = 0; gen = 0 } in
-                  Hashtbl.replace t.probes path p;
-                  p
-            in
-            p.readers <- p.readers + 1;
-            (p, p.gen))
-      in
-      let found =
-        match queued path with
-        | Some j ->
-            if String.equal j.jschema schema && String.equal j.jkey key then
-              Ok (Some j.jpayload)
-            else Ok None
-        | None -> (
-            match read_file path with
-            | None -> Ok None
-            | Some contents ->
-                Result.map Option.some (decode_entry ~schema ~key contents))
-      in
-      let current =
-        Mutex.protect t.lock (fun () ->
-            probe.readers <- probe.readers - 1;
-            if probe.readers = 0 then Hashtbl.remove t.probes path;
-            let current = probe.gen = gen in
-            (match found with
-            | Ok (Some payload) ->
-                Tel.Counter.incr t.c_disk_hits;
-                if current then insert_mem t { key; schema; payload; tick = 0 }
-            | Ok None -> Tel.Counter.incr t.c_misses
-            | Error _ -> Tel.Counter.incr t.c_corrupt);
-            current)
-      in
-      match found with
-      | Ok payload -> payload
-      | Error _ ->
-          if current then remove_file path;
-          None)
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.mem key with
+      | Some e when String.equal e.schema schema ->
+          Tel.Counter.incr t.c_mem_hits;
+          touch t e;
+          Some e.payload
+      | Some _ | None -> (
+          let path = entry_path t key in
+          let found =
+            match queued path with
+            | Some j ->
+                Ok
+                  (if String.equal j.jschema schema && String.equal j.jkey key
+                   then Some j.jpayload
+                   else None)
+            | None -> (
+                match read_file path with
+                | None -> Ok None
+                | Some contents ->
+                    Result.map Option.some (decode_entry ~schema ~key contents))
+          in
+          match found with
+          | Ok (Some payload) ->
+              Tel.Counter.incr t.c_disk_hits;
+              insert_mem t { key; schema; payload; tick = 0 };
+              Some payload
+          | Ok None ->
+              Tel.Counter.incr t.c_misses;
+              None
+          | Error _ ->
+              Tel.Counter.incr t.c_corrupt;
+              remove_file path;
+              None))
 
+(* A full queue makes the caller write, under the lock as [write]
+   does. *)
 let add t ~schema key payload =
-  let path = entry_path t key in
   let j =
     {
       store = t;
-      path;
+      path = entry_path t key;
       jschema = schema;
       jkey = key;
       jpayload = payload;
+      make_root = not (Sys.file_exists t.root);
       cancelled = false;
     }
   in
-  let queued =
-    Mutex.protect t.lock (fun () ->
-        insert_mem t { key; schema; payload; tick = 0 };
-        bump t path;
-        (not (Atomic.get t.persist)) || enqueue j)
-  in
-  if not queued then begin
-    claim path;
-    land_job (Buffer.create 256) j
-  end
-
-(* Around a change to the entry at [path] that the caller makes on disk:
-   a read that overlaps it does not install what it read. *)
-let changing t key path f =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.remove t.mem key;
-      bump t path);
-  claim path;
-  f ();
-  Mutex.protect t.lock (fun () -> bump t path)
+      insert_mem t { key; schema; payload; tick = 0 };
+      if Atomic.get t.persist && not (enqueue j) then begin
+        claim j.path;
+        land_job (Buffer.create 256) j
+      end)
 
 (* The new entry supersedes its journal. *)
 let write t ~schema key render =
   let path = entry_path t key in
-  changing t key path (fun () ->
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.remove t.mem key;
+      claim path;
       if Atomic.get t.persist then
         let buf = Buffer.create 256 in
         render_entry buf ~schema ~key render;
@@ -483,8 +436,10 @@ let append t key line =
 
 let invalidate t key =
   let path = entry_path t key in
-  Tel.Counter.incr t.c_corrupt;
-  changing t key path (fun () ->
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.remove t.mem key;
+      Tel.Counter.incr t.c_corrupt;
+      claim path;
       remove_file path;
       remove_file (journal_path t key))
 

@@ -25,10 +25,10 @@
     All operations are safe under concurrent use from multiple domains
     of one process and from multiple processes (entry files are written
     through {!write_atomic}, so a reader sees either the old complete
-    entry or the new complete entry).  A handle's mutex guards only its
-    memory front and bookkeeping: no disk read, decode or write of
-    {!find}, {!add} or {!write} runs under it, so a slow write never
-    stalls a lookup of another key.
+    entry or the new complete entry).  Each operation runs under its
+    handle's mutex, disk access included, except the writer's: it takes
+    no handle's mutex, so a queued entry's rendering and write never
+    stall a lookup.
 
     The writer domain is spawned by the first queued write, never by
     {!open_store}.  On OCaml 5.1 [Unix.fork] fails in a process that
@@ -95,8 +95,10 @@ val add : t -> schema:string -> string -> Json.t -> unit
     it lands, at the latest when {!flush} returns; a queued write of the
     same key is superseded.  When {!queue_capacity} writes are already
     queued, [add] writes the entry itself before returning; nothing is
-    dropped.  A queued write whose store directory was deleted after
-    the handle saw it does not recreate the directory.  An I/O failure
+    dropped.  A write queued while the store directory existed does
+    not recreate it if it is deleted before the write lands (a
+    finished run's scratch store); one queued after the deletion does
+    (a cache cleared under a running daemon).  An I/O failure
     (e.g. unwritable directory) disables persistence for the handle but
     keeps the in-memory entry — the store degrades to a per-process
     cache rather than failing the caller. *)

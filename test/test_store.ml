@@ -340,6 +340,28 @@ let test_invalidate_cancels_writes () =
       Domain.join d);
   gone "in flight"
 
+(* An [invalidate] waiting for its key's write in flight, and a [find]
+   of that key behind it: whatever the order, the handle does not serve
+   the invalidated payload afterwards. *)
+let test_invalidate_find_overlap () =
+  let dir = fresh_dir () in
+  let s = Store.open_store ~dir () in
+  with_held_writer s (fun ~in_flight ~release ->
+      Store.add s ~schema "k" (Json.Int 1);
+      in_flight ();
+      let inv = Domain.spawn (fun () -> Store.invalidate s "k") in
+      Unix.sleepf 0.05;
+      let look = Domain.spawn (fun () -> ignore (Store.find s ~schema "k")) in
+      Unix.sleepf 0.05;
+      release ();
+      Domain.join inv;
+      Domain.join look);
+  Store.flush s;
+  Alcotest.(check (option reject)) "invalidated key misses" None
+    (Store.find s ~schema "k");
+  Alcotest.(check bool) "no entry file" false
+    (Sys.file_exists (Store.entry_path s "k"))
+
 let test_fresh_handle_sees_queued () =
   let dir = fresh_dir () in
   let env, prog =
@@ -385,7 +407,9 @@ let test_full_queue_writes_through () =
   done
 
 (* A finished run deletes its scratch store while writes are queued:
-   they are dropped, not landed in a recreated directory. *)
+   they are dropped, not landed in a recreated directory.  A write
+   queued after the deletion (a cleared cache under a running daemon)
+   recreates it. *)
 let test_deleted_store_stays_deleted () =
   let dir = fresh_dir () in
   let s = Store.open_store ~dir () in
@@ -405,7 +429,13 @@ let test_deleted_store_stays_deleted () =
       release ());
   Store.flush s;
   Alcotest.(check bool) "store directory not recreated" false
-    (Sys.file_exists dir)
+    (Sys.file_exists dir);
+  Store.add s ~schema "after" (Json.Int 3);
+  Store.flush s;
+  let fresh = Store.open_store ~dir () in
+  Alcotest.(check bool) "a later write lands, the dropped ones do not" true
+    (Store.find fresh ~schema "after" = Some (Json.Int 3)
+    && Store.find fresh ~schema "queued" = None)
 
 (* The bytes the store has always written, for this entry. *)
 let test_entry_bytes () =
@@ -786,6 +816,8 @@ let suite =
       test_find_while_writer_held;
     Alcotest.test_case "invalidate cancels queued and in-flight writes" `Quick
       test_invalidate_cancels_writes;
+    Alcotest.test_case "invalidate and find overlap" `Quick
+      test_invalidate_find_overlap;
     Alcotest.test_case "fresh handle sees a queued outcome" `Quick
       test_fresh_handle_sees_queued;
     Alcotest.test_case "full queue writes through" `Quick
