@@ -606,14 +606,18 @@ let loadgen_run endpoints names concurrency duration timeout no_warmup
   in
   if concurrency < 1 then die "--concurrency must be at least 1";
   if duration <= 0. then die "--duration must be positive";
+  let config = config_of estimator in
   let benches = select_benchmarks names in
   let module J = Stenso.Telemetry.Json in
+  (* Each request names the estimator, so the report's is the one the
+     answers were computed under. *)
   let line_of (b : Suite.Benchmarks.t) =
     J.to_string
       (J.Obj
          [
            ("id", J.Str b.name);
            ("program", J.Str (render_program b.env b.program));
+           ("config", J.Obj [ ("cost_estimator", J.Str estimator) ]);
          ])
   in
   let lines = Array.of_list (List.map line_of benches) in
@@ -644,7 +648,7 @@ let loadgen_run endpoints names concurrency duration timeout no_warmup
     die "no responses at all (%d transport errors) — is the daemon running?"
       stats.n_transport_errors;
   let doc =
-    Suite.Driver.serve_load_report ~config:(config_of estimator)
+    Suite.Driver.serve_load_report ~config
       ~endpoints:(List.map Stenso.Net.Endpoint.to_string endpoints)
       ~concurrency ~duration
       ~benchmarks:(List.map (fun (b : Suite.Benchmarks.t) -> b.name) benches)

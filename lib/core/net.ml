@@ -19,7 +19,7 @@ module Tel = Obs.Telemetry
    turns the refinement executor off entirely — every other aspect of
    serving is unchanged.  Shutdown is graceful: listeners close first,
    queued and in-flight requests finish, pending background jobs are
-   discarded, the store is flushed, socket files are removed. *)
+   discarded, socket files are removed. *)
 let serve ?(tel = Tel.null) ?store ?(workers = 2) ?(queue_capacity = 64)
     ?(max_conns = 1024) ?(max_line = 1 lsl 20) ?(read_deadline = 30.)
     ?(write_deadline = 30.) ?(background = true) ?on_bound ~base ~listeners
@@ -57,6 +57,4 @@ let serve ?(tel = Tel.null) ?store ?(workers = 2) ?(queue_capacity = 64)
       Sys.set_signal Sys.sigint prev_int;
       Sys.set_signal Sys.sigterm prev_term;
       Sys.set_signal Sys.sigpipe prev_pipe)
-    (fun () ->
-      Server.run server;
-      Option.iter Store.flush store)
+    (fun () -> Server.run server)

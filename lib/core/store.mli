@@ -7,9 +7,9 @@
     original program text (rendered by {!Dsl.Parser.unparse}, so cached
     and fresh runs are byte-identical), costs, search statistics, and
     the build {!Version} — over the generic content-addressed store
-    ({!Pstore}: [~/.cache/stenso] by default, in-memory LRU front,
-    atomic write-rename persistence, corruption-tolerant loads, and
-    [store.*] telemetry counters).
+    ({!Pstore}: [~/.cache/stenso] by default, in-memory LRU front, an
+    append-only outcome log written synchronously, corruption-tolerant
+    loads, and [store.*] telemetry counters).
 
     Keys compose the canonical spec rendering ({!Spec.key}), the stub
     enumeration fingerprint ({!Stub.fingerprint} — environment, consts,

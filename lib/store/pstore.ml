@@ -20,9 +20,8 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* [write_atomic] into a directory that exists, of what [output] writes
-   to the channel. *)
-let replace_file path output =
+let write_atomic path contents =
+  mkdir_p (Filename.dirname path);
   let tmp, oc =
     Filename.open_temp_file ~mode:[ Open_binary ]
       ~temp_dir:(Filename.dirname path)
@@ -32,7 +31,7 @@ let replace_file path output =
   match
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output oc);
+      (fun () -> output_string oc contents);
     Sys.rename tmp path
   with
   | () -> ()
@@ -40,11 +39,37 @@ let replace_file path output =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
 
-let write_atomic path contents =
+(* Append [text], whole lines, to the file at [path] in [O_APPEND]
+   writes under a lock on the file, so appenders in other processes land
+   whole lines one after another.  One write is at most 64 KB
+   ([Unix.single_write]); the lock keeps a longer text's writes
+   together.  Handles of one process share the lock, so there only
+   their mutexes order appends.  A file whose last line is torn (its
+   writer died) gets a newline first: only the torn line is lost. *)
+let append_lines path text =
   mkdir_p (Filename.dirname path);
-  replace_file path (fun oc -> output_string oc contents)
+  let fd =
+    Unix.openfile path
+      [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+      0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.lockf fd Unix.F_LOCK 0;
+      let size = (Unix.fstat fd).Unix.st_size in
+      let torn =
+        size > 0
+        &&
+        let last = Bytes.create 1 in
+        ignore (Unix.lseek fd (size - 1) Unix.SEEK_SET);
+        Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n'
+      in
+      if torn then ignore (Unix.write_substring fd "\n" 0 1);
+      ignore (Unix.write_substring fd text 0 (String.length text)))
 
 let digest key = Digest.to_hex (Digest.string key)
+let digest_len = 32
 
 type mem_entry = {
   key : string;
@@ -56,13 +81,18 @@ type mem_entry = {
 type t = {
   root : string;
   mem_capacity : int;
-  lock : Mutex.t;
-      (* guards [mem] and [clock], and each operation's disk access but
-         the writer's *)
+  lock : Mutex.t; (* guards the fields below and each operation's disk access *)
   mem : (string, mem_entry) Hashtbl.t;
       (* key -> entry: a resident hit hashes the key, never digests it *)
   mutable clock : int;
-  persist : bool Atomic.t; (* cleared after the first write failure *)
+  mutable persist : bool; (* cleared after the first write failure *)
+  records : (string, int * int) Hashtbl.t;
+      (* the outcome log's index: digest -> (offset, length) of the
+         envelope of the key's latest record, unless a tombstone
+         followed it *)
+  mutable scanned : int; (* log bytes indexed: whole lines only *)
+  mutable log_id : int * int; (* the indexed log's (device, inode) *)
+  chunk : Bytes.t; (* the scan's read buffer *)
   (* counters: both plain (for [stats]) and telemetry-registered *)
   c_mem_hits : Tel.Counter.t;
   c_disk_hits : Tel.Counter.t;
@@ -79,7 +109,11 @@ let open_store ?(tel = Tel.null) ?(mem_capacity = 256) ~dir () =
     lock = Mutex.create ();
     mem = Hashtbl.create 64;
     clock = 0;
-    persist = Atomic.make true;
+    persist = true;
+    records = Hashtbl.create 64;
+    scanned = 0;
+    log_id = (0, 0);
+    chunk = Bytes.create 65536;
     c_mem_hits = Tel.counter tel "store.mem_hits";
     c_disk_hits = Tel.counter tel "store.disk_hits";
     c_misses = Tel.counter tel "store.misses";
@@ -89,16 +123,16 @@ let open_store ?(tel = Tel.null) ?(mem_capacity = 256) ~dir () =
   }
 
 let dir t = t.root
+let log_path t = Filename.concat t.root "outcomes.log"
 
 (* Two-level fan-out, git-object style, to keep directories small. *)
-let entry_path t key =
-  let d = digest key in
+let object_path t d ext =
   Filename.concat
     (Filename.concat (Filename.concat t.root "objects") (String.sub d 0 2))
-    (d ^ ".json")
+    (d ^ ext)
 
-let journal_path t key =
-  Filename.remove_extension (entry_path t key) ^ ".journal"
+let entry_path t key = object_path t (digest key) ".json"
+let journal_path t key = object_path t (digest key) ".journal"
 
 let touch t e =
   t.clock <- t.clock + 1;
@@ -128,19 +162,32 @@ let insert_mem t entry =
   Hashtbl.replace t.mem entry.key entry;
   touch t entry
 
+(* Reads go through descriptors, not channels: a channel's 64 KB
+   buffer would count against the heap of a program that reads on every
+   lookup. *)
+let rec really_read fd buf off len =
+  if len > 0 then
+    match Unix.read fd buf off len with
+    | 0 -> raise End_of_file
+    | n -> really_read fd buf (off + n) (len - n)
+
+(* [len fd] bytes of the file from byte [pos]. *)
+let read_span path pos len =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd -> (
+      try
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let buf = Bytes.create (len fd) in
+            ignore (Unix.lseek fd pos Unix.SEEK_SET);
+            really_read fd buf 0 (Bytes.length buf);
+            Some (Bytes.unsafe_to_string buf))
+      with End_of_file | Unix.Unix_error _ | Invalid_argument _ -> None)
+
 let read_file ?(pos = 0) path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match
-            seek_in ic pos;
-            really_input_string ic (in_channel_length ic - pos)
-          with
-          | s -> Some s
-          | exception (End_of_file | Sys_error _ | Invalid_argument _) -> None)
+  read_span path pos (fun fd -> (Unix.fstat fd).Unix.st_size - pos)
 
 let remove_file path = try Sys.remove path with Sys_error _ -> ()
 
@@ -159,7 +206,7 @@ let decode_entry ~schema ~key contents =
       | Some _, Some _, Some payload -> Ok payload
       | _ -> Error "missing schema/key/payload field")
 
-(* The entry file: [Json.to_string] of the envelope object, with the
+(* The entry: [Json.to_string] of the envelope object, with the
    payload's text appended by [payload] in place. *)
 let render_entry buf ~schema ~key payload =
   Buffer.add_string buf "{\"schema\":";
@@ -170,160 +217,95 @@ let render_entry buf ~schema ~key payload =
   payload buf;
   Buffer.add_string buf "}\n"
 
-(* ------------------------------------------------------------------ *)
-(* The outcome writer                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* One [add]'s write.  The writer renders it, so a queued job holds the
-   caller's key and payload rather than a copy of the entry's text. *)
-type job = {
-  store : t;
-  path : string;
-  jschema : string;
-  jkey : string;
-  jpayload : Json.t;
-  make_root : bool; (* the store directory was missing when queued *)
-  mutable cancelled : bool;
-}
-
-let queue_capacity = 64
-
-(* Process-wide, all under [q_lock]: the queue, the pending table (entry
-   path -> the latest job for it, queued or in flight) and the job in
-   flight.  At most one uncancelled job per path is queued, and it is the
-   pending one.  Lock order: a handle's lock, then [q_lock]; the writer
-   takes no handle's lock. *)
-let q_lock = Mutex.create ()
-let work = Condition.create () (* a job was queued *)
-let idle = Condition.create () (* the writer finished a job *)
-let queue : job Queue.t = Queue.create ()
-let pending : (string, job) Hashtbl.t = Hashtbl.create 64
-let in_flight : job option ref = ref None
-let writer_started = ref false
-let writer_hook = Atomic.make ignore
-let set_writer_hook f = Atomic.set writer_hook f
-
-let flying path =
-  match !in_flight with Some j -> String.equal j.path path | None -> false
-
-let in_flight_is j = match !in_flight with Some f -> f == j | None -> false
-
-(* Create [j]'s fan-out directories.  The store directory is created
-   only when it was missing as [j] was queued: one deleted after that (a
-   finished run's scratch store) stays deleted, and [j] is dropped. *)
-exception Root_gone
-
-let prepare_dir j =
-  if j.make_root then mkdir_p j.store.root;
-  let fan = Filename.dirname j.path in
-  List.iter
-    (fun d ->
-      if not (Sys.file_exists d) then
-        try Unix.mkdir d 0o755 with
-        | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-        | Unix.Unix_error (Unix.ENOENT, _, _) -> raise Root_gone)
-    [ Filename.dirname fan; fan ]
-
-(* Renders into [buf], which the writer reuses from job to job: the
-   writer allocates little, and each of its minor collections stops every
-   domain. *)
-let land_job buf j =
-  let t = j.store in
-  if Atomic.get t.persist then
-    match
-      prepare_dir j;
-      Buffer.clear buf;
-      render_entry buf ~schema:j.jschema ~key:j.jkey (fun buf ->
-          Json.to_buffer buf j.jpayload);
-      replace_file j.path (fun oc -> Buffer.output_buffer oc buf)
-    with
-    | () -> Tel.Counter.incr t.c_writes
-    | exception Root_gone -> ()
-    | exception _ ->
-        (* Unwritable cache directory: degrade to memory-only rather
-           than failing synthesis.  A directory deleted mid-write only
-           drops [j], as [Root_gone] does. *)
-        if j.make_root || Sys.file_exists t.root then
-          Atomic.set t.persist false
-
-let writer_buf = Buffer.create 4096
-
-let rec writer_loop () =
-  let j, live =
-    Mutex.protect q_lock (fun () ->
-        while Queue.is_empty queue do
-          Condition.wait work q_lock
-        done;
-        let j = Queue.pop queue in
-        if not j.cancelled then in_flight := Some j;
-        (j, not j.cancelled))
+(* Index the whole lines of [fd], the log, from [t.scanned] up to
+   [size], reading it in chunks.  A record line is the key's digest, a
+   space and the entry; a tombstone line is the digest alone; any other
+   line (an empty one left by the torn-line guard) is skipped, and a
+   torn record reads as a record that fails to decode.  A line still
+   being appended is left for a later scan. *)
+let scan t fd size =
+  let chunk = t.chunk in
+  let head = Buffer.create (digest_len + 1) (* the line's first bytes *) in
+  let rec line_end i n =
+    if i = n || Bytes.get chunk i = '\n' then i else line_end (i + 1) n
   in
-  if live then begin
-    (Atomic.get writer_hook) ();
-    land_job writer_buf j
-  end;
-  Mutex.protect q_lock (fun () ->
-      in_flight := None;
-      (match Hashtbl.find_opt pending j.path with
-      | Some p when p == j -> Hashtbl.remove pending j.path
-      | _ -> ());
-      Condition.broadcast idle);
-  writer_loop ()
+  (* [chunk] holds bytes [pos, pos + n) of the log; the current line
+     starts at [start]. *)
+  let rec lines pos n i start =
+    let nl = line_end i n in
+    Buffer.add_subbytes head chunk i
+      (min (nl - i) (digest_len + 1 - Buffer.length head));
+    if nl = n then start
+    else begin
+      let len = pos + nl - start and h = Buffer.contents head in
+      if len = digest_len then Hashtbl.remove t.records h
+      else if len > digest_len + 1 && h.[digest_len] = ' ' then
+        Hashtbl.replace t.records (String.sub h 0 digest_len)
+          (start + digest_len + 1, len - digest_len);
+      Buffer.clear head;
+      lines pos n (nl + 1) (pos + nl + 1)
+    end
+  in
+  let rec chunks pos start =
+    match Unix.read fd chunk 0 (min (Bytes.length chunk) (size - pos)) with
+    | 0 -> t.scanned <- start
+    | n -> chunks (pos + n) (lines pos n 0 start)
+  in
+  chunks t.scanned t.scanned
 
-let drain () =
-  Mutex.protect q_lock (fun () ->
-      while (not (Queue.is_empty queue)) || Option.is_some !in_flight do
-        Condition.wait idle q_lock
-      done)
+(* Caller holds the lock.  Bring the index up to the log on disk.  A log
+   that is new (the store directory was deleted and recreated) is
+   indexed afresh: one with another inode, one shorter than what was
+   indexed, or one with no line end just before [t.scanned] (its inode
+   number reused). *)
+let refresh t =
+  let id, size =
+    match Unix.stat (log_path t) with
+    | st -> ((st.Unix.st_dev, st.Unix.st_ino), st.Unix.st_size)
+    | exception Unix.Unix_error _ -> ((0, 0), 0)
+  in
+  let reset () =
+    Hashtbl.reset t.records;
+    t.scanned <- 0
+  in
+  if id <> t.log_id || size < t.scanned then reset ();
+  t.log_id <- id;
+  if size > t.scanned then
+    match Unix.openfile (log_path t) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | exception Unix.Unix_error _ -> ()
+    | fd -> (
+        try
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              if
+                t.scanned > 0
+                && (ignore (Unix.lseek fd (t.scanned - 1) Unix.SEEK_SET);
+                    Unix.read fd t.chunk 0 1 < 1 || Bytes.get t.chunk 0 <> '\n')
+              then reset ();
+              ignore (Unix.lseek fd t.scanned Unix.SEEK_SET);
+              scan t fd size)
+        with Unix.Unix_error _ -> ())
 
-(* Caller holds [q_lock].  The writer domain starts with the first queued
-   write, never earlier: once a domain has been spawned, [Unix.fork]
-   fails for the rest of the process. *)
-let start_writer () =
-  !writer_started
-  ||
-  match Domain.spawn writer_loop with
-  | _ ->
-      writer_started := true;
-      at_exit drain;
-      true
-  | exception Failure _ -> false
+(* Caller holds the lock.  [true] when [io] ran; an I/O failure (e.g.
+   an unwritable directory) disables persistence, so the store degrades
+   to a per-process cache rather than failing the caller. *)
+let persisted t io =
+  t.persist
+  &&
+  match io () with
+  | () -> true
+  | exception (Sys_error _ | Unix.Unix_error _) ->
+      t.persist <- false;
+      false
 
-(* Queue [j], superseding a queued job for its path; [false] when the
-   queue is full (or no writer can start): the caller writes itself. *)
-let enqueue j =
-  Mutex.protect q_lock (fun () ->
-      Queue.length queue < queue_capacity
-      && start_writer ()
-      &&
-      ((match Hashtbl.find_opt pending j.path with
-       | Some old when not (in_flight_is old) -> old.cancelled <- true
-       | _ -> ());
-       Hashtbl.replace pending j.path j;
-       Queue.push j queue;
-       Condition.signal work;
-       true))
-
-(* The job that will land on [path], if any. *)
-let queued path = Mutex.protect q_lock (fun () -> Hashtbl.find_opt pending path)
-
-(* Cancel the queued write of [path] and wait out an in-flight one, so
-   that nothing queued lands on [path] after the caller's own write or
-   delete. *)
-let claim path =
-  Mutex.protect q_lock (fun () ->
-      (match Hashtbl.find_opt pending path with
-      | Some j when not (in_flight_is j) ->
-          j.cancelled <- true;
-          Hashtbl.remove pending path
-      | _ -> ());
-      while flying path do
-        Condition.wait idle q_lock
-      done)
-
-(* ------------------------------------------------------------------ *)
-(* Operations                                                          *)
-(* ------------------------------------------------------------------ *)
+(* Caller holds the lock and has refreshed the index: append a
+   tombstone when the log holds a record of the digest. *)
+let bury t d =
+  if Hashtbl.mem t.records d then begin
+    ignore (persisted t (fun () -> append_lines (log_path t) (d ^ "\n")));
+    Hashtbl.remove t.records d
+  end
 
 let find t ~schema key =
   Mutex.protect t.lock (fun () ->
@@ -333,117 +315,69 @@ let find t ~schema key =
           touch t e;
           Some e.payload
       | Some _ | None -> (
-          let path = entry_path t key in
-          let found =
-            match queued path with
-            | Some j ->
-                Ok
-                  (if String.equal j.jschema schema && String.equal j.jkey key
-                   then Some j.jpayload
-                   else None)
-            | None -> (
-                match read_file path with
-                | None -> Ok None
-                | Some contents ->
-                    Result.map Option.some (decode_entry ~schema ~key contents))
+          let d = digest key in
+          refresh t;
+          let logged = Hashtbl.find_opt t.records d in
+          let file = object_path t d ".json" in
+          let contents =
+            match logged with
+            | Some (pos, len) -> read_span (log_path t) pos (fun _ -> len)
+            | None -> read_file file
           in
-          match found with
-          | Ok (Some payload) ->
+          match Option.map (decode_entry ~schema ~key) contents with
+          | Some (Ok payload) ->
               Tel.Counter.incr t.c_disk_hits;
               insert_mem t { key; schema; payload; tick = 0 };
               Some payload
-          | Ok None ->
+          | None ->
               Tel.Counter.incr t.c_misses;
               None
-          | Error _ ->
+          | Some (Error _) ->
               Tel.Counter.incr t.c_corrupt;
-              remove_file path;
+              if Option.is_some logged then bury t d else remove_file file;
               None))
 
-(* A full queue makes the caller write, under the lock as [write]
-   does. *)
 let add t ~schema key payload =
-  let j =
-    {
-      store = t;
-      path = entry_path t key;
-      jschema = schema;
-      jkey = key;
-      jpayload = payload;
-      make_root = not (Sys.file_exists t.root);
-      cancelled = false;
-    }
-  in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (digest key);
+  Buffer.add_char buf ' ';
+  render_entry buf ~schema ~key (fun buf -> Json.to_buffer buf payload);
   Mutex.protect t.lock (fun () ->
       insert_mem t { key; schema; payload; tick = 0 };
-      if Atomic.get t.persist && not (enqueue j) then begin
-        claim j.path;
-        land_job (Buffer.create 256) j
-      end)
+      if persisted t (fun () -> append_lines (log_path t) (Buffer.contents buf))
+      then Tel.Counter.incr t.c_writes)
 
 (* The new entry supersedes its journal. *)
 let write t ~schema key render =
   let path = entry_path t key in
   Mutex.protect t.lock (fun () ->
       Hashtbl.remove t.mem key;
-      claim path;
-      if Atomic.get t.persist then
-        let buf = Buffer.create 256 in
-        render_entry buf ~schema ~key render;
-        match
-          mkdir_p (Filename.dirname path);
-          replace_file path (fun oc -> Buffer.output_buffer oc buf)
-        with
-        | () ->
-            Tel.Counter.incr t.c_writes;
-            remove_file (journal_path t key)
-        | exception (Sys_error _ | Unix.Unix_error _) ->
-            Atomic.set t.persist false)
+      refresh t;
+      bury t (digest key);
+      let buf = Buffer.create 256 in
+      render_entry buf ~schema ~key render;
+      if persisted t (fun () -> write_atomic path (Buffer.contents buf))
+      then begin
+        Tel.Counter.incr t.c_writes;
+        remove_file (journal_path t key)
+      end)
 
-(* One [write] call on an [O_APPEND] descriptor: concurrent appenders,
-   in this process or another, land whole lines one after another.  A
-   journal whose last line is torn (a crashed writer) gets a newline
-   first, so only the torn line is lost. *)
 let append t key line =
   Mutex.protect t.lock (fun () ->
-      if Atomic.get t.persist then
-        let path = journal_path t key in
-        match
-          mkdir_p (Filename.dirname path);
-          let fd =
-            Unix.openfile path
-              [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
-              0o644
-          in
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              let size = (Unix.fstat fd).Unix.st_size in
-              let torn =
-                size > 0
-                &&
-                let last = Bytes.create 1 in
-                ignore (Unix.lseek fd (size - 1) Unix.SEEK_SET);
-                Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n'
-              in
-              let text = (if torn then "\n" else "") ^ line ^ "\n" in
-              ignore
-                (Unix.single_write_substring fd text 0 (String.length text)))
-        with
-        | () -> Tel.Counter.incr t.c_writes
-        | exception (Sys_error _ | Unix.Unix_error _) ->
-            Atomic.set t.persist false)
+      if persisted t (fun () -> append_lines (journal_path t key) (line ^ "\n"))
+      then Tel.Counter.incr t.c_writes)
 
 let invalidate t key =
-  let path = entry_path t key in
+  let d = digest key in
   Mutex.protect t.lock (fun () ->
       Hashtbl.remove t.mem key;
       Tel.Counter.incr t.c_corrupt;
-      claim path;
-      remove_file path;
-      remove_file (journal_path t key))
+      refresh t;
+      bury t d;
+      remove_file (object_path t d ".json");
+      remove_file (object_path t d ".journal"))
 
-let flush _ = drain ()
+let flush _ = ()
 
 type counts = {
   mem_hits : int;

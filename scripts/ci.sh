@@ -216,8 +216,8 @@ echo "exec-domains determinism smoke check passed"
 # tiered path.  The first request must be answered without entering the
 # search (tier 2: optima lookup + saturation with the mined rules) and
 # name the candidate source that answered; the repeat must be served by
-# tier 1, the outcome the first process left in the store (its queued
-# write lands before it exits).
+# tier 1, the outcome the first process left in the store (appended to
+# its log before the answer: no write is left to land at exit).
 tstore="$scratch/tstore"
 printf 'input A : f32[3,3]\ninput B : f32[3,3]\nreturn np.exp(np.log(A + B))\n' \
   > "$scratch/tiers_prog.tdsl"
@@ -248,6 +248,34 @@ if ! grep -F '"tier.serve"' "$scratch/trace2.ndjson" \
   exit 1
 fi
 echo "tiered-optimizer smoke check passed"
+
+# Cross-process store smoke check: two optimize processes append their
+# outcomes to one store's log at the same time, and a third process
+# answers both programs from it at tier 1.
+xstore="$scratch/xstore"
+printf 'input A : f32[3,3]\ninput B : f32[3,3]\nreturn np.exp(np.log(A + B))\n' \
+  > "$scratch/x1.tdsl"
+printf 'input A : f32[3,4]\ninput B : f32[3,4]\nreturn np.trace(A @ B.T)\n' \
+  > "$scratch/x2.tdsl"
+xopt() {
+  prog=$1
+  shift
+  "$stenso" optimize --program "$scratch/$prog.tdsl" --cost-estimator flops \
+    --store-dir "$xstore" "$@" > /dev/null
+}
+xopt x1 & x1_pid=$!
+xopt x2 & x2_pid=$!
+wait "$x1_pid"
+wait "$x2_pid"
+for x in x1 x2; do
+  xopt "$x" --trace "$scratch/$x.ndjson"
+  if ! grep -F '"tier.serve"' "$scratch/$x.ndjson" | grep -qF '"tier":1'; then
+    echo "FAIL: $x was not answered from the other process's outcome" >&2
+    grep -F '"tier.serve"' "$scratch/$x.ndjson" >&2 || true
+    exit 1
+  fi
+done
+echo "cross-process store smoke check passed"
 
 # Tier-3 feedback smoke check: diag_dot's optimum lies outside the
 # depth-2 mined space, so its first tiered request is answered by the

@@ -35,8 +35,8 @@ let archived =
        warm speedup, 0 cost mismatches)" );
     ( "BENCH_serve_load.json",
       `None,
-      "valid stenso.serve-load/1 (256 connections, 125225 requests, 12451 \
-       req/s; p50 19.77 ms, p95 26.26, p99 31.79; 509 coalesced, 125225 \
+      "valid stenso.serve-load/1 (256 connections, 223144 requests, 22206 \
+       req/s; p50 10.92 ms, p95 16.03, p99 19.37; 863 coalesced, 223144 \
        refined, 0 busy, 0 protocol errors)" );
     ( "BENCH_suite_flops.json",
       `None,

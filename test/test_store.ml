@@ -32,9 +32,6 @@ let test_round_trip () =
   Alcotest.(check (option reject)) "miss before add" None
     (Store.find s ~schema "k1");
   Store.add s ~schema "k1" (Json.Str "payload one");
-  (* The write lands in the background; the disk checks below wait for
-     it. *)
-  Store.flush s;
   (match Store.find s ~schema "k1" with
   | Some (Json.Str "payload one") -> ()
   | _ -> Alcotest.fail "mem round-trip failed");
@@ -76,8 +73,8 @@ let test_lru_eviction () =
   let c = Store.stats s in
   Alcotest.(check (pair int int)) "survivors are memory hits" (3, 0)
     (c.Store.mem_hits, c.Store.disk_hits);
-  (* The evicted entry is still on disk (or queued for it) and comes
-     back as a disk hit, evicting [c], now the least recently used. *)
+  (* The evicted entry is still in the log and comes back as a disk hit,
+     evicting [c], now the least recently used. *)
   (match Store.find s ~schema "b" with
   | Some (Json.Int 2) -> ()
   | _ -> Alcotest.fail "evicted entry lost");
@@ -88,6 +85,33 @@ let test_lru_eviction () =
     [ 4; 2; 3 ]
     [ c.Store.mem_hits; c.Store.disk_hits; c.Store.evictions ]
 
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let write_raw path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let append_raw path contents =
+  Out_channel.with_open_gen
+    [ Open_wronly; Open_append; Open_creat; Open_binary ]
+    0o644 path
+    (fun oc -> output_string oc contents)
+
+(* The entry text of the key's last record in the store's log. *)
+let log_record s key =
+  let prefix = Store.digest key ^ " " in
+  List.fold_left
+    (fun found line ->
+      if String.starts_with ~prefix line then
+        Some
+          (String.sub line (String.length prefix)
+             (String.length line - String.length prefix)
+          ^ "\n")
+      else found)
+    None
+    (String.split_on_char '\n' (read_all (Store.log_path s)))
+
 (* [write] lands the bytes [add] would, but keeps nothing resident: a
    stale resident copy of the key is dropped, and the next [find] reads
    the new file. *)
@@ -95,7 +119,6 @@ let test_write_not_resident () =
   let s = Store.open_store ~dir:(fresh_dir ()) () in
   let payload = Json.Obj [ ("n", Json.Float 18.); ("s", Json.Str "a\"b") ] in
   Store.add s ~schema "a" payload;
-  Store.flush s;
   Store.write s ~schema "b" (fun buf -> Json.to_buffer buf payload);
   let hits () =
     let c = Store.stats s in
@@ -107,9 +130,8 @@ let test_write_not_resident () =
     (1, 1) (hits ());
   let other = Store.open_store ~dir:(fresh_dir ()) () in
   Store.add other ~schema "b" payload;
-  Store.flush other;
-  let bytes st = Store.read_file (Store.entry_path st "b") in
-  Alcotest.(check (option string)) "same bytes as add" (bytes other) (bytes s);
+  Alcotest.(check (option string)) "same bytes as add" (log_record other "b")
+    (Store.read_file (Store.entry_path s "b"));
   Store.write s ~schema "a" (fun buf -> Json.to_buffer buf (Json.Int 2));
   (match Store.find s ~schema "a" with
   | Some (Json.Int 2) -> ()
@@ -117,52 +139,67 @@ let test_write_not_resident () =
   Alcotest.(check (pair int int)) "stale resident copy dropped" (1, 2)
     (hits ());
   Alcotest.(check int) "two writes and one add counted" 3
-    (Store.stats s).Store.writes
+    (Store.stats s).Store.writes;
+  (* A fresh handle reads the written file, not the added record. *)
+  match Store.find (Store.open_store ~dir:(Store.dir s) ()) ~schema "a" with
+  | Some (Json.Int 2) -> ()
+  | _ -> Alcotest.fail "the added record shadows the written entry"
 
-let write_raw path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
+(* A record cut short by an appender that died: the next append's
+   torn-line guard ends its line, and it reads as a miss, counted
+   corrupt, and is buried under a tombstone. *)
 let test_corrupt_truncated () =
   let dir = fresh_dir () in
   let s = Store.open_store ~dir () in
   Store.add s ~schema "k" (Json.Str "good");
-  Store.flush s;
-  let path = Store.entry_path s "k" in
-  (* Simulate a torn legacy write: cut the file mid-envelope. *)
-  let full = In_channel.with_open_bin path In_channel.input_all in
-  write_raw path (String.sub full 0 (String.length full / 2));
+  let log = Store.log_path s in
+  let full = read_all log in
+  write_raw log (String.sub full 0 (String.length full / 2));
+  Store.add s ~schema "next" (Json.Str "whole");
   let s2 = Store.open_store ~dir () in
-  Alcotest.(check (option reject)) "truncated entry rejected" None
+  Alcotest.(check (option reject)) "truncated record rejected" None
     (Store.find s2 ~schema "k");
   Alcotest.(check int) "corruption counted" 1 (Store.stats s2).Store.corrupt;
-  Alcotest.(check bool) "corrupt file evicted" false (Sys.file_exists path)
+  Alcotest.(check bool) "the next record is whole" true
+    (Store.find s2 ~schema "next" = Some (Json.Str "whole"));
+  let s3 = Store.open_store ~dir () in
+  Alcotest.(check (option reject)) "buried" None (Store.find s3 ~schema "k");
+  Alcotest.(check (pair int int)) "a plain miss once buried" (1, 0)
+    ((Store.stats s3).Store.misses, (Store.stats s3).Store.corrupt)
+
+let stale_entry key =
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "stenso.store/0");
+         ("key", Json.Str key);
+         ("payload", Json.Str "stale");
+       ])
+  ^ "\n"
 
 let test_corrupt_wrong_schema () =
   let dir = fresh_dir () in
   let s = Store.open_store ~dir () in
   Store.add s ~schema "k" (Json.Str "good");
-  Store.flush s;
-  let path = Store.entry_path s "k" in
-  write_raw path
-    (Json.to_string
-       (Json.Obj
-          [
-            ("schema", Json.Str "stenso.store/0");
-            ("key", Json.Str "k");
-            ("payload", Json.Str "stale");
-          ]));
+  append_raw (Store.log_path s) (Store.digest "k" ^ " " ^ stale_entry "k");
   let s2 = Store.open_store ~dir () in
   Alcotest.(check (option reject)) "old schema rejected" None
     (Store.find s2 ~schema "k");
+  Alcotest.(check int) "corruption counted" 1 (Store.stats s2).Store.corrupt;
+  Alcotest.(check (option reject)) "buried, not read again" None
+    (Store.find (Store.open_store ~dir ()) ~schema "k");
+  (* The same for an entry file. *)
+  let path = Store.entry_path s "old" in
+  Store.write_atomic path (stale_entry "old");
+  Alcotest.(check (option reject)) "old schema file rejected" None
+    (Store.find s2 ~schema "old");
   Alcotest.(check bool) "stale file evicted" false (Sys.file_exists path)
 
 let test_concurrent_writers () =
   let dir = fresh_dir () in
   (* Two handles on the same directory, as two processes would hold,
-     racing writes to overlapping keys: every entry must decode (atomic
-     rename admits no torn state), landing on one of the two payloads. *)
+     racing appends of overlapping keys: every record must decode (each
+     line is appended whole), landing on one of the two payloads. *)
   let s1 = Store.open_store ~dir () in
   let s2 = Store.open_store ~dir () in
   let keys = List.init 32 (fun i -> Printf.sprintf "key-%d" i) in
@@ -173,7 +210,6 @@ let test_concurrent_writers () =
   let d2 = Domain.spawn (writer s2 "two") in
   Domain.join d1;
   Domain.join d2;
-  Store.flush s1;
   let s3 = Store.open_store ~dir () in
   List.iter
     (fun k ->
@@ -237,223 +273,197 @@ let test_optimize_invalidates_corrupt_entry () =
   let store = Store.open_store ~dir () in
   let o1 = Superopt.optimize ~config ~store ~env prog in
   Alcotest.(check bool) "fresh outcome" false (o1.tier = 1);
-  Store.flush store;
-  (* Corrupt every object on disk; a cold handle must fall back to the
-     search, never fail. *)
-  let objects = Filename.concat dir "objects" in
-  Array.iter
-    (fun sub ->
-      let subdir = Filename.concat objects sub in
-      Array.iter
-        (fun f -> write_raw (Filename.concat subdir f) "{torn")
-        (Sys.readdir subdir))
-    (Sys.readdir objects);
+  (* Corrupt every record in the log; a cold handle must fall back to
+     the search, never fail. *)
+  let log = Store.log_path store in
+  write_raw log
+    (String.concat ""
+       (List.filter_map
+          (fun line ->
+            if String.length line > 32 then
+              Some (String.sub line 0 33 ^ "{torn\n")
+            else None)
+          (String.split_on_char '\n' (read_all log))));
   let store2 = Store.open_store ~dir () in
   let o2 = Superopt.optimize ~config ~store:store2 ~env prog in
   Alcotest.(check bool) "fell back to the search" false (o2.tier = 1);
+  Alcotest.(check bool) "corruption counted" true
+    ((Store.stats store2).Store.corrupt > 0);
   Alcotest.(check string) "same result regardless"
     (Dsl.Parser.unparse env o1.optimized)
     (Dsl.Parser.unparse env o2.optimized)
 
 (* ------------------------------------------------------------------ *)
-(* The background writer                                               *)
+(* The outcome log                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Runs [f] with the writer held: each queued write, once in flight,
-   signals [in_flight] and waits at a gate that [release] opens for
-   good.  The queue is drained first, so the first write to arrive in
-   flight is [f]'s own. *)
-let with_held_writer s f =
-  Store.flush s;
-  let entered = Semaphore.Counting.make 0 in
-  let gate = Semaphore.Counting.make 0 in
-  Store.set_writer_hook (fun () ->
-      Semaphore.Counting.release entered;
-      Semaphore.Counting.acquire gate;
-      Semaphore.Counting.release gate);
-  let opened = ref false in
-  let release () =
-    if not !opened then begin
-      opened := true;
-      Semaphore.Counting.release gate
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      release ();
-      Store.set_writer_hook ignore)
-    (fun () ->
-      f ~in_flight:(fun () -> Semaphore.Counting.acquire entered) ~release)
-
-(* No handle's lock is held while an entry is written: were it, the
-   lookups below would never return. *)
-let test_find_while_writer_held () =
+let test_invalidate_tombstone () =
   let dir = fresh_dir () in
   let s = Store.open_store ~dir () in
-  Store.add s ~schema "landed" (Json.Int 1);
-  with_held_writer s (fun ~in_flight ~release ->
-      Store.add s ~schema "held" (Json.Int 2);
-      in_flight ();
-      let fresh = Store.open_store ~dir () in
-      let found =
-        Domain.join
-          (Domain.spawn (fun () ->
-               [ Store.find s ~schema "landed"; Store.find fresh ~schema "landed" ]))
-      in
-      Alcotest.(check bool) "resident and disk lookups from a second domain"
-        true
-        (found = [ Some (Json.Int 1); Some (Json.Int 1) ]);
-      release ())
+  Store.add s ~schema "k" (Json.Int 1);
+  Store.write_atomic (Store.entry_path s "k") "{}";
+  Store.invalidate s "k";
+  Alcotest.(check (option reject)) "the handle misses" None
+    (Store.find s ~schema "k");
+  Alcotest.(check (option reject)) "a fresh handle misses" None
+    (Store.find (Store.open_store ~dir ()) ~schema "k");
+  Alcotest.(check bool) "no entry file" false
+    (Sys.file_exists (Store.entry_path s "k"));
+  (* A later add is found again. *)
+  Store.add s ~schema "k" (Json.Int 2);
+  Alcotest.(check bool) "re-added" true
+    (Store.find (Store.open_store ~dir ()) ~schema "k" = Some (Json.Int 2))
 
-let test_invalidate_cancels_writes () =
-  let dir = fresh_dir () in
-  let s = Store.open_store ~dir () in
-  let gone what =
-    Store.flush s;
-    Alcotest.(check (option reject)) (what ^ ": a fresh handle misses") None
-      (Store.find (Store.open_store ~dir ()) ~schema "k");
-    Alcotest.(check bool) (what ^ ": no entry file") false
-      (Sys.file_exists (Store.entry_path s "k"))
-  in
-  (* Queued behind a held write of another key: dropped. *)
-  with_held_writer s (fun ~in_flight ~release ->
-      Store.add s ~schema "other" (Json.Int 0);
-      in_flight ();
-      Store.add s ~schema "k" (Json.Int 1);
-      Store.invalidate s "k";
-      release ());
-  gone "queued";
-  (* In flight: waited out, then deleted. *)
-  with_held_writer s (fun ~in_flight ~release ->
-      Store.add s ~schema "k" (Json.Int 2);
-      in_flight ();
-      let returned = Atomic.make false in
-      let d =
-        Domain.spawn (fun () ->
-            Store.invalidate s "k";
-            Atomic.set returned true)
-      in
-      Unix.sleepf 0.1;
-      Alcotest.(check bool) "invalidate waits for the write in flight" false
-        (Atomic.get returned);
-      release ();
-      Domain.join d);
-  gone "in flight"
-
-(* An [invalidate] waiting for its key's write in flight, and a [find]
-   of that key behind it: whatever the order, the handle does not serve
-   the invalidated payload afterwards. *)
+(* [add]s and [invalidate]s of a key on one handle, racing [find]s of it
+   on that handle and on another: every read decodes, and once the last
+   [invalidate] returns neither that handle nor a fresh one serves the
+   key. *)
 let test_invalidate_find_overlap () =
   let dir = fresh_dir () in
   let s = Store.open_store ~dir () in
-  with_held_writer s (fun ~in_flight ~release ->
-      Store.add s ~schema "k" (Json.Int 1);
-      in_flight ();
-      let inv = Domain.spawn (fun () -> Store.invalidate s "k") in
-      Unix.sleepf 0.05;
-      let look = Domain.spawn (fun () -> ignore (Store.find s ~schema "k")) in
-      Unix.sleepf 0.05;
-      release ();
-      Domain.join inv;
-      Domain.join look);
-  Store.flush s;
-  Alcotest.(check (option reject)) "invalidated key misses" None
-    (Store.find s ~schema "k");
-  Alcotest.(check bool) "no entry file" false
-    (Sys.file_exists (Store.entry_path s "k"))
+  let other = Store.open_store ~dir () in
+  let changer =
+    Domain.spawn (fun () ->
+        for i = 1 to 200 do
+          Store.add s ~schema "k" (Json.Int i);
+          Store.invalidate s "k"
+        done)
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        for _ = 1 to 200 do
+          ignore (Store.find s ~schema "k");
+          ignore (Store.find other ~schema "k")
+        done)
+  in
+  Domain.join changer;
+  Domain.join reader;
+  (* [other] may still hold the key in its own memory front. *)
+  Alcotest.(check int) "no corrupt read" 0 (Store.stats other).Store.corrupt;
+  List.iter
+    (fun (what, h) ->
+      Alcotest.(check (option reject)) (what ^ " misses") None
+        (Store.find h ~schema "k"))
+    [ ("the handle", s); ("a fresh handle", Store.open_store ~dir ()) ]
 
-let test_fresh_handle_sees_queued () =
+let test_fresh_handle_sees_add () =
   let dir = fresh_dir () in
   let env, prog =
     parse "input A : f32[2,2]\ninput B : f32[2,2]\nreturn np.exp(np.log(A + B))"
   in
   let store = Store.open_store ~dir () in
-  with_held_writer store (fun ~in_flight ~release ->
-      let o1 = Superopt.optimize ~config ~store ~env prog in
-      in_flight ();
-      Alcotest.(check bool) "nothing on disk yet" false
-        (Sys.file_exists (Filename.concat dir "objects"));
-      let fresh = Store.open_store ~dir () in
-      let o2 = Superopt.optimize ~config ~store:fresh ~env prog in
-      Alcotest.(check bool) "served by the queued outcome" true (o2.tier = 1);
-      Alcotest.(check string) "same program"
-        (Dsl.Parser.unparse env o1.optimized)
-        (Dsl.Parser.unparse env o2.optimized);
-      release ())
-
-let test_full_queue_writes_through () =
-  let dir = fresh_dir () in
-  let s = Store.open_store ~dir () in
-  let n = Store.queue_capacity + 1 in
-  let key i = Printf.sprintf "k%d" i in
-  let on_disk i = Sys.file_exists (Store.entry_path s (key i)) in
-  with_held_writer s (fun ~in_flight ~release ->
-      Store.add s ~schema "held" Json.Null;
-      in_flight ();
-      for i = 0 to n - 1 do
-        Store.add s ~schema (key i) (Json.Int i)
-      done;
-      Alcotest.(check (pair bool bool)) "only the add past capacity wrote"
-        (false, true)
-        (on_disk 0, on_disk (n - 1));
-      release ());
-  Store.flush s;
-  Alcotest.(check int) "every write counted" (n + 1) (Store.stats s).Store.writes;
+  let o1 = Superopt.optimize ~config ~store ~env prog in
   let fresh = Store.open_store ~dir () in
-  for i = 0 to n - 1 do
-    match Store.find fresh ~schema (key i) with
-    | Some (Json.Int j) when j = i && on_disk i -> ()
-    | _ -> Alcotest.failf "entry %d did not land" i
-  done
+  let o2 = Superopt.optimize ~config ~store:fresh ~env prog in
+  Alcotest.(check bool) "served from the log" true (o2.tier = 1);
+  Alcotest.(check string) "same program"
+    (Dsl.Parser.unparse env o1.optimized)
+    (Dsl.Parser.unparse env o2.optimized);
+  Alcotest.(check bool) "no entry file created" false
+    (Sys.file_exists (Filename.concat dir "objects"))
 
-(* A finished run deletes its scratch store while writes are queued:
-   they are dropped, not landed in a recreated directory.  A write
-   queued after the deletion (a cleared cache under a running daemon)
-   recreates it. *)
-let test_deleted_store_stays_deleted () =
-  let dir = fresh_dir () in
-  let s = Store.open_store ~dir () in
-  Store.add s ~schema "landed" (Json.Int 0);
-  with_held_writer s (fun ~in_flight ~release ->
-      Store.add s ~schema "in flight" (Json.Int 1);
-      in_flight ();
-      Store.add s ~schema "queued" (Json.Int 2);
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-          Sys.rmdir p
-        end
-        else Sys.remove p
-      in
-      rm dir;
-      release ());
-  Store.flush s;
-  Alcotest.(check bool) "store directory not recreated" false
-    (Sys.file_exists dir);
-  Store.add s ~schema "after" (Json.Int 3);
-  Store.flush s;
-  let fresh = Store.open_store ~dir () in
-  Alcotest.(check bool) "a later write lands, the dropped ones do not" true
-    (Store.find fresh ~schema "after" = Some (Json.Int 3)
-    && Store.find fresh ~schema "queued" = None)
+let pinned_key = "key \"with\" quotes"
+
+let pinned_payload =
+  Json.Obj
+    [
+      ("n", Json.Float 18.);
+      ("s", Json.Str "a\"b\n\xc3\xa9");
+      ("l", Json.List [ Json.Int 1; Json.Bool true; Json.Null ]);
+    ]
 
 (* The bytes the store has always written, for this entry. *)
+let pinned_entry =
+  "{\"schema\":\"stenso.store/1\",\"key\":\"key \\\"with\\\" \
+   quotes\",\"payload\":{\"n\":18,\"s\":\"a\\\"b\\n\xc3\xa9\",\"l\":[1,true,null]}}\n"
+
 let test_entry_bytes () =
   let s = Store.open_store ~dir:(fresh_dir ()) () in
-  let key = "key \"with\" quotes" in
-  Store.add s ~schema key
-    (Json.Obj
-       [
-         ("n", Json.Float 18.);
-         ("s", Json.Str "a\"b\n\xc3\xa9");
-         ("l", Json.List [ Json.Int 1; Json.Bool true; Json.Null ]);
-       ]);
-  Store.flush s;
-  Alcotest.(check (option string)) "entry file"
-    (Some
-       "{\"schema\":\"stenso.store/1\",\"key\":\"key \\\"with\\\" \
-        quotes\",\"payload\":{\"n\":18,\"s\":\"a\\\"b\\n\xc3\xa9\",\"l\":[1,true,null]}}\n")
-    (Store.read_file (Store.entry_path s key))
+  Store.add s ~schema pinned_key pinned_payload;
+  Alcotest.(check string) "the log"
+    (Store.digest pinned_key ^ " " ^ pinned_entry)
+    (read_all (Store.log_path s))
+
+(* An entry file written by a build that predates the log. *)
+let test_entry_file_served () =
+  let dir = fresh_dir () in
+  let s = Store.open_store ~dir () in
+  Store.write_atomic (Store.entry_path s pinned_key) pinned_entry;
+  Alcotest.(check (option string)) "served"
+    (Some (Json.to_string pinned_payload))
+    (Option.map Json.to_string (Store.find s ~schema pinned_key));
+  Alcotest.(check int) "a disk hit" 1 (Store.stats s).Store.disk_hits
+
+let test_dir_spellings () =
+  let dir = fresh_dir () in
+  let a = Store.open_store ~dir () in
+  let b = Store.open_store ~dir:(dir ^ "/") () in
+  Store.add a ~schema "from a" (Json.Int 1);
+  Store.add b ~schema "from b" (Json.Int 2);
+  Alcotest.(check (pair bool bool)) "each sees the other's add" (true, true)
+    ( Store.find b ~schema "from a" = Some (Json.Int 1),
+      Store.find a ~schema "from b" = Some (Json.Int 2) )
+
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+    Sys.rmdir p
+  end
+  else Sys.remove p
+
+(* A cache cleared under a running program: the next [add] recreates
+   the store, and the handle indexes the new log afresh. *)
+let test_deleted_store_recreated () =
+  let dir = fresh_dir () in
+  let s = Store.open_store ~mem_capacity:1 ~dir () in
+  let found k = Store.find s ~schema k in
+  Store.add s ~schema "a" (Json.Int 1);
+  ignore (found "absent");
+  (* Held open, the old log keeps its inode number from the new one. *)
+  let old_log = open_in_bin (Store.log_path s) in
+  rm_rf dir;
+  (* [x]'s record is as long as [a]'s: the new log has a line end where
+     the old one ended. *)
+  Store.add s ~schema "x" (Json.Int 2);
+  Store.add s ~schema "b" (Json.Int 3);
+  close_in old_log;
+  Alcotest.(check bool) "a new log is indexed afresh" true
+    (found "x" = Some (Json.Int 2));
+  (* A longer log under the same inode number, as a new log that reuses
+     the old one's would be: replaced in place. *)
+  let long = Json.Str (String.make 200 'l') in
+  let src = Store.open_store ~dir:(fresh_dir ()) () in
+  Store.add src ~schema "long" long;
+  Store.add src ~schema "c" (Json.Int 4);
+  write_raw (Store.log_path s) (read_all (Store.log_path src));
+  Alcotest.(check bool) "a log replaced in place too" true
+    (found "long" = Some long);
+  Alcotest.(check int) "no corrupt read" 0 (Store.stats s).Store.corrupt;
+  let fresh = Store.open_store ~dir () in
+  Alcotest.(check (list bool)) "a fresh handle finds the later adds"
+    [ false; false; false; true; true ]
+    (List.map
+       (fun k -> Option.is_some (Store.find fresh ~schema k))
+       [ "a"; "x"; "b"; "long"; "c" ])
+
+(* A line another process is still appending is indexed only once it
+   is whole. *)
+let test_partial_line_waits () =
+  let source = Store.open_store ~dir:(fresh_dir ()) () in
+  Store.add source ~schema "k" (Json.Str "v");
+  let line = read_all (Store.log_path source) in
+  let dir = fresh_dir () in
+  let s = Store.open_store ~dir () in
+  Sys.mkdir dir 0o755;
+  let half = String.length line / 2 in
+  write_raw (Store.log_path s) (String.sub line 0 half);
+  Alcotest.(check (option reject)) "half a line: a miss" None
+    (Store.find s ~schema "k");
+  append_raw (Store.log_path s)
+    (String.sub line half (String.length line - half));
+  Alcotest.(check bool) "whole: found" true
+    (Store.find s ~schema "k" = Some (Json.Str "v"));
+  Alcotest.(check int) "never corrupt" 0 (Store.stats s).Store.corrupt
 
 (* ------------------------------------------------------------------ *)
 (* Serve protocol                                                      *)
@@ -812,19 +822,21 @@ let suite =
       test_corrupt_wrong_schema;
     Alcotest.test_case "concurrent writers never tear" `Quick
       test_concurrent_writers;
-    Alcotest.test_case "lookups proceed while the writer is held" `Quick
-      test_find_while_writer_held;
-    Alcotest.test_case "invalidate cancels queued and in-flight writes" `Quick
-      test_invalidate_cancels_writes;
+    Alcotest.test_case "invalidate leaves a tombstone" `Quick
+      test_invalidate_tombstone;
     Alcotest.test_case "invalidate and find overlap" `Quick
       test_invalidate_find_overlap;
-    Alcotest.test_case "fresh handle sees a queued outcome" `Quick
-      test_fresh_handle_sees_queued;
-    Alcotest.test_case "full queue writes through" `Quick
-      test_full_queue_writes_through;
+    Alcotest.test_case "fresh handle sees an add, no flush" `Quick
+      test_fresh_handle_sees_add;
     Alcotest.test_case "entry bytes unchanged" `Quick test_entry_bytes;
-    Alcotest.test_case "deleted store stays deleted" `Quick
-      test_deleted_store_stays_deleted;
+    Alcotest.test_case "entry file of an older build served" `Quick
+      test_entry_file_served;
+    Alcotest.test_case "handles on dir and dir/ share a log" `Quick
+      test_dir_spellings;
+    Alcotest.test_case "deleted store recreated by next add" `Quick
+      test_deleted_store_recreated;
+    Alcotest.test_case "a line being appended waits" `Quick
+      test_partial_line_waits;
     Alcotest.test_case "optimize serves repeats from the store" `Quick
       test_optimize_served_from_store;
     Alcotest.test_case "corrupt store entries fall back to search" `Quick
