@@ -40,12 +40,12 @@ let write_atomic path contents =
       raise e
 
 (* Append [text], whole lines, to the file at [path] in [O_APPEND]
-   writes under a lock on the file, so appenders in other processes land
-   whole lines one after another.  One write is at most 64 KB
-   ([Unix.single_write]); the lock keeps a longer text's writes
-   together.  Handles of one process share the lock, so there only
-   their mutexes order appends.  A file whose last line is torn (its
-   writer died) gets a newline first: only the torn line is lost. *)
+   writes, so appenders in other processes land whole lines one after
+   another.  One write is at most 64 KB ([Unix.single_write]); a lock on
+   the file, where the file system has locks, keeps a longer text's
+   writes together (handles of one process share it).  A file whose
+   last line is torn (its writer died) gets a newline first: only the
+   torn line is lost. *)
 let append_lines path text =
   mkdir_p (Filename.dirname path);
   let fd =
@@ -56,7 +56,7 @@ let append_lines path text =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      Unix.lockf fd Unix.F_LOCK 0;
+      (try Unix.lockf fd Unix.F_LOCK 0 with Unix.Unix_error _ -> ());
       let size = (Unix.fstat fd).Unix.st_size in
       let torn =
         size > 0
