@@ -65,7 +65,7 @@ let append_lines path text =
         ignore (Unix.lseek fd (size - 1) Unix.SEEK_SET);
         Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n'
       in
-      if torn then ignore (Unix.write_substring fd "\n" 0 1);
+      let text = if torn then "\n" ^ text else text in
       ignore (Unix.write_substring fd text 0 (String.length text)))
 
 let digest key = Digest.to_hex (Digest.string key)
